@@ -13,6 +13,13 @@ so only the multi-node rate interaction term needs numeric quadrature.  It
 is sampled on the merged event timeline with substeps crowded toward the
 interval starts and one-sided limits at the event instants where the
 integrand jumps.
+
+The sampled term reads each policy in drain time tau, the time a battery
+needs to empty from its level.  Under the cellwise p**2-linear
+interpretation the release rate falls linearly in tau inside each cell, so
+p at any instant is one ``np.interp`` over the policy's tau nodes; the walk
+records tau at every segment start (``NodeRun.seg_tau``), and the sampler
+subtracts the elapsed time from it.
 """
 
 from __future__ import annotations
@@ -49,10 +56,14 @@ class SimConfig:
             raise DomainError(f"burn-in must be nonnegative, got {self.burn_in}")
         if not self.horizon > self.burn_in:
             raise DomainError("horizon must exceed the burn-in time")
+        if not math.isfinite(self.horizon):
+            raise DomainError(f"horizon must be finite, got {self.horizon}")
         if self.replications < 1:
             raise DomainError("at least one replication is required")
         if self.joint_substeps < 1:
             raise DomainError("joint_substeps must be at least 1")
+        if self.cdf_probes < 0:
+            raise DomainError(f"cdf_probes must be nonnegative, got {self.cdf_probes}")
 
 
 @dataclass
@@ -61,11 +72,14 @@ class NodeRun:
 
     Each drain segment starts at ``seg_start`` from ``seg_level``, drains for
     ``drain_dur`` down to ``seg_end_level`` (0 when the battery empties) and
-    then idles for ``idle_dur`` until the next arrival.
+    then idles for ``idle_dur`` until the next arrival.  ``seg_tau`` is the
+    drain time to empty from ``seg_level``, the walk's own policy coordinate:
+    at ``seg_start + s`` the battery releases at p(``seg_tau`` - s).
     """
 
     seg_start: np.ndarray
     seg_level: np.ndarray
+    seg_tau: np.ndarray
     seg_end_level: np.ndarray
     drain_end: np.ndarray     # wall time the drain stops; bitwise equal to the
     drain_dur: np.ndarray     # merged-timeline cut at that instant
@@ -121,7 +135,9 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
                      log, node):
     """Sequential walk over arrivals with exact drains, clipped to the window.
 
-    Fast scalar path: plain-Python lists and bisect, one step per arrival.
+    The Python loop carries only the level recursion, one step per arrival
+    with scalar drain maps (plain lists and bisect); the segment arrays,
+    the window clipping and the event log are then built with numpy.
     """
     xs = interp.x.tolist()
     ps = interp.p.tolist()
@@ -156,73 +172,87 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
         dt = tau - taus[i]
         return xs[i] + ps[i] * dt + 0.25 * bs[i] * dt * dt
 
-    seg_start, seg_level, seg_end_level = [], [], []
-    drain_end, drain_dur, idle_dur = [], [], []
-    pre_arr, post_arr = [], []
-    overflow = 0.0
+    # the sequential part: one row per arrival plus a closing row at the
+    # horizon (its energy 0.0 is never used).  Row j drains the level left by
+    # row j - 1 over [t_prev, t_next) and then adds the arrival's packet.
+    t_list = times.tolist()
+    t_list.append(horizon)
+    e_list = energies.tolist()
+    e_list.append(0.0)
+    rows = len(t_list)
+    tau_at = [0.0] * rows    # time to empty from the row's start level
+    end_at = [0.0] * rows    # level when the row's drain stops
+    post_at = [0.0] * rows   # clipped level just after the row's arrival
     t_prev = 0.0
     level = 0.0
-    events = list(zip(times.tolist(), energies.tolist()))
-    events.append((horizon, None))
-    for t_next, energy in events:
-        # advance the state over [t_prev, t_next): drain then idle.  The drain
-        # stop time t_stop is stored as the exact float the merged timeline
-        # will cut at, so one-sided limits resolve by float identity.
+    for j, (t_next, energy) in enumerate(zip(t_list, e_list)):
         if level > 0.0:
             tau_lv = tau_of(level)
+            tau_at[j] = tau_lv
             if t_prev + tau_lv <= t_next:
-                end_level, t_stop = 0.0, t_prev + tau_lv
+                end = 0.0
             else:
-                end_level, t_stop = level_of(tau_lv - (t_next - t_prev)), t_next
+                end = level_of(tau_lv - (t_next - t_prev))
+            end_at[j] = end
         else:
-            end_level, t_stop = 0.0, t_prev
-        # emit the window-clipped portion of the segment
-        if t_next > burn_in:
-            if t_prev >= burn_in:
-                seg_start.append(t_prev)
-                seg_level.append(level)
-                seg_end_level.append(end_level)
-                drain_end.append(t_stop)
-                drain_dur.append(t_stop - t_prev)
-                idle_dur.append(t_next - t_stop)
-            elif t_stop > burn_in:
-                lv_at_burn = level_of(tau_of(level) - (burn_in - t_prev))
-                seg_start.append(burn_in)
-                seg_level.append(lv_at_burn)
-                seg_end_level.append(end_level)
-                drain_end.append(t_stop)
-                drain_dur.append(t_stop - burn_in)
-                idle_dur.append(t_next - t_stop)
-            else:
-                seg_start.append(burn_in)
-                seg_level.append(0.0)
-                seg_end_level.append(0.0)
-                drain_end.append(burn_in)
-                drain_dur.append(0.0)
-                idle_dur.append(t_next - burn_in)
-            if log is not None and t_stop > t_prev and end_level == 0.0:
-                log.append((t_stop, node, "empty", 0.0))
-        if energy is None:
-            break
-        post = end_level + energy
-        if post > capacity:
-            overflow_inc = post - capacity
-            post = capacity
-        else:
-            overflow_inc = 0.0
-        if t_next >= burn_in:
-            pre_arr.append(end_level)
-            post_arr.append(post)
-            overflow += overflow_inc
-            if log is not None:
-                log.append((t_next, node, "arrival", post))
+            end = 0.0
+        level = end + energy
+        if level > capacity:
+            level = capacity
+        post_at[j] = level
         t_prev = t_next
-        level = post
-    return NodeRun(seg_start=np.asarray(seg_start), seg_level=np.asarray(seg_level),
-                   seg_end_level=np.asarray(seg_end_level),
-                   drain_end=np.asarray(drain_end), drain_dur=np.asarray(drain_dur),
-                   idle_dur=np.asarray(idle_dur), pre_arrival=np.asarray(pre_arr),
-                   post_arrival=np.asarray(post_arr), overflow=overflow)
+
+    t_next = np.asarray(t_list)
+    t_prev = np.concatenate(([0.0], times))
+    post = np.asarray(post_at)
+    start = np.concatenate(([0.0], post[:-1]))
+    tau = np.asarray(tau_at)
+    end = np.asarray(end_at)
+    # a drain that empties stops at the exact float t_prev + tau, which the
+    # merged timeline cuts at, so one-sided limits resolve by float identity;
+    # an empty battery (tau = 0) stops at t_prev
+    t_stop = np.minimum(t_prev + tau, t_next)
+
+    # arrivals inside the window; an arrival overflows by (pre + energy) - post,
+    # which is exactly 0.0 unless the capacity clipped it
+    a = int(np.searchsorted(times, burn_in, side="left"))
+    pre_arr = end[a:-1]
+    post_arr = post[a:-1]
+    overflow = float(np.sum(pre_arr + energies[a:] - post_arr))
+
+    # window rows: those ending after the burn-in; only the first can start
+    # before it
+    w = int(np.searchsorted(t_next, burn_in, side="right"))
+    if log is not None:
+        # per row, the drain's "empty" entry precedes the row's arrival
+        empty = w + np.flatnonzero((t_stop[w:] > t_prev[w:]) & (end[w:] == 0.0))
+        arrival = np.arange(a, times.size)
+        order = np.argsort(np.concatenate((2 * empty, 2 * arrival + 1)))
+        when = np.concatenate((t_stop[empty], times[a:]))[order]
+        value = np.concatenate((np.zeros(empty.size), post_arr))[order]
+        log.extend((t, node, "empty" if i < empty.size else "arrival", v)
+                   for t, i, v in zip(when.tolist(), order.tolist(), value.tolist()))
+    # the segments are views of the window rows: the burn-in clip writes into
+    # the row arrays, so it comes after the log has read them
+    seg_start = t_prev[w:]
+    seg_level = start[w:]
+    seg_tau = tau[w:]
+    seg_end_level = end[w:]
+    drain_end = t_stop[w:]
+    if seg_start[0] < burn_in:
+        if drain_end[0] > burn_in:   # drain straddles the burn-in: clip it
+            seg_tau[0] -= burn_in - seg_start[0]
+            seg_level[0] = level_of(seg_tau[0])
+        else:                        # empty at the burn-in
+            seg_level[0] = seg_tau[0] = 0.0
+            drain_end[0] = burn_in
+        seg_start[0] = burn_in
+    drain_dur = drain_end - seg_start
+    idle_dur = t_next[w:] - drain_end
+    return NodeRun(seg_start=seg_start, seg_level=seg_level, seg_tau=seg_tau,
+                   seg_end_level=seg_end_level, drain_end=drain_end,
+                   drain_dur=drain_dur, idle_dur=idle_dur, pre_arrival=pre_arr,
+                   post_arrival=post_arr, overflow=overflow)
 
 
 def _occupancy_cdf(interp, run: NodeRun, probes, window):
@@ -235,7 +265,7 @@ def _occupancy_cdf(interp, run: NodeRun, probes, window):
     live = run.drain_dur > 0.0
     a = run.seg_level[live]
     b = run.seg_end_level[live]
-    ta = interp.tau(a)
+    ta = run.seg_tau[live]
     tb = interp.tau(b)
     a_sorted = np.sort(a)
     b_sorted = np.sort(b)
@@ -362,9 +392,11 @@ def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
             draining = samples < de[:, None]
             draining[:, -1] = (t1 <= de) & (run.drain_dur[idx] > 0.0)
             elapsed = np.minimum(samples, de[:, None]) - run.seg_start[idx][:, None]
-            tau_left = interp.tau(run.seg_level[idx])[:, None] - elapsed
-            level = interp.tau_inverse(np.maximum(tau_left, 0.0))
-            p_node = np.where(draining, interp.value(np.maximum(level, 0.0)), 0.0)
+            tau_left = run.seg_tau[idx][:, None] - elapsed
+            # p is linear in drain time inside each cell, and the clamps give
+            # p(0+) at tau <= 0 and the top value beyond the last node
+            p_node = np.where(draining,
+                              np.interp(tau_left, interp.tau_nodes, interp.p), 0.0)
             p_sum += p_node
             own_rate += rate(rf, p_node)
         vals = rate(rf, p_sum) - own_rate

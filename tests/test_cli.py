@@ -214,6 +214,15 @@ class TestSimulateCommand:
                     str(tmp_path / "o")]) == 1
         assert "error[E_IO]" in capsys.readouterr().err
 
+    def test_infinite_horizon_is_a_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = inf\nnode_count = 1\n"
+                       "policy_level = 2.0\nhorizon = inf\nburn_in = 10\n",
+                       encoding="utf-8")
+        assert run(["simulate", "--config", str(cfg), "--out",
+                    str(tmp_path / "o")]) == 1
+        assert "error[E_DOMAIN]" in capsys.readouterr().err
+
     def test_seed_override_changes_draws(self, tmp_path):
         base = ("schema_version = 1\ncapacities = inf\nnode_count = 1\n"
                 "policy_level = 2.0\nhorizon = 1000\nreplications = 1\n"

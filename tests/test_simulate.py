@@ -1,10 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ehmac as eh
 from ehmac.errors import DomainError
+from ehmac.grids import uniform_grid
 
 
 def exp_dist(zeta=1.0):
@@ -25,6 +29,10 @@ class TestSimConfig:
             eh.SimConfig(horizon=10.0, replications=0)
         with pytest.raises(DomainError):
             eh.SimConfig(horizon=-1.0)
+        with pytest.raises(DomainError):
+            eh.SimConfig(horizon=math.inf)
+        with pytest.raises(DomainError):
+            eh.SimConfig(horizon=10.0, cdf_probes=-3)
 
 
 class TestDepletionMap:
@@ -49,6 +57,138 @@ class TestDepletionMap:
         grid = np.linspace(0.0, 3.0, 20_001)
         brute = np.trapezoid(interp.value(np.maximum(grid, 1e-12)), grid)
         assert interp.power_integral(3.0) == pytest.approx(float(brute), rel=1e-6)
+
+
+@st.composite
+def admissible_interps(draw):
+    """A random admissible policy, read finite or extended beyond its grid.
+
+    Rising policies span p in [0.01, 10] and unordered ones [0.5, 2]: over
+    wider spans the reference path value(tau_inverse(tau)) itself loses
+    digits to cancellation in p**2 on steeply falling cells.
+    """
+    n = draw(st.integers(1, 48))
+    capacity = draw(st.floats(0.1, 20.0))
+    if draw(st.booleans()):
+        p = sorted(draw(st.lists(st.floats(0.01, 10.0), min_size=n + 1, max_size=n + 1)))
+    else:
+        p = draw(st.lists(st.floats(0.5, 2.0), min_size=n + 1, max_size=n + 1))
+    policy = eh.PolicyGrid(uniform_grid(capacity, n), np.asarray([0.0] + p[1:]),
+                           p0plus=p[0])
+    return policy.interp(extend=draw(st.booleans()))
+
+
+class TestDrainTimeIdentity:
+    """The release rate is linear in drain time inside each p**2-linear cell."""
+
+    @staticmethod
+    def _span(interp):
+        top = interp.tau_nodes[-1]
+        return (1.5 * top if interp.extend else top), (1.5 if interp.extend else 1.0) * interp.x[-1]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(admissible_interps(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_interp_in_drain_time_equals_value_of_level(self, interp, fracs):
+        tau_span, _ = self._span(interp)
+        tau = np.concatenate((np.asarray(fracs) * tau_span, interp.tau_nodes))
+        tau = tau[tau <= tau_span]
+        fast = np.interp(tau, interp.tau_nodes, interp.p)
+        reference = interp.value(interp.tau_inverse(tau))
+        np.testing.assert_allclose(fast, reference, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(admissible_interps(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40))
+    def test_round_trip_and_monotone_drains(self, interp, fracs):
+        tau_span, level_span = self._span(interp)
+        u = np.sort(np.asarray(fracs))
+        tau, levels = u * tau_span, u * level_span
+        assert np.max(np.abs(interp.tau(interp.tau_inverse(tau)) - tau)) <= 1e-12 * tau_span
+        assert np.max(np.abs(interp.tau_inverse(interp.tau(levels)) - levels)) <= \
+            1e-11 * level_span
+        # every map is monotone exactly, not just up to roundoff
+        assert np.all(np.diff(interp.tau(levels)) >= 0.0)
+        assert np.all(np.diff(interp.tau_inverse(tau)) >= 0.0)
+        assert np.all(np.diff(interp.drain(levels[-1], tau)) <= 0.0)
+        assert np.all(np.diff(interp.drain(levels, 0.5 * tau_span)) >= 0.0)
+
+
+# Seeded runs recorded with the level-space joint-rate kernel (value of
+# tau_inverse per sample) and the per-arrival segment walk; the drain-time
+# kernel and the recursion-only walk must reproduce them up to roundoff.
+PIN_ROUNDOFF = 1e-9
+
+
+def _pin_pair():
+    finite = eh.HarvestParams(1.0, 1.0, 2.0)
+    unbounded = eh.HarvestParams(1.5, 1.0, math.inf)
+    nodes = [(finite, eh.policy_from_function(lambda x: 0.2 + x * x, 2.0, 64), exp_dist()),
+             (unbounded, eh.policy_from_function(lambda x: 0.2 + 0.5 * x, 6.0, 48),
+              exp_dist())]
+    cfg = eh.SimConfig(horizon=600.0, replications=2, seed=11, burn_in=25.0,
+                       cdf_probes=9, track_events=True)
+    return nodes, cfg
+
+
+def _pin_single():
+    hp = eh.HarvestParams(1.0, 1.0, 3.0)
+    nodes = [(hp, eh.policy_from_function(lambda x: 0.5 + 0.8 * x, 3.0, 256),
+              eh.PacketDistribution.tabulated([0.0, 2.0], [0.0, 1.0]))]
+    cfg = eh.SimConfig(horizon=3000.0, replications=2, seed=5, burn_in=10.0,
+                       cdf_probes=9, level_probes=(0.5, 1.0, 2.0))
+    return nodes, cfg
+
+
+PIN_CASES = {
+    "pair": (_pin_pair, {
+        "throughput": 0.7904602675403462, "throughput_se": 0.010401192686292804,
+        "atom": [0.10048905213863596, 0.009311190971520772],
+        "mean_power": [0.7213188961557377, 1.4624383348654542],
+        "power_variance": [0.6109538361964063, 0.6193186005061053],
+        "overflow_rate": [0.28403950512805365, 0.0],
+        "cdf": [[0.2971417387569155, 0.5229662756447828, 0.7032800551308567,
+                 0.8214359169280091, 0.8968396606978006, 0.947101319842058,
+                 0.9790512634336039, 1.0000000000000258],
+                [0.19446552290264094, 0.5043365469016174, 0.7328575772299404,
+                 0.8626755033368995, 0.9359413391296, 0.9679190671865641,
+                 0.9839340442484017, 0.9912408044728028]],
+        "down_rate": [[], []], "up_rate": [[], []],
+        "events": {"arrival": 2843, "empty": 151},
+        "event_time_sum": 937444.4101198815,
+        "event_head": [(26.402090398512154, 0, "arrival", 0.16455089186696498),
+                       (27.189815127882596, 0, "empty", 0.0),
+                       (28.961061442002404, 0, "arrival", 2.0)]}),
+    "single": (_pin_single, {
+        "throughput": 0.4257998585634636, "throughput_se": 0.004012088523215468,
+        "atom": [0.2528740237842981], "mean_power": [0.9482729577533074],
+        "power_variance": [0.5428739947258503],
+        "overflow_rate": [0.05588207247843413],
+        "cdf": [[0.43798849147783436, 0.5982186411103456, 0.7303683404861825,
+                 0.8341069814993649, 0.9067833321088059, 0.9530412293856043,
+                 0.9822532514696065, 0.999999999999978]],
+        "down_rate": [[0.39966555183946484, 0.44581939799331105, 0.2747491638795987]],
+        "up_rate": [[0.39983277591973243, 0.44581939799331105, 0.2747491638795987]],
+        "events": {}, "event_time_sum": 0.0, "event_head": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_seeded_digest_pinned(case, rf):
+    build, want = PIN_CASES[case]
+    nodes, cfg = build()
+    stats = eh.simulate(nodes, rf, cfg)
+    for name in ("throughput", "throughput_se", "atom", "mean_power", "power_variance",
+                 "overflow_rate", "cdf", "down_rate", "up_rate"):
+        np.testing.assert_allclose(getattr(stats, name), want[name], rtol=PIN_ROUNDOFF,
+                                   atol=0.0, err_msg=name)
+    log = stats.event_log
+    assert dict(Counter(entry[2] for entry in log)) == want["events"]
+    assert math.fsum(entry[0] for entry in log) == pytest.approx(want["event_time_sum"],
+                                                                 rel=PIN_ROUNDOFF)
+    assert len(log[:3]) == len(want["event_head"])
+    for got, ref in zip(log[:3], want["event_head"]):
+        assert got[1:3] == ref[1:3]
+        assert got[0] == pytest.approx(ref[0], rel=PIN_ROUNDOFF)
+        assert got[3] == pytest.approx(ref[3], rel=PIN_ROUNDOFF)
 
 
 class TestSimulate:
