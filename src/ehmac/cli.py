@@ -4,7 +4,10 @@ Verbs:
     bound     -- closed-form throughput ceilings over a capacity sweep
     solve     -- policy synthesis over a (capacity, K, p(0+)) grid
     simulate  -- Monte Carlo run of a stored, constant, or freshly solved policy
-    sweep     -- summary-only utility grid, optionally across worker processes
+    sweep     -- summary-only utility grid
+
+solve and sweep run their grid cells across worker processes when
+``workers`` is above 1.
 
 Every run is deterministic given its configuration (seeds included); errors
 print one ``error[CODE]: message`` line on stderr and exit nonzero.
@@ -18,6 +21,8 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -102,51 +107,64 @@ def _cell_tag(cap, k, p0, init):
     return tag
 
 
-def cmd_solve(cfg: ExperimentConfig, outdir: Path):
-    """Solve the configured grid, writing policies, measures and traces."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for cap in cfg.capacities:
-        for k in cfg.k_values:
-            for p0 in cfg.p0plus_values:
-                for init in cfg.init_policies:
-                    report = _solve_cell((cfg, cap, k, p0, init))
-                    tag = _cell_tag(cap, k, p0, init)
-                    cell_dir = outdir / tag
-                    report.write_dir(cell_dir)
-                    if cfg.keep_history:
-                        for i, pol in enumerate(report.policy_history):
-                            export_policy(pol, cell_dir / f"policy_iter{i}.csv")
-                    rows.append(_summary_row(cfg, cap, k, p0, report.utility))
-        if cfg.best_k:
-            rf = RateFunction(cfg.n0)
-            hp = _params(cfg, cap)
-            sc = _solver_config(cfg, 0.0, cfg.p0plus_values[0], cfg.init_policies[0])
-            k_best, u_best, table = best_k_search(
-                cfg.node_count, hp, rf, sc, cfg.k_min, cfg.k_max,
-                step=cfg.k_step, coarse_step=cfg.k_coarse)
-            rows.append(_summary_row(cfg, cap, k_best, cfg.p0plus_values[0], u_best))
-            with open(outdir / f"ksearch_L{cap:g}.csv", "w", newline="",
-                      encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("K", "utility"))
-                writer.writerows((f"{k:.4f}", f"{u:.6f}") for k, u in table)
-    _write_summary(outdir / "summary.csv", rows)
-    return rows
+def _solved_cells(cfg: ExperimentConfig):
+    """Yield every (capacity, K, p(0+), init) cell with its report.
 
-
-def cmd_sweep(cfg: ExperimentConfig, outdir: Path | None):
-    """Summary-only solve grid; cells may run in parallel worker processes."""
+    Cells come capacity-major, then in k/p0/init order.  Serially a cell is
+    solved when the caller asks for it; with ``workers > 1`` every cell goes
+    to a process pool at once.
+    """
     cells = [(cfg, cap, k, p0, init)
              for cap in cfg.capacities for k in cfg.k_values
              for p0 in cfg.p0plus_values for init in cfg.init_policies]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(_solve_cell, cells))
+            yield from zip(cells, pool.map(_solve_cell, cells))
     else:
-        reports = [_solve_cell(c) for c in cells]
+        yield from zip(cells, map(_solve_cell, cells))
+
+
+def cmd_solve(cfg: ExperimentConfig, outdir: Path):
+    """Solve the configured grid, writing policies, measures and traces.
+
+    Each capacity's best-K scan runs in this process, after that capacity's
+    cells have been written.
+    """
+    outdir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    per_cap = len(cfg.k_values) * len(cfg.p0plus_values) * len(cfg.init_policies)
+    with closing(_solved_cells(cfg)) as solved:
+        for cap in cfg.capacities:
+            for (_, _, k, p0, init), report in islice(solved, per_cap):
+                cell_dir = outdir / _cell_tag(cap, k, p0, init)
+                report.write_dir(cell_dir)
+                if cfg.keep_history:
+                    for i, pol in enumerate(report.policy_history):
+                        export_policy(pol, cell_dir / f"policy_iter{i}.csv")
+                rows.append(_summary_row(cfg, cap, k, p0, report.utility))
+            if cfg.best_k:
+                rf = RateFunction(cfg.n0)
+                hp = _params(cfg, cap)
+                sc = _solver_config(cfg, 0.0, cfg.p0plus_values[0],
+                                    cfg.init_policies[0])
+                k_best, u_best, table = best_k_search(
+                    cfg.node_count, hp, rf, sc, cfg.k_min, cfg.k_max,
+                    step=cfg.k_step, coarse_step=cfg.k_coarse)
+                rows.append(_summary_row(cfg, cap, k_best, cfg.p0plus_values[0],
+                                         u_best))
+                with open(outdir / f"ksearch_L{cap:g}.csv", "w", newline="",
+                          encoding="utf-8") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(("K", "utility"))
+                    writer.writerows((f"{k:.4f}", f"{u:.6f}") for k, u in table)
+    _write_summary(outdir / "summary.csv", rows)
+    return rows
+
+
+def cmd_sweep(cfg: ExperimentConfig, outdir: Path | None):
+    """Summary-only solve grid."""
     rows = [_summary_row(cfg, cap, k, p0, rep.utility)
-            for (_, cap, k, p0, _), rep in zip(cells, reports)]
+            for (_, cap, k, p0, _), rep in _solved_cells(cfg)]
     if outdir is None:
         writer = csv.writer(sys.stdout)
         writer.writerow(SUMMARY_COLUMNS)
@@ -218,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for sweep cells")
+                       help="worker processes for solve and sweep cells")
     return parser
 
 

@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .solver import INIT_POLICIES
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "EHMAC_"
@@ -88,8 +89,7 @@ class ExperimentConfig:
             ("theta_tol", self.theta_tol > 0.0),
             ("max_outer", self.max_outer >= 1),
             ("ode_substeps", self.ode_substeps >= 1),
-            ("init_policies", all(i in ("linear", "constant", "sqrt")
-                                  for i in self.init_policies)),
+            ("init_policies", all(i in INIT_POLICIES for i in self.init_policies)),
             ("horizon", self.horizon > self.burn_in >= 0.0),
             ("replications", self.replications >= 1),
             ("workers", self.workers >= 1),

@@ -95,6 +95,16 @@ class PolicyGrid:
     def interp(self, extend: bool = False) -> PolicyInterp:
         return PolicyInterp(self.grid, self.density_side_values(), extend=extend)
 
+    def density_side_on(self, grid: np.ndarray) -> np.ndarray:
+        """Density-side samples at the nodes of another level grid.
+
+        The policy's own samples when the grids match; otherwise p(0+)
+        followed by the interpolant, continued past the top, at grid[1:].
+        """
+        if grid.size == self.grid.size and np.allclose(grid, self.grid):
+            return self.density_side_values()
+        return np.concatenate(([self.p0plus], self.interp(extend=True).value(grid[1:])))
+
 
 def policy_from_function(fn, capacity: float, n: int, p0plus: float | None = None) -> PolicyGrid:
     """Sample ``fn`` on a uniform grid; p(0+) defaults to the limit fn(0+)."""
@@ -270,12 +280,7 @@ def measure_volterra(policy: PolicyGrid, params: HarvestParams,
 def mean_power(measure: StationaryMeasure, policy: PolicyGrid) -> float:
     """Mean transmission power under the stationary law (atom contributes 0)."""
     _require_normalized(measure)
-    if measure.grid.size == policy.grid.size and np.allclose(measure.grid, policy.grid):
-        pd = policy.density_side_values()
-    else:
-        interp = policy.interp(extend=True)
-        pd = np.concatenate(([policy.p0plus], interp.value(measure.grid[1:])))
-    return measure.expectation(pd)
+    return measure.expectation(policy.density_side_on(measure.grid))
 
 
 def level_crossing_residual(measure: StationaryMeasure, policy: PolicyGrid,
@@ -288,11 +293,7 @@ def level_crossing_residual(measure: StationaryMeasure, policy: PolicyGrid,
     x = measure.grid
     f = measure.density
     h = grid_spacing(x)
-    if measure.grid.size == policy.grid.size and np.allclose(measure.grid, policy.grid):
-        pd = policy.density_side_values()
-    else:
-        pd = np.concatenate(([policy.p0plus], policy.interp(extend=True).value(x[1:])))
-    down = f * pd
+    down = f * policy.density_side_on(x)
     lam = params.lam
     up = np.empty_like(down)
     weights = np.full(x.size, h)

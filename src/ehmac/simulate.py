@@ -224,8 +224,10 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
     # before it
     w = int(np.searchsorted(t_next, burn_in, side="right"))
     if log is not None:
-        # per row, the drain's "empty" entry precedes the row's arrival
-        empty = w + np.flatnonzero((t_stop[w:] > t_prev[w:]) & (end[w:] == 0.0))
+        # per row, the drain's "empty" entry precedes the row's arrival; the
+        # row straddling the burn-in can empty before it
+        empty = w + np.flatnonzero((t_stop[w:] > t_prev[w:]) & (end[w:] == 0.0)
+                                   & (t_stop[w:] >= burn_in))
         arrival = np.arange(a, times.size)
         order = np.argsort(np.concatenate((2 * empty, 2 * arrival + 1)))
         when = np.concatenate((t_stop[empty], times[a:]))[order]

@@ -34,10 +34,12 @@ not known in advance, so the solvers take K as a free constant and
 K* = -zeta U* up to its step (for identical nodes J is the sum-throughput
 U); a K measured on another scale or with another offset would break this.
 
-``solve_mac_gauss_seidel`` sweeps coordinate updates of that ODE across
-asymmetric nodes; ``solve_symmetric_mac`` iterates the one-policy fixed
-point when every node is statistically identical.  Both hold (p(0+), K)
-fixed by default and stop when the relative utility improvement drops below
+Both outer iterations are one coordinate ascent on that ODE, run by one
+driver.  ``solve_mac_gauss_seidel`` gives every node its own policy and
+updates the nodes in order; ``solve_symmetric_mac`` ties one policy across
+statistically identical nodes and updates it once per sweep, which is the
+fixed-point iteration.  Both hold (p(0+), K) fixed unless ``optimize_start``
+is set, and stop when the relative utility improvement drops below
 ``theta_tol``.
 """
 
@@ -53,7 +55,7 @@ from .arrivals import HarvestParams
 from .errors import (DomainError, MomentRangeError, NonAdmissibleTrajectoryError,
                      NumericOverflowError, SolverDivergenceError, UsageError)
 from .grids import uniform_grid
-from .measures import PolicyGrid, StationaryMeasure, measure_closed_form
+from .measures import PolicyGrid, measure_closed_form
 from .rates import RateFunction
 from .throughput import (ExactRateMoments, QMAX_CAP, SystemState, phi_moments,
                          sum_throughput)
@@ -276,12 +278,6 @@ def el_ode_solve(phi, params: HarvestParams, config: SolverConfig,
     return PolicyGrid(grid=x, values=full, p0plus=config.p0plus)
 
 
-def _symmetric_state(m: int, params: HarvestParams, rf: RateFunction,
-                     policy: PolicyGrid, measure: StationaryMeasure) -> SystemState:
-    return SystemState(nodes=tuple((params, policy, measure) for _ in range(m)),
-                       rate=rf)
-
-
 def _moment_knots(params: HarvestParams, rf: RateFunction, config: SolverConfig,
                   p_hint: float) -> np.ndarray:
     """Power knots: dense where the rate curves, geometric into the tail."""
@@ -291,56 +287,6 @@ def _moment_knots(params: HarvestParams, rf: RateFunction, config: SolverConfig,
     n_geo = max(24, int(np.ceil(np.log(qmax / qc) / np.log(1.12))))
     geo = np.geomspace(qc, qmax, n_geo)
     return np.unique(np.concatenate([lin, geo]))
-
-
-def solve_symmetric_mac(m: int, params: HarvestParams, rf: RateFunction,
-                        config: SolverConfig, keep_history: bool = False) -> SolveReport:
-    """Fixed-point iteration for ``m`` statistically identical nodes.
-
-    Alternates (measure of the shared policy) -> (coordinate moments) ->
-    (ODE update of the shared policy), holding p(0+) and K fixed, until the
-    relative utility improvement falls under ``theta_tol``.
-    """
-    if m < 1:
-        raise DomainError("node count must be at least 1")
-    if params.is_infinite:
-        raise UsageError("the fixed-point iteration needs a finite battery")
-    policy = initial_policy(config, params.capacity)
-    measure = measure_closed_form(policy, params)
-    utility = sum_throughput(_symmetric_state(m, params, rf, policy, measure))
-    utilities = [utility]
-    history = [policy] if keep_history else []
-    termination = "max_outer"
-    sweeps = 0
-    for it in range(1, config.max_outer + 1):
-        state = _symmetric_state(m, params, rf, policy, measure)
-        if m == 1:
-            phi = ExactRateMoments(rf)
-        else:
-            knots = _moment_knots(params, rf, config, float(np.max(policy.values)))
-            phi = phi_moments(state, 0, knots)
-        new_policy = el_ode_solve(phi, params, config)
-        new_measure = measure_closed_form(new_policy, params)
-        new_utility = sum_throughput(
-            _symmetric_state(m, params, rf, new_policy, new_measure))
-        # iterate-to-iterate decrease breaks the ascent argument; the drop from
-        # the arbitrary initializer to the first solution is expected and exempt
-        if it >= 2 and new_utility < utility - config.divergence_tol:
-            raise SolverDivergenceError(
-                f"utility decreased from {utility!r} to {new_utility!r} at "
-                f"iteration {it}")
-        theta = abs(new_utility - utility) / max(abs(utility), 1e-12)
-        policy, measure, utility = new_policy, new_measure, new_utility
-        utilities.append(utility)
-        if keep_history:
-            history.append(policy)
-        sweeps = it
-        if theta < config.theta_tol:
-            termination = "theta"
-            break
-    return SolveReport(policies=[policy], measures=[measure], utilities=utilities,
-                       termination=termination, sweeps=sweeps,
-                       initial_utility=utilities[0], policy_history=history)
 
 
 def _start_candidates(config: SolverConfig):
@@ -353,41 +299,41 @@ def _start_candidates(config: SolverConfig):
     return [(p0, k) for p0 in p0s for k in ks]
 
 
-def solve_mac_gauss_seidel(nodes, rf: RateFunction, configs) -> SolveReport:
-    """Coordinate ascent across (possibly asymmetric) nodes.
+def _ascend(nodes, rf: RateFunction, configs, tied: bool,
+            keep_history: bool = False) -> SolveReport:
+    """Coordinate ascent on the necessary-condition ODE.
 
-    Sweeps node indices in order; each update re-tabulates the coordinate
-    moments against the other nodes' current measures, integrates the ODE,
-    and refreshes that node's measure.  With ``optimize_start`` the update
-    also grid-searches (p(0+), K) and keeps the best candidate, never doing
-    worse than the incumbent policy.
+    ``tied`` shares one policy and one measure among all the nodes and
+    updates it once per sweep (the symmetric fixed point); otherwise every
+    node owns its policy and a sweep updates them in node order
+    (Gauss-Seidel).  Each update re-tabulates the coordinate moments against
+    the current state, integrates the ODE and refreshes the measure.  With
+    ``optimize_start`` the update also grid-searches (p(0+), K) and keeps the
+    best candidate, never doing worse than the incumbent policy.
     """
-    nodes = list(nodes)
     m = len(nodes)
     if m < 1:
         raise DomainError("node count must be at least 1")
-    if isinstance(configs, SolverConfig):
-        configs = [configs] * m
-    configs = list(configs)
-    if len(configs) != m:
-        raise UsageError(f"need one config per node: {m} nodes, {len(configs)} configs")
-    for hp in nodes:
-        if hp.is_infinite:
-            raise UsageError("coordinate ascent needs finite batteries")
-    policies = [initial_policy(cfg, hp.capacity) for hp, cfg in zip(nodes, configs)]
+    if any(hp.is_infinite for hp in nodes):
+        raise UsageError("coordinate ascent needs finite batteries")
+    free = 1 if tied else m  # node k runs policy k % free
+    policies = [initial_policy(cfg, hp.capacity)
+                for hp, cfg in zip(nodes[:free], configs)]
     measures = [measure_closed_form(pol, hp) for pol, hp in zip(policies, nodes)]
 
     def state_of():
         return SystemState(nodes=tuple(
-            (nodes[k], policies[k], measures[k]) for k in range(m)), rate=rf)
+            (hp, policies[k % free], measures[k % free]) for k, hp in enumerate(nodes)),
+            rate=rf)
 
     utility = sum_throughput(state_of())
     utilities = [utility]
+    history = list(policies) if keep_history else []
     termination = "max_outer"
     sweeps = 0
     max_outer = max(cfg.max_outer for cfg in configs)
     for sweep in range(1, max_outer + 1):
-        for j in range(m):
+        for j in range(free):
             cfg = configs[j]
             if m == 1:
                 phi = ExactRateMoments(rf)
@@ -417,6 +363,8 @@ def solve_mac_gauss_seidel(nodes, rf: RateFunction, configs) -> SolveReport:
                 raise NonAdmissibleTrajectoryError(
                     f"every start candidate failed for node {j} in sweep {sweep}")
             new_utility, policies[j], measures[j] = best
+            # an update-to-update decrease breaks the ascent argument; the drop
+            # from the arbitrary initializer to the first solution is exempt
             if sweep >= 2 and new_utility < utility - cfg.divergence_tol:
                 raise SolverDivergenceError(
                     f"utility decreased from {utility!r} to {new_utility!r} "
@@ -424,13 +372,46 @@ def solve_mac_gauss_seidel(nodes, rf: RateFunction, configs) -> SolveReport:
             utility = new_utility
         theta = abs(utility - utilities[-1]) / max(abs(utilities[-1]), 1e-12)
         utilities.append(utility)
+        if keep_history:
+            history.extend(policies)
         sweeps = sweep
         if theta < configs[0].theta_tol:
             termination = "theta"
             break
     return SolveReport(policies=policies, measures=measures, utilities=utilities,
                        termination=termination, sweeps=sweeps,
-                       initial_utility=utilities[0])
+                       initial_utility=utilities[0], policy_history=history)
+
+
+def solve_symmetric_mac(m: int, params: HarvestParams, rf: RateFunction,
+                        config: SolverConfig, keep_history: bool = False) -> SolveReport:
+    """Fixed-point iteration for ``m`` statistically identical nodes.
+
+    Coordinate ascent with one policy tied across the nodes: alternates
+    (measure of the shared policy) -> (coordinate moments) -> (ODE update of
+    the shared policy) until the relative utility improvement falls under
+    ``theta_tol``.  The report carries the one shared policy and measure;
+    ``keep_history`` also keeps every iterate, the initializer first.
+    """
+    return _ascend([params] * m, rf, [config] * m, tied=True,
+                   keep_history=keep_history)
+
+
+def solve_mac_gauss_seidel(nodes, rf: RateFunction, configs) -> SolveReport:
+    """Coordinate ascent across (possibly asymmetric) nodes.
+
+    Sweeps node indices in order, each node updating its own policy against
+    the other nodes' current measures.  ``configs`` is one SolverConfig for
+    all the nodes or one per node.
+    """
+    nodes = list(nodes)
+    if isinstance(configs, SolverConfig):
+        configs = [configs] * len(nodes)
+    configs = list(configs)
+    if len(configs) != len(nodes):
+        raise UsageError(f"need one config per node: {len(nodes)} nodes, "
+                         f"{len(configs)} configs")
+    return _ascend(nodes, rf, configs, tied=False)
 
 
 def el_residual(policy: PolicyGrid, phi, params: HarvestParams, k_const: float,

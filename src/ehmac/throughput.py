@@ -68,12 +68,8 @@ class SystemState:
 
 def _node_quadrature(node: Node):
     """Density-side powers and weights of one node on its measure grid."""
-    meas, pol = node.measure, node.policy
-    if meas.grid.size == pol.grid.size and np.allclose(meas.grid, pol.grid):
-        powers = pol.density_side_values()
-    else:
-        powers = np.concatenate(([pol.p0plus], pol.interp(extend=True).value(meas.grid[1:])))
-    return powers, meas.node_weights(), meas.atom
+    meas = node.measure
+    return node.policy.density_side_on(meas.grid), meas.node_weights(), meas.atom
 
 
 def _tensor_sum(value_fn, powers, weights, base=0.0):

@@ -145,6 +145,24 @@ class TestSolveCommand:
         assert peak < measure.shape[0] // 4
         assert measure[-1, 1] < 1e-3 * measure[peak, 1]
 
+    def test_workers_match_serial(self, tmp_path):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 0.5, 1.0\nk_values = 0\n"
+                       "p0plus_values = 0.01, 0.1\ngrid_n = 128\nkeep_history = true\n"
+                       "best_k = true\nk_min = -0.2\nk_max = 0.0\nk_step = 0.1\n"
+                       "k_coarse = 0.1\n", encoding="utf-8")
+        out1 = tmp_path / "serial"
+        out2 = tmp_path / "parallel"
+        assert run(["solve", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert run(["solve", "--config", str(cfg), "--out", str(out2),
+                    "--workers", "2"]) == 0
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*")
+                               if p.is_file())
+        assert len(files) > 10
+        for rel in files:
+            assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
 
 class TestFig3Preset:
     def test_three_initializer_files(self, tmp_path, monkeypatch):

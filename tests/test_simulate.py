@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,6 +246,13 @@ class TestSimulate:
         assert "arrival" in kinds and "empty" in kinds
         cfg2 = eh.SimConfig(horizon=50.0, seed=6)
         assert eh.simulate([(hp, pol, exp_dist())], rf, cfg2).event_log == []
+
+    def test_event_log_starts_at_burn_in(self, rf):
+        # the row straddling the burn-in empties before it here, at t = 7.22
+        nodes, cfg = _pin_single()
+        cfg = replace(cfg, track_events=True)
+        log = eh.simulate(nodes, rf, cfg).event_log
+        assert log and min(entry[0] for entry in log) >= cfg.burn_in
 
     def test_throughput_matches_stationary_expectation(self, rf):
         hp, pol = constant_setup(level=2.0)

@@ -142,6 +142,22 @@ class TestSymmetricSolve:
         report = eh.solve_symmetric_mac(2, hp, rf, cfg, keep_history=True)
         assert len(report.policy_history) == report.sweeps + 1
 
+    def test_optimize_start_searches_shared_policy(self, rf):
+        # the tied policy is updated like a Gauss-Seidel node: it takes the
+        # best (p(0+), K) candidate and never drops below the incumbent
+        hp = hp_of(2.0)
+        cfg = eh.SolverConfig(k_const=0.0, p0plus=0.01, grid_n=128, theta_tol=1e-3,
+                              max_outer=8, init_policy="constant", optimize_start=True,
+                              p0plus_candidates=(0.005, 0.01, 0.05),
+                              k_candidates=(-0.4, -0.2, 0.0), divergence_tol=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = eh.solve_symmetric_mac(2, hp, rf, cfg)
+        trace = report.utilities
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
+        assert len(report.policies) == 1
+        assert report.policies[0].p0plus in cfg.p0plus_candidates
+
 
 class TestGaussSeidel:
     def test_symmetric_agreement(self, rf):
@@ -188,6 +204,91 @@ class TestGaussSeidel:
         with pytest.raises(UsageError):
             eh.solve_mac_gauss_seidel([hp_of(1.0)], rf,
                                       [eh.SolverConfig(), eh.SolverConfig()])
+
+
+# Solves recorded while the symmetric fixed point and the Gauss-Seidel sweep
+# still had separate outer loops; the shared coordinate-ascent driver must
+# reproduce them up to roundoff.  Policies are sampled at these grid indices,
+# the history at its top node.
+PIN_ROUNDOFF = 1e-9
+PIN_SAMPLES = (1, 32, 96, -1)
+
+
+def _pin_cfg(**kw):
+    base = dict(k_const=0.0, p0plus=0.01, grid_n=256, theta_tol=0.01, max_outer=40)
+    base.update(kw)
+    return eh.SolverConfig(**base)
+
+
+SOLVER_PINS = {
+    "sym_m1": (
+        lambda rf: eh.solve_symmetric_mac(1, hp_of(2.0), rf, _pin_cfg(k_const=-0.3)),
+        {"utilities": [0.34454287783454846, 0.3479529176130882],
+         "sweeps": 1, "termination": "theta",
+         "policies": [[0.09698334684722933, 0.5851834159526702, 1.1611841683232926,
+                       3.26182535945564]],
+         "atoms": [0.21727755777962493], "history": []}),
+    "sym_m2_history": (
+        lambda rf: eh.solve_symmetric_mac(2, hp_of(3.0), rf,
+                                          _pin_cfg(k_const=-0.5, p0plus=0.001),
+                                          keep_history=True),
+        {"utilities": [0.6626692290412168, 0.5874706816924298, 0.6173007237930855,
+                       0.6073398480573711, 0.6107731116527488],
+         "sweeps": 4, "termination": "theta",
+         "policies": [[0.14577640424552826, 1.0051563167364983, 2.542673690146131,
+                       31.152847202195236]],
+         "atoms": [0.3225364606121764],
+         "history": [3.001, 56.36144124169761, 25.915927718020182, 34.28102538040166,
+                     31.152847202195236]}),
+    "sym_m3": (
+        lambda rf: eh.solve_symmetric_mac(3, hp_of(1.0), rf, _pin_cfg(max_outer=2)),
+        {"utilities": [0.571785988175917, 0.5138871642335759, 0.5440819403919651],
+         "sweeps": 2, "termination": "max_outer",
+         "policies": [[0.1318703464518487, 1.022938924472449, 2.6447964238483537,
+                       12.425927692007088]],
+         "atoms": [0.6226133216311295], "history": []}),
+    "gs_optimize_start": (
+        lambda rf: eh.solve_mac_gauss_seidel(
+            [hp_of(2.0), hp_of(2.0)], rf,
+            _pin_cfg(grid_n=128, theta_tol=1e-3, max_outer=4, init_policy="constant",
+                     divergence_tol=0.05, optimize_start=True,
+                     p0plus_candidates=(0.005, 0.05), k_candidates=(-0.4, -0.2, 0.0))),
+        {"utilities": [0.01428457609838545, 0.5711571748642734, 0.5711571748653914],
+         "sweeps": 2, "termination": "theta",
+         "policies": [[0.12807401747126715, 0.6609050442877199, 1.2635021151819181,
+                       1.6000086237302407],
+                      [0.20937904675182983, 1.7070356553153756, 6.642045427007749,
+                       14.245891429110616]],
+         "atoms": [0.1385359814409727, 0.4391319099699954], "history": []}),
+    "gs_asymmetric": (
+        lambda rf: eh.solve_mac_gauss_seidel([hp_of(1.0), hp_of(2.0, lam=2.0)], rf,
+                                             _pin_cfg(p0plus=0.001, theta_tol=1e-3)),
+        {"utilities": [0.6423812519965403, 0.553810859659769, 0.5630815325632281,
+                       0.5634520401791867],
+         "sweeps": 3, "termination": "theta",
+         "policies": [[0.13921206342947312, 1.1058580748200393, 2.929210407678691,
+                       14.701879289735686],
+                      [0.21493872409261278, 1.9096620675527964, 6.712523701751924,
+                       308.5160218055455]],
+         "atoms": [0.6432713836789895, 0.40545450463645555], "history": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_PINS))
+def test_solver_outputs_pinned(case, rf):
+    solve, want = SOLVER_PINS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = solve(rf)
+    assert (report.sweeps, report.termination) == (want["sweeps"], want["termination"])
+    got = {"utilities": report.utilities,
+           "policies": [[pol.values[i] for i in PIN_SAMPLES] for pol in report.policies],
+           "atoms": [meas.atom for meas in report.measures],
+           "history": [pol.values[-1] for pol in report.policy_history]}
+    for name, value in got.items():
+        assert np.shape(value) == np.shape(want[name]), name
+        np.testing.assert_allclose(value, want[name], rtol=PIN_ROUNDOFF, atol=0.0,
+                                   err_msg=name)
 
 
 class TestConstantPolicyStats:
