@@ -6,8 +6,8 @@ Verbs:
     simulate  -- Monte Carlo run of a stored, constant, or freshly solved policy
     sweep     -- summary-only utility grid
 
-solve and sweep run their grid cells across worker processes when
-``workers`` is above 1.
+solve and sweep run their grid cells, and solve its best-K scans, across
+worker processes when ``workers`` is above 1.
 
 Every run is deterministic given its configuration (seeds included); errors
 print one ``error[CODE]: message`` line on stderr and exit nonzero.
@@ -21,7 +21,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 
@@ -107,33 +107,53 @@ def _cell_tag(cap, k, p0, init):
     return tag
 
 
-def _solved_cells(cfg: ExperimentConfig):
-    """Yield every (capacity, K, p(0+), init) cell with its report.
+@contextmanager
+def _runner(cfg: ExperimentConfig):
+    """A ``map`` for the grid's jobs: the built-in one, or a process pool's.
 
-    Cells come capacity-major, then in k/p0/init order.  Serially a cell is
-    solved when the caller asks for it; with ``workers > 1`` every cell goes
-    to a process pool at once.
+    The built-in ``map`` runs a job in this process when the caller reads its
+    result; with ``workers > 1`` ``pool.map`` submits every job at once and
+    yields the results in order.
+    """
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
+def _solved_cells(cfg: ExperimentConfig, run):
+    """Every (capacity, K, p(0+), init) cell with its report, through ``run``.
+
+    Cells come capacity-major, then in k/p0/init order.
     """
     cells = [(cfg, cap, k, p0, init)
              for cap in cfg.capacities for k in cfg.k_values
              for p0 in cfg.p0plus_values for init in cfg.init_policies]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            yield from zip(cells, pool.map(_solve_cell, cells))
-    else:
-        yield from zip(cells, map(_solve_cell, cells))
+    return zip(cells, run(_solve_cell, cells))
+
+
+def _best_k_scan(args):
+    cfg, cap = args
+    sc = _solver_config(cfg, 0.0, cfg.p0plus_values[0], cfg.init_policies[0])
+    return best_k_search(cfg.node_count, _params(cfg, cap), RateFunction(cfg.n0),
+                         sc, cfg.k_min, cfg.k_max, step=cfg.k_step,
+                         coarse_step=cfg.k_coarse)
 
 
 def cmd_solve(cfg: ExperimentConfig, outdir: Path):
     """Solve the configured grid, writing policies, measures and traces.
 
-    Each capacity's best-K scan runs in this process, after that capacity's
-    cells have been written.
+    Each capacity's best-K scan follows that capacity's cells; with
+    ``workers > 1`` the scans run in the pool beside the cells.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     per_cap = len(cfg.k_values) * len(cfg.p0plus_values) * len(cfg.init_policies)
-    with closing(_solved_cells(cfg)) as solved:
+    with _runner(cfg) as run:
+        solved = _solved_cells(cfg, run)
+        if cfg.best_k:
+            scans = run(_best_k_scan, [(cfg, cap) for cap in cfg.capacities])
         for cap in cfg.capacities:
             for (_, _, k, p0, init), report in islice(solved, per_cap):
                 cell_dir = outdir / _cell_tag(cap, k, p0, init)
@@ -143,13 +163,7 @@ def cmd_solve(cfg: ExperimentConfig, outdir: Path):
                         export_policy(pol, cell_dir / f"policy_iter{i}.csv")
                 rows.append(_summary_row(cfg, cap, k, p0, report.utility))
             if cfg.best_k:
-                rf = RateFunction(cfg.n0)
-                hp = _params(cfg, cap)
-                sc = _solver_config(cfg, 0.0, cfg.p0plus_values[0],
-                                    cfg.init_policies[0])
-                k_best, u_best, table = best_k_search(
-                    cfg.node_count, hp, rf, sc, cfg.k_min, cfg.k_max,
-                    step=cfg.k_step, coarse_step=cfg.k_coarse)
+                k_best, u_best, table = next(scans)
                 rows.append(_summary_row(cfg, cap, k_best, cfg.p0plus_values[0],
                                          u_best))
                 with open(outdir / f"ksearch_L{cap:g}.csv", "w", newline="",
@@ -163,8 +177,9 @@ def cmd_solve(cfg: ExperimentConfig, outdir: Path):
 
 def cmd_sweep(cfg: ExperimentConfig, outdir: Path | None):
     """Summary-only solve grid."""
-    rows = [_summary_row(cfg, cap, k, p0, rep.utility)
-            for (_, cap, k, p0, _), rep in _solved_cells(cfg)]
+    with _runner(cfg) as run:
+        rows = [_summary_row(cfg, cap, k, p0, rep.utility)
+                for (_, cap, k, p0, _), rep in _solved_cells(cfg, run)]
     if outdir is None:
         writer = csv.writer(sys.stdout)
         writer.writerow(SUMMARY_COLUMNS)

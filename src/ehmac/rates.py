@@ -57,7 +57,11 @@ def rate(rf: RateFunction, x):
     Accepts scalars or arrays; negative power raises DomainError.
     """
     arr = _check_nonnegative(x)
-    out = 0.5 * np.log1p(arr / rf.n0) / _LN2
+    # 0.5 * log1p(x / n0) / ln 2, computed in one fresh buffer
+    out = np.divide(arr, rf.n0, out=np.empty_like(arr))
+    np.log1p(out, out=out)
+    out *= 0.5
+    out /= _LN2
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -66,12 +70,18 @@ def rate(rf: RateFunction, x):
 def rate_deriv(rf: RateFunction, x, order=1):
     """First or second derivative of the rate at total power ``x``."""
     arr = _check_nonnegative(x)
-    if order == 1:
-        out = 1.0 / (2.0 * _LN2 * (rf.n0 + arr))
-    elif order == 2:
-        out = -1.0 / (2.0 * _LN2 * (rf.n0 + arr) ** 2)
-    else:
+    if order not in (1, 2):
         raise UsageError(f"derivative order must be 1 or 2, got {order}")
+    # 1 / (2 ln 2 (n0 + x)) and -1 / (2 ln 2 (n0 + x)**2), in one fresh buffer
+    out = np.add(rf.n0, arr, out=np.empty_like(arr))
+    if order == 2 and out.ndim:
+        np.square(out, out=out)
+    elif order == 2:
+        # a scalar is squared with pow(), as numpy's scalar ** does; pow can
+        # differ from x * x in the last bit
+        np.float_power(out, 2.0, out=out)
+    out *= 2.0 * _LN2
+    np.divide(1.0 if order == 1 else -1.0, out, out=out)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

@@ -40,7 +40,7 @@ updates the nodes in order; ``solve_symmetric_mac`` ties one policy across
 statistically identical nodes and updates it once per sweep, which is the
 fixed-point iteration.  Both hold (p(0+), K) fixed unless ``optimize_start``
 is set, and stop when the relative utility improvement drops below
-``theta_tol``.
+``theta_tol`` (the smallest of the per-node values).
 """
 
 from __future__ import annotations
@@ -174,68 +174,69 @@ def initial_policy(config: SolverConfig, capacity: float) -> PolicyGrid:
 
 def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
                substeps: int, p0plus: float) -> np.ndarray:
-    """Fixed-step RK4 along the level grid; returns p at the grid nodes."""
+    """Fixed-step RK4 along the level grid; returns p at the grid nodes.
+
+    The state is y = p**2 while ``in_y`` holds and log(p) after the hand-over;
+    the loop runs on plain floats, as the step is a few scalar operations
+    around one moment evaluation.
+    """
     eval3 = phi.eval3
     switch_hi = _SWITCH_FACTOR * max(1.0, lam / zeta, p0plus)
     switch_lo = 0.5 * switch_hi
-    pos = x[0]
+    y_to_s = switch_hi * switch_hi
+    s_to_y = math.log(switch_lo)
+    xs = x.tolist()
+    pos = xs[0]
+    in_y = True
 
-    def rhs_y(y):
-        if y <= 0.0:
-            raise NonAdmissibleTrajectoryError(
-                f"release rate driven to zero near level {pos:.6g}", where=pos)
-        p = math.sqrt(y)
-        val, d1, d2 = eval3(p)
-        num = (lam - zeta * p) * d1 + zeta * val + k_const
-        return -2.0 * num / d2
-
-    def rhs_s(s):
-        if s > _LOG_P_CAP:
+    def rhs(state):
+        if in_y:
+            if state <= 0.0:
+                raise NonAdmissibleTrajectoryError(
+                    f"release rate driven to zero near level {pos:.6g}", where=pos)
+            p = math.sqrt(state)
+            val, d1, d2 = eval3(p)
+            return -2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / d2
+        if state > _LOG_P_CAP:
             raise NumericOverflowError(
                 f"release rate exceeded the floating range near level {pos:.6g}",
                 where=pos)
-        p = math.exp(s)
+        p = math.exp(state)
         val, d1, d2 = eval3(p)
-        num = (lam - zeta * p) * d1 + zeta * val + k_const
-        return -num / (p * p * d2)
+        return -((lam - zeta * p) * d1 + zeta * val + k_const) / (p * p * d2)
 
-    out = np.empty(x.size)
-    out[0] = p0plus
-    mode = "y"
+    out = [p0plus]
     state = p0plus * p0plus
-    n_cells = x.size - 1
-    for i in range(n_cells):
-        hsub = (x[i + 1] - x[i]) / substeps
+    for i in range(len(xs) - 1):
+        x0 = xs[i]
+        hsub = (xs[i + 1] - x0) / substeps
+        half = 0.5 * hsub
+        sixth = hsub / 6.0
         for j in range(substeps):
-            pos = x[i] + j * hsub
-            if mode == "y":
-                k1 = rhs_y(state)
-                k2 = rhs_y(state + 0.5 * hsub * k1)
-                k3 = rhs_y(state + 0.5 * hsub * k2)
-                k4 = rhs_y(state + hsub * k3)
-                state = state + (hsub / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            pos = x0 + j * hsub
+            k1 = rhs(state)
+            k2 = rhs(state + half * k1)
+            k3 = rhs(state + half * k2)
+            k4 = rhs(state + hsub * k3)
+            state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if in_y:
                 if state <= 0.0:
                     raise NonAdmissibleTrajectoryError(
                         f"release rate driven to zero near level {pos:.6g}",
                         where=pos)
-                if state > switch_hi * switch_hi:
-                    mode = "s"
+                if state > y_to_s:
+                    in_y = False
                     state = 0.5 * math.log(state)
             else:
-                k1 = rhs_s(state)
-                k2 = rhs_s(state + 0.5 * hsub * k1)
-                k3 = rhs_s(state + 0.5 * hsub * k2)
-                k4 = rhs_s(state + hsub * k3)
-                state = state + (hsub / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if state > _LOG_P_CAP:
                     raise NumericOverflowError(
                         f"release rate exceeded the floating range near level "
                         f"{pos:.6g}", where=pos)
-                if state < math.log(switch_lo):
-                    mode = "y"
+                if state < s_to_y:
+                    in_y = True
                     state = math.exp(2.0 * state)
-        out[i + 1] = math.sqrt(state) if mode == "y" else math.exp(state)
-    return out
+        out.append(math.sqrt(state) if in_y else math.exp(state))
+    return np.array(out)
 
 
 def el_ode_solve(phi, params: HarvestParams, config: SolverConfig,
@@ -332,6 +333,7 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
     termination = "max_outer"
     sweeps = 0
     max_outer = max(cfg.max_outer for cfg in configs)
+    theta_tol = min(cfg.theta_tol for cfg in configs)
     for sweep in range(1, max_outer + 1):
         for j in range(free):
             cfg = configs[j]
@@ -375,7 +377,7 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
         if keep_history:
             history.extend(policies)
         sweeps = sweep
-        if theta < configs[0].theta_tol:
+        if theta < theta_tol:
             termination = "theta"
             break
     return SolveReport(policies=policies, measures=measures, utilities=utilities,

@@ -146,7 +146,8 @@ class PhiMoments:
     dphi: np.ndarray
     d2phi: np.ndarray
     provider: Callable | None = field(default=None, repr=False)
-    _table: tuple | None = field(default=None, repr=False, compare=False)
+    _evaluator: Callable | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -182,49 +183,61 @@ class PhiMoments:
         return PhiMoments(q=knots, phi=phi, dphi=dphi, d2phi=d2phi,
                           provider=self.provider)
 
-    def _coeff_table(self):
+    def _build_evaluator(self):
         # Interpolation runs in t = log1p(q) so knots spanning many decades
         # stay well conditioned; derivative moments are interpolated through
         # their logarithms, which pins their signs and keeps relative accuracy
-        # where they decay over hundreds of orders of magnitude.
-        if self._table is None:
-            t = np.log1p(self.q)
-            sp = [CubicSpline(t, y) for y in
-                  (self.phi, np.log(self.dphi), np.log(-self.d2phi))]
-            knots = t.tolist()
-            packs = []
-            for j in range(len(knots) - 1):
-                row = []
-                for s in sp:
-                    c = s.c[:, j]
-                    row.extend((float(c[0]), float(c[1]), float(c[2]), float(c[3])))
-                packs.append(tuple(row))
-            self._table = (knots, packs)
-        return self._table
+        # where they decay over hundreds of orders of magnitude.  The table is
+        # held as plain floats: the ODE evaluates it millions of times per
+        # solve, one scalar at a time.
+        t = np.log1p(self.q)
+        sp = [CubicSpline(t, y) for y in
+              (self.phi, np.log(self.dphi), np.log(-self.d2phi))]
+        packs = np.concatenate([s.c for s in sp]).T.tolist()
+        knots = t.tolist()
+        q_lo, q_hi = float(self.q[0]), float(self.q[-1])
+        last = len(packs) - 1
+        # segment j serves lo[j] <= t < hi[j]; the open ends are the clamps of
+        # the bisection below
+        lo = [-math.inf] + knots[1:last + 1]
+        hi = knots[1:last + 1] + [math.inf]
+        log1p, exp = math.log1p, math.exp
+        seg = 0  # the last segment used: successive queries mostly stay in it
+
+        def eval3(p):
+            nonlocal seg
+            if p > q_hi:
+                raise MomentRangeError(
+                    f"moment tabulation queried at power {p:.6g} beyond its range "
+                    f"{q_hi:.6g}", argument=p)
+            if p < q_lo:
+                raise MomentRangeError(
+                    f"moment tabulation queried below its first knot ({p:.6g})",
+                    argument=p)
+            t = log1p(p)
+            j = seg
+            if not lo[j] <= t < hi[j]:
+                j = bisect_right(knots, t) - 1
+                if j > last:
+                    j = last
+                elif j < 0:
+                    j = 0
+                seg = j
+            u = t - knots[j]
+            c = packs[j]
+            val = ((c[0] * u + c[1]) * u + c[2]) * u + c[3]
+            d1 = ((c[4] * u + c[5]) * u + c[6]) * u + c[7]
+            d2 = ((c[8] * u + c[9]) * u + c[10]) * u + c[11]
+            return val, exp(d1), -exp(d2)
+
+        return eval3
 
     def eval3(self, p: float):
         """(phi, phi', phi'') at scalar power p; raises beyond the knot range."""
-        if p > self.q[-1]:
-            raise MomentRangeError(
-                f"moment tabulation queried at power {p:.6g} beyond its range "
-                f"{self.q[-1]:.6g}", argument=p)
-        if p < self.q[0]:
-            raise MomentRangeError(
-                f"moment tabulation queried below its first knot ({p:.6g})",
-                argument=p)
-        knots, packs = self._coeff_table()
-        t = math.log1p(p)
-        j = bisect_right(knots, t) - 1
-        if j >= len(packs):
-            j = len(packs) - 1
-        elif j < 0:
-            j = 0
-        u = t - knots[j]
-        c = packs[j]
-        val = ((c[0] * u + c[1]) * u + c[2]) * u + c[3]
-        d1 = ((c[4] * u + c[5]) * u + c[6]) * u + c[7]
-        d2 = ((c[8] * u + c[9]) * u + c[10]) * u + c[11]
-        return val, math.exp(d1), -math.exp(d2)
+        evaluate = self._evaluator
+        if evaluate is None:
+            evaluate = self._evaluator = self._build_evaluator()
+        return evaluate(p)
 
 
 class ExactRateMoments:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ehmac as eh
 from ehmac.errors import DomainError, UsageError
@@ -74,6 +76,63 @@ class TestRateDerivatives:
         a, b = np.sort(rng.uniform(0.0, 40.0, size=(2, 200)), axis=0)
         grow = eh.rate(rf, b + 1e-9) > eh.rate(rf, a)
         assert np.all(grow)
+
+
+LN2 = math.log(2.0)
+
+# The rate and its derivatives as the plain numpy expressions; a scalar goes
+# through numpy's scalar arithmetic, an array through its array loops.
+CLOSED_FORMS = {
+    "rate": lambda n0, x: 0.5 * np.log1p(x / n0) / LN2,
+    "d1": lambda n0, x: 1.0 / (2.0 * LN2 * (n0 + x)),
+    "d2": lambda n0, x: -1.0 / (2.0 * LN2 * (n0 + x) ** 2),
+}
+
+
+def _kernel(name, rf, x):
+    if name == "rate":
+        return eh.rate(rf, x)
+    return eh.rate_deriv(rf, x, int(name[1]))
+
+
+powers = st.floats(0.0, 1e300, allow_subnormal=True)
+
+
+class TestRateKernels:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(1e-3, 1e3), st.lists(powers, min_size=1, max_size=30),
+           st.sampled_from(sorted(CLOSED_FORMS)))
+    # (1 + x) ** 2 through pow and (1 + x) * (1 + x) differ here in the last bit
+    @example(1.0, [2.0807510040562063], "d2")
+    def test_bit_identical_to_closed_form(self, n0, values, name):
+        rf = eh.RateFunction(n0)
+        arr = np.array(values)
+        kept = arr.copy()
+        with np.errstate(over="ignore"):
+            want = CLOSED_FORMS[name](n0, arr)
+            want_scalar = CLOSED_FORMS[name](n0, np.float64(values[0]))
+            got = _kernel(name, rf, arr)
+            got_2d = _kernel(name, rf, arr.reshape(1, -1))
+            got_list = _kernel(name, rf, values)
+            got_0d = _kernel(name, rf, np.array(values[0]))
+            got_scalar = _kernel(name, rf, values[0])
+        assert np.array_equal(arr, kept) and got is not arr
+        for out in (got, got_2d.ravel(), got_list):
+            assert isinstance(out, np.ndarray)
+            assert out.tobytes() == want.tobytes()
+        for out in (got_0d, got_scalar):
+            assert type(out) is float
+            assert out.hex() == float(want_scalar).hex()
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_negative_power_rejected(self, rf, name):
+        for x in (-1e-300, [0.0, -2.0], np.array([[1.0], [-0.5]]), np.array(-3.0)):
+            with pytest.raises(DomainError):
+                _kernel(name, rf, x)
+
+    def test_integer_scalar_returns_float(self, rf):
+        assert type(eh.rate(rf, 3)) is float
+        assert eh.rate(rf, 3) == eh.rate(rf, 3.0)
 
 
 class TestMixtureInequality:

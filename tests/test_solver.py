@@ -200,6 +200,18 @@ class TestGaussSeidel:
         trace = report.utilities
         assert all(b >= a - 1e-9 for a, b in zip(trace[1:], trace[2:]))
 
+    def test_tightest_theta_tol_stops(self, rf):
+        # the node order of the per-node tolerances must not matter
+        hp = hp_of(2.0)
+        sweeps = []
+        for tols in ((0.5, 1e-6), (1e-6, 0.5)):
+            cfgs = [eh.SolverConfig(grid_n=128, max_outer=20, theta_tol=t)
+                    for t in tols]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                sweeps.append(eh.solve_mac_gauss_seidel([hp, hp], rf, cfgs).sweeps)
+        assert sweeps[0] == sweeps[1] > 1
+
     def test_config_count_mismatch(self, rf):
         with pytest.raises(UsageError):
             eh.solve_mac_gauss_seidel([hp_of(1.0)], rf,
@@ -289,6 +301,49 @@ def test_solver_outputs_pinned(case, rf):
         assert np.shape(value) == np.shape(want[name]), name
         np.testing.assert_allclose(value, want[name], rtol=PIN_ROUNDOFF, atol=0.0,
                                    err_msg=name)
+
+
+def _short_table_phi(rf):
+    """Moments of a two-node state tabulated only up to power 6."""
+    hp = eh.HarvestParams(1.0, 1.0)
+    pol = eh.constant_policy(2.0, 10.0, 128)
+    meas = eh.measure_closed_form(pol, hp)
+    state = eh.SystemState(nodes=((hp, pol, meas), (hp, pol, meas)), rate=rf)
+    return eh.phi_moments(state, 0, np.linspace(0.0, 6.0, 49))
+
+
+# el_ode_solve outputs as float.hex, recorded before the integrator moved to
+# one right-hand side on plain floats; its arithmetic must not change by a bit.
+# Each case: (moments, capacity, K, p(0+)) and the samples at ODE_PIN_SAMPLES.
+ODE_PIN_SAMPLES = (1, 2, 16, 64, 100, -1)
+ODE_PINS = {
+    "y_only": (eh.ExactRateMoments, 2.0, -0.3, 0.05, [
+        "0x1.2b4709b8fb15fp-3", "0x1.9cfec428f546ep-3", "0x1.2cfb92fb06b49p-1",
+        "0x1.74dc3c243bfa7p+0", "0x1.246b1f6add4edp+1", "0x1.a23e6d21d5d66p+1"]),
+    "log_p": (eh.ExactRateMoments, 5.5, 0.0, 0.1, [
+        "0x1.6270a372c3141p-2", "0x1.0140738588a3fp-1", "0x1.2e183f91c4313p+1",
+        "0x1.90bd864e7f6a5p+8", "0x1.3e2ba93dc6e65p+35", "0x1.307bcc0d3ebf9p+114"]),
+    "extend": (_short_table_phi, 2.0, 0.0, 0.1, [
+        "0x1.474b401585cb5p-2", "0x1.daa7a93988d54p-2", "0x1.f976ae32f1d9ep+0",
+        "0x1.c60a0f364dbbep+3", "0x1.2adbe2ac000bap+6", "0x1.f12316365e130p+8"]),
+    "extend_log_p": (_short_table_phi, 4.0, 0.0, 0.1, [
+        "0x1.daa19acd8229fp-2", "0x1.67a3ef7b48710p-1", "0x1.0995a1880ef50p+2",
+        "0x1.f12124a925f98p+8", "0x1.8b48cf67d7376p+24", "0x1.0a90bd75330e9p+57"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODE_PINS))
+def test_integrator_bits_pinned(case, rf):
+    moments, cap, k, p0, want = ODE_PINS[case]
+    phi = moments(rf)
+    pol = eh.el_ode_solve(phi, hp_of(cap), eh.SolverConfig(k_const=k, p0plus=p0,
+                                                          grid_n=128))
+    top = float(np.max(pol.values))
+    # the state hands over from p**2 to log p once p passes 1e3 (lam = zeta = 1)
+    assert (top > 1e3) == case.endswith("log_p")
+    # the extension retry ran: the policy left the original knot range
+    assert (top > phi.qmax) == case.startswith("extend")
+    assert [float(pol.values[i]).hex() for i in ODE_PIN_SAMPLES] == want
 
 
 class TestConstantPolicyStats:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 import ehmac as eh
 from ehmac.errors import CapacityError, DomainError, MomentRangeError, UsageError
@@ -179,6 +182,57 @@ class TestPhiMoments:
             assert val == pytest.approx(eh.rate(rf, p), rel=1e-12)
             assert d1 == pytest.approx(eh.rate_deriv(rf, p, 1), rel=1e-12)
             assert d2 == pytest.approx(eh.rate_deriv(rf, p, 2), rel=1e-12)
+
+
+@st.composite
+def moment_tables(draw):
+    """phi_moments of a node facing one random constant-policy node."""
+    hp = eh.HarvestParams(draw(st.floats(0.3, 3.0)), draw(st.floats(0.5, 2.0)))
+    level = hp.mean_input_rate * draw(st.floats(1.1, 4.0))
+    pol = eh.constant_policy(level, 12.0, 64)
+    other = (hp, pol, eh.measure_closed_form(pol, hp))
+    state = eh.SystemState(nodes=(constant_node(n=64), other),
+                           rate=eh.RateFunction(1.0))
+    n = draw(st.integers(4, 80))
+    q0 = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    top = 10.0 ** draw(st.floats(0.5, 8.0))
+    if draw(st.booleans()):
+        knots = np.linspace(q0, top, n)
+    else:
+        knots = np.geomspace(max(q0, 1e-3), top, n)
+    return eh.phi_moments(state, 0, knots)
+
+
+class TestPhiEvaluator:
+    """The plain-float evaluator against scipy's spline, in any query order."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(moment_tables(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+           st.randoms(use_true_random=False))
+    def test_matches_scipy_in_any_order(self, phi, fractions, rnd):
+        q = phi.q
+        queries = q.tolist() + [float(q[0] + f * (q[-1] - q[0])) for f in fractions]
+        queries = [min(max(p, float(q[0])), float(q[-1])) for p in queries]
+        sorted_q = sorted(queries)
+        shuffled = list(queries)
+        rnd.shuffle(shuffled)
+        results = [{p: phi.eval3(p) for p in order}
+                   for order in (sorted_q, sorted_q[::-1], shuffled)]
+        assert results[0] == results[1] == results[2]
+
+        t = np.log1p(q)
+        sp = [CubicSpline(t, y) for y in
+              (phi.phi, np.log(phi.dphi), np.log(-phi.d2phi))]
+        tq = np.log1p(np.array(sorted_q))
+        want = np.column_stack([sp[0](tq), np.exp(sp[1](tq)), -np.exp(sp[2](tq))])
+        got = np.array([results[0][p] for p in sorted_q])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+        outside = (np.nextafter(q[0], -np.inf), np.nextafter(q[-1], np.inf))
+        for p in map(float, outside):
+            with pytest.raises(MomentRangeError) as err:
+                phi.eval3(p)
+            assert err.value.argument == p
 
 
 class TestCoordinateConcavity:
