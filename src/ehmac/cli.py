@@ -113,11 +113,16 @@ def _runner(cfg: ExperimentConfig):
 
     The built-in ``map`` runs a job in this process when the caller reads its
     result; with ``workers > 1`` ``pool.map`` submits every job at once and
-    yields the results in order.
+    yields the results in order.  If the caller raises, the pool drops the
+    jobs that have not started, so the error does not wait for them.
     """
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            yield pool.map
+            try:
+                yield pool.map
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         yield map
 

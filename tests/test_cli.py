@@ -1,5 +1,8 @@
 import csv
 import math
+import multiprocessing
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from ehmac import cli
 from ehmac.config import (ExperimentConfig, PRESETS, apply_env_overrides,
                           load_config, parse_config_text)
-from ehmac.errors import ConfigError
+from ehmac.errors import ConfigError, NonAdmissibleTrajectoryError
 
 
 def run(argv):
@@ -17,6 +20,17 @@ def run(argv):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def _failing_cell(args):
+    raise NonAdmissibleTrajectoryError("release rate reached zero")
+
+
+def _slow_scan(marks, args):
+    cfg, cap = args
+    time.sleep(0.3)
+    (marks / f"scan_{cap:g}").touch()
+    return 0.0, 0.0, []
 
 
 class TestConfigParsing:
@@ -162,6 +176,24 @@ class TestSolveCommand:
         assert len(files) > 10
         for rel in files:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched jobs")
+    def test_failing_cell_drops_queued_scans(self, tmp_path, monkeypatch):
+        # The pool's workers are forked from this process, so they run the
+        # patched jobs.  Every cell fails; the scans that had not started when
+        # the first failure reached the caller must not run.
+        monkeypatch.setattr(cli, "_solve_cell", _failing_cell)
+        monkeypatch.setattr(cli, "_best_k_scan", partial(_slow_scan, tmp_path))
+        caps = [0.5 + 0.1 * i for i in range(12)]
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = "
+                       + ", ".join(f"{c:g}" for c in caps)
+                       + "\nk_values = 0\nbest_k = true\n",
+                       encoding="utf-8")
+        assert run(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                    "--workers", "2"]) == 1
+        assert len(list(tmp_path.glob("scan_*"))) < len(caps) // 2
 
 
 class TestFig3Preset:
