@@ -200,6 +200,13 @@ def _closed_form_on_grid(x: np.ndarray, pd: np.ndarray, lam: float, zeta: float)
     return atom, density, masses
 
 
+def check_span(policy: PolicyGrid, params: HarvestParams) -> None:
+    """Raise DomainError unless a finite battery's policy grid spans its capacity."""
+    if not params.is_infinite and (abs(policy.capacity - params.capacity)
+                                   > 1e-9 * max(params.capacity, 1.0)):
+        raise DomainError("policy grid span must equal the battery capacity")
+
+
 def measure_closed_form(policy: PolicyGrid, params: HarvestParams, *,
                         tail_tol: float = 1e-8, max_doublings: int = 40) -> StationaryMeasure:
     """Stationary measure under exponential packets from the closed form.
@@ -210,8 +217,7 @@ def measure_closed_form(policy: PolicyGrid, params: HarvestParams, *,
     """
     lam, zeta = params.lam, params.zeta
     if not params.is_infinite:
-        if abs(policy.capacity - params.capacity) > 1e-9 * max(params.capacity, 1.0):
-            raise DomainError("policy grid span must equal the battery capacity")
+        check_span(policy, params)
         x = policy.grid
         pd = policy.density_side_values()
         atom, density, masses = _closed_form_on_grid(x, pd, lam, zeta)
@@ -251,8 +257,7 @@ def measure_volterra(policy: PolicyGrid, params: HarvestParams,
     """
     if params.is_infinite:
         raise DomainError("the marching solver needs a finite battery capacity")
-    if abs(policy.capacity - params.capacity) > 1e-9 * max(params.capacity, 1.0):
-        raise DomainError("policy grid span must equal the battery capacity")
+    check_span(policy, params)
     lam = params.lam
     x = policy.grid
     h = policy.h

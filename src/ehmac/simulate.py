@@ -32,7 +32,7 @@ import numpy as np
 
 from .arrivals import HarvestParams, PacketDistribution, sample_arrivals, survival
 from .errors import DomainError
-from .measures import PolicyGrid, StationaryMeasure
+from .measures import PolicyGrid, StationaryMeasure, check_span
 from .rates import RateFunction, rate
 
 __all__ = ["SimConfig", "TrajectoryStats", "NodeRun", "simulate", "crossing_balance"]
@@ -416,6 +416,8 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
     m = len(nodes)
     if m < 1:
         raise DomainError("at least one node is required")
+    for params, policy, _ in nodes:
+        check_span(policy, params)
     window = config.horizon - config.burn_in
     interps = [policy.interp(extend=params.is_infinite)
                for params, policy, _ in nodes]

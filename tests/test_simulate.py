@@ -1,3 +1,4 @@
+import importlib
 import math
 from collections import Counter
 from dataclasses import replace
@@ -307,6 +308,24 @@ class TestSimulate:
         cfg = eh.SimConfig(horizon=100.0, seed=0, level_probes=(2.5,))
         with pytest.raises(DomainError):
             eh.simulate([(hp, pol, exp_dist())], rf, cfg)
+
+    @pytest.mark.parametrize("capacity", [3.0, 0.0], ids=["short_grid", "long_grid"])
+    def test_policy_span_must_match_capacity(self, rf, capacity, monkeypatch):
+        # a unit grid on a larger battery used to walk the whole horizon and
+        # fail in the drain-time map; on an empty battery it returned a CDF
+        # running to level 1
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("arrivals sampled before the span check")
+
+        monkeypatch.setattr(importlib.import_module("ehmac.simulate"), "sample_arrivals",
+                            no_sampling)
+        hp = eh.HarvestParams(1.0, 1.0, capacity)
+        pol = eh.constant_policy(1.0, 1.0, 64)
+        ok = (eh.HarvestParams(1.0, 1.0, 1.0 + 1e-12), pol, exp_dist())
+        cfg = eh.SimConfig(horizon=100.0, seed=0)
+        for nodes in ([(hp, pol, exp_dist())], [ok, (hp, pol, exp_dist())]):
+            with pytest.raises(DomainError, match="policy grid span must equal"):
+                eh.simulate(nodes, rf, cfg)
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import ehmac as eh
+import ehmac.throughput as th
 from ehmac.errors import CapacityError, DomainError, MomentRangeError, UsageError
 
 
@@ -182,6 +184,97 @@ class TestPhiMoments:
             assert val == pytest.approx(eh.rate(rf, p), rel=1e-12)
             assert d1 == pytest.approx(eh.rate_deriv(rf, p, 1), rel=1e-12)
             assert d2 == pytest.approx(eh.rate_deriv(rf, p, 2), rel=1e-12)
+
+
+def sloped_node(lam, zeta, capacity, fn, n):
+    hp = eh.HarvestParams(lam, zeta, capacity)
+    pol = eh.policy_from_function(fn, capacity, n)
+    return (hp, pol, eh.measure_closed_form(pol, hp))
+
+
+class TestMomentOracle:
+    """U = E phi_j(P_j) for every node j: the throughput and the moment
+    tables are the same finite sum, taken by the kernel's two call sites."""
+
+    @staticmethod
+    def moment_mean(state, j):
+        nd = state.nodes[j]
+        p = nd.policy.density_side_on(nd.measure.grid)
+        knots = np.unique(np.concatenate(([0.0], p)))
+        if knots.size < 4:
+            knots = np.concatenate((knots, knots[-1] + np.arange(1.0, 5.0 - knots.size)))
+        phi = eh.phi_moments(state, j, knots)
+        at_p = np.searchsorted(phi.q, p)
+        assert phi.q[0] == 0.0 and np.array_equal(phi.q[at_p], p)
+        return nd.measure.atom * phi.phi[0] + float(nd.measure.node_weights() @ phi.phi[at_p])
+
+    @pytest.mark.parametrize("nodes", [
+        (sloped_node(1.0, 1.0, 1.5, lambda x: 0.3 + 0.9 * x, 40),
+         sloped_node(1.0, 1.0, 2.0, lambda x: 1.2, 32)),
+        (sloped_node(1.0, 1.0, 1.0, lambda x: 0.4 + x * x, 24),
+         sloped_node(0.7, 1.3, 2.0, lambda x: 0.2 + 0.5 * x, 32),
+         sloped_node(1.2, 0.8, 3.0, lambda x: 0.3 + math.sqrt(x), 28)),
+    ], ids=["two_nodes", "three_asymmetric"])
+    def test_throughput_is_mean_moment_of_every_node(self, rf, nodes):
+        state = eh.SystemState(nodes=nodes, rate=rf)
+        total = eh.sum_throughput(state)
+        for j in range(len(nodes)):
+            assert self.moment_mean(state, j) == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
+RF = eh.RateFunction(1.0)
+FUNCS = (lambda a: eh.rate(RF, a),
+         lambda a: eh.rate_deriv(RF, a, 1),
+         lambda a: eh.rate_deriv(RF, a, 2))
+
+
+@st.composite
+def tensor_cases(draw):
+    """Active-node powers and weights, a scalar or array base, a block size."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    values = [st.lists(st.floats(lo, hi), min_size=k, max_size=k)
+              for k in sizes for lo, hi in ((0.0, 50.0), (0.0, 2.0))]
+    drawn = [np.array(draw(v)) for v in values]
+    powers, weights = drawn[0::2], drawn[1::2]
+    if draw(st.booleans()):
+        base = draw(st.floats(0.0, 50.0))
+    else:
+        base = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=9)))
+    elems = np.size(base) * math.prod(sizes)
+    return powers, weights, base, draw(st.integers(1, elems))
+
+
+def ragged_case(lead, rest, bases, chunk):
+    """Evenly spaced powers and weights for the blocking examples below."""
+    powers = [np.linspace(0.0, 3.0, lead), np.linspace(0.1, 0.5, rest)]
+    weights = [np.linspace(0.2, 1.0, lead), np.linspace(1.0, 0.5, rest)]
+    return powers, weights, np.linspace(0.0, 2.0, bases), chunk
+
+
+class TestTensorSums:
+    """The blocked kernel against a direct evaluation on the full tensor."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tensor_cases())
+    # knot axis split 2 + 2 + 1 (one leading power per block); leading axis
+    # split 2 + 2 + 1 (all knots per block); three nodes at a scalar base
+    @example(ragged_case(3, 3, 5, 7))
+    @example(ragged_case(5, 3, 2, 13))
+    @example(([np.linspace(0.0, 1.0, 4), np.full(3, 0.5), np.arange(5.0)],
+              [np.full(4, 0.25), np.ones(3), np.linspace(0.1, 0.9, 5)], 0.7, 10))
+    def test_matches_full_tensor(self, case):
+        powers, weights, base, chunk = case
+        with mock.patch.object(th, "_CHUNK", chunk):
+            got = th._tensor_sums(FUNCS, powers, weights, base)
+        base = np.atleast_1d(np.asarray(base, dtype=float))
+        args = sum(np.meshgrid(*powers, indexing="ij"))
+        w = np.prod(np.meshgrid(*weights, indexing="ij"), axis=0)
+        assert len(got) == len(FUNCS)
+        for f, sums in zip(FUNCS, got):
+            want = np.array([np.sum(f(b + args) * w) for b in base])
+            np.testing.assert_allclose(sums, want, rtol=1e-12, atol=0.0)
+            if len(powers) == 1:
+                assert np.array_equal(sums, f(base[:, None] + powers[0]) @ weights[0])
 
 
 @st.composite
