@@ -8,10 +8,19 @@ along the trajectory (time at zero, radiated energy, occupancy CDF,
 crossing counts) are accumulated in closed form per drain segment, so the
 only sampling error left is the randomness of the arrivals themselves.
 
+The walk is one row per arrival, and a row that empties the battery forgets
+everything before it (the storage process regenerates there).  So the
+arrivals are cut into blocks after rows that must empty (on an unbounded
+battery: that very likely empty), every block is walked at once in numpy
+lockstep, and each cut is then checked against the level the walk before it
+really left; the blocks whose start was wrong are walked again.  The rows
+come out bitwise equal to a one-row-at-a-time loop.
+
 Each node's own transmitted bits also integrate in closed form along drains,
 so only the multi-node rate interaction term needs numeric quadrature.  It
-is sampled on the merged event timeline with substeps crowded toward the
-interval starts and one-sided limits at the event instants where the
+is sampled on the merged event timeline, only on the intervals where two or
+more nodes drain (elsewhere it is exactly zero), with substeps crowded toward
+the interval starts and one-sided limits at the event instants where the
 integrand jumps.
 
 The sampled term reads each policy in drain time tau, the time a battery
@@ -25,7 +34,6 @@ subtracts the elapsed time from it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,6 +122,12 @@ class TrajectoryStats:
     down_count: np.ndarray
     up_count: np.ndarray
     event_log: list = field(default_factory=list, repr=False)
+    # work counts summed over replications: arrivals inside the window per
+    # node, merged-timeline intervals, and those the joint-rate sampler read
+    window_arrivals: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
+    merged_intervals: int = 0
+    sampled_intervals: int = 0
 
     def to_text(self) -> str:
         lines = [f"window = {self.window!r}",
@@ -131,83 +145,121 @@ class TrajectoryStats:
         return "\n".join(lines) + "\n"
 
 
+# An unbounded battery has no level that bounds its drain time, so its walk
+# cuts wherever the gap before the next arrival exceeds this fraction of the
+# policy's top drain time; a cut whose row does not empty is repaired.  On the
+# criterion-5 fixture (constant p = 2, top drain time 6), 16 walks of 1.25e5
+# arrivals took 0.52-0.73 s at 1/3 with about three repair passes each,
+# against 0.77-0.80 s at 0.2, 0.66-0.85 s at 1/2, 0.95-1.03 s at 2/3 and
+# 2.3-3.4 s for a one-row-at-a-time loop; cutting only beyond the top drain
+# time was slower than that loop.
+_SPECULATIVE_GAP = 1.0 / 3.0
+
+
+def _tau_of(interp, level):
+    """Drain time to empty from ``level``, the walk's own arithmetic.
+
+    Above the last node the policy continues at its top value; below it the
+    cell-local closed form is ``PolicyInterp.tau``'s, operation for operation.
+    """
+    x_top = interp.x[-1]
+    return np.where(level >= x_top,
+                    interp.tau_nodes[-1] + (level - x_top) / interp.p[-1],
+                    interp.tau(np.minimum(level, x_top)))
+
+
+def _level_of(interp, tau):
+    """Level whose drain time is ``tau``: the release rate is linear in tau."""
+    taus = interp.tau_nodes
+    i = np.clip(np.searchsorted(taus, tau, side="right") - 1, 0, taus.size - 2)
+    dt = tau - taus[i]
+    return np.where(tau >= taus[-1],
+                    interp.x[-1] + (tau - taus[-1]) * interp.p[-1],
+                    interp.x[i] + interp.p[i] * dt + 0.25 * interp._b[i] * dt * dt)
+
+
+def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk):
+    """Advance walks in lockstep, one row of each per step, writing in place.
+
+    Lane k walks rows ``rows[k]``..``last[k]`` from the start level
+    ``level[k]``.  ``walk`` holds the row arrays: the start level each row
+    was walked from, tau, the level where the drain stops and the post-arrival
+    level.  A lane stops early at the first row whose post level equals the
+    stored one (never on a first walk, which finds NaN): the stored rows
+    after it follow from it.
+    """
+    start, tau, end, post = walk
+    while rows.size:
+        t0 = t_prev[rows]
+        t1 = t_next[rows]
+        live = level > 0.0
+        tau_r = np.where(live, _tau_of(interp, level), 0.0)
+        drains = live & (t0 + tau_r > t1)
+        end_r = np.where(drains, _level_of(interp, tau_r - (t1 - t0)), 0.0)
+        post_r = np.minimum(end_r + energy[rows], capacity)
+        go = (rows < last) & (post_r != post[rows])
+        start[rows] = level
+        tau[rows] = tau_r
+        end[rows] = end_r
+        post[rows] = post_r
+        rows = rows[go] + 1
+        last = last[go]
+        level = post_r[go]
+
+
 def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
                      log, node):
-    """Sequential walk over arrivals with exact drains, clipped to the window.
+    """Walk over arrivals with exact drains, clipped to the window.
 
-    The Python loop carries only the level recursion, one step per arrival
-    with scalar drain maps (plain lists and bisect); the segment arrays,
-    the window clipping and the event log are then built with numpy.
+    The walk has one row per arrival plus a closing row at the horizon (its
+    energy 0.0 is never used); row j drains the level left by row j - 1 over
+    [t_prev, t_next) and then adds the arrival's packet.  A row that empties
+    forgets the past, so the rows are cut into blocks after each row whose gap
+    exceeds the drain time from the capacity, and every block starts from
+    its predecessor's last packet.  An unbounded battery has no such bound
+    and cuts at gaps beyond ``_SPECULATIVE_GAP`` of its top drain time
+    instead.  All blocks advance in lockstep, one row of each per numpy step.
+
+    Then every cut is checked: a block walked from another level than the
+    post-arrival level its predecessor left is wrong.  The first wrong block
+    of each run of consecutive ones is walked again from the right level, on
+    through the run, and stops at the first row whose post level equals the
+    stored one; checks and repairs repeat until every cut agrees.  So the cut
+    rule sets the speed only.  Each row does the arithmetic of a sequential
+    walk in the same order, so the rows are bitwise the same.  The number of
+    numpy steps is the longest block or repaired run: an unbounded battery
+    that seldom empties walks its long busy periods one row per step, which
+    is slower than a Python loop would be.
+
+    The segment arrays, the window clipping and the event log are then
+    built with numpy from the rows.
     """
-    xs = interp.x.tolist()
-    ps = interp.p.tolist()
-    psq = interp._psq.tolist()
-    bs = interp._b.tolist()
-    taus = interp.tau_nodes.tolist()
-    tau_top = taus[-1]
-    x_top = xs[-1]
-    p_top = ps[-1]
-    top_cell = len(xs) - 2
-
-    def tau_of(level):
-        if level >= x_top:
-            return tau_top + (level - x_top) / p_top
-        i = bisect_right(xs, level) - 1
-        if i < 0:
-            i = 0
-        elif i > top_cell:
-            i = top_cell
-        dv = level - xs[i]
-        pv = math.sqrt(psq[i] + bs[i] * dv)
-        return taus[i] + 2.0 * dv / (pv + ps[i])
-
-    def level_of(tau):
-        if tau >= tau_top:
-            return x_top + (tau - tau_top) * p_top
-        i = bisect_right(taus, tau) - 1
-        if i < 0:
-            i = 0
-        elif i > top_cell:
-            i = top_cell
-        dt = tau - taus[i]
-        return xs[i] + ps[i] * dt + 0.25 * bs[i] * dt * dt
-
-    # the sequential part: one row per arrival plus a closing row at the
-    # horizon (its energy 0.0 is never used).  Row j drains the level left by
-    # row j - 1 over [t_prev, t_next) and then adds the arrival's packet.
-    t_list = times.tolist()
-    t_list.append(horizon)
-    e_list = energies.tolist()
-    e_list.append(0.0)
-    rows = len(t_list)
-    tau_at = [0.0] * rows    # time to empty from the row's start level
-    end_at = [0.0] * rows    # level when the row's drain stops
-    post_at = [0.0] * rows   # clipped level just after the row's arrival
-    t_prev = 0.0
-    level = 0.0
-    for j, (t_next, energy) in enumerate(zip(t_list, e_list)):
-        if level > 0.0:
-            tau_lv = tau_of(level)
-            tau_at[j] = tau_lv
-            if t_prev + tau_lv <= t_next:
-                end = 0.0
-            else:
-                end = level_of(tau_lv - (t_next - t_prev))
-            end_at[j] = end
-        else:
-            end = 0.0
-        level = end + energy
-        if level > capacity:
-            level = capacity
-        post_at[j] = level
-        t_prev = t_next
-
-    t_next = np.asarray(t_list)
     t_prev = np.concatenate(([0.0], times))
-    post = np.asarray(post_at)
-    start = np.concatenate(([0.0], post[:-1]))
-    tau = np.asarray(tau_at)
-    end = np.asarray(end_at)
+    t_next = np.append(times, horizon)
+    energy = np.append(energies, 0.0)
+    rows = t_next.size
+    walk = np.full((4, rows), np.nan)
+    start, tau, end, post = walk
+    if math.isinf(capacity):
+        gap = _SPECULATIVE_GAP * interp.tau_nodes[-1]
+    else:
+        gap = _tau_of(interp, capacity)
+    cut = np.flatnonzero(t_prev[:-1] + gap < t_next[:-1])
+    first = np.concatenate(([0], cut + 1))
+    last = np.append(cut, rows - 1)
+    level = np.concatenate(([0.0], np.minimum(energy[cut], capacity)))
+    _walk_rows(interp, capacity, t_prev, t_next, energy, first, last, level, walk)
+    while True:
+        bad = np.flatnonzero(start[first[1:]] != post[first[1:] - 1]) + 1
+        if not bad.size:
+            break
+        # the first wrong block of a chain starts from the right level; its
+        # lane runs on through the chain, up to the next chain's first block
+        head = bad[np.diff(bad, prepend=-1) > 1]
+        stop = np.append(first[head[1:]] - 1, rows - 1)
+        _walk_rows(interp, capacity, t_prev, t_next, energy, first[head], stop,
+                   post[first[head] - 1], walk)
+
     # a drain that empties stops at the exact float t_prev + tau, which the
     # merged timeline cuts at, so one-sided limits resolve by float identity;
     # an empty battery (tau = 0) stops at t_prev
@@ -244,7 +296,7 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
     if seg_start[0] < burn_in:
         if drain_end[0] > burn_in:   # drain straddles the burn-in: clip it
             seg_tau[0] -= burn_in - seg_start[0]
-            seg_level[0] = level_of(seg_tau[0])
+            seg_level[0] = _level_of(interp, seg_tau[0])
         else:                        # empty at the burn-in
             seg_level[0] = seg_tau[0] = 0.0
             drain_end[0] = burn_in
@@ -338,16 +390,32 @@ class _RateClock:
         return self.nodes[i] + partial + over * self.top_rate_over_p
 
 
+# merged intervals per block of the joint-rate sampler: with 19 samples each,
+# a block's sample arrays (4096 x 19 float64, 608 KiB apiece) stay in a 1-4
+# MiB L2 cache.  On one two-node sim_pair replication (grid 512, 5e4 time
+# units, 2 cores), sampling every interval took 0.42-0.55 s in 200k-interval
+# blocks and 0.25-0.34 s in 4096-interval ones; skipping the intervals with
+# fewer than two draining nodes took that to 0.13-0.20 s, and the traced peak
+# memory fell from 190 to 10 MiB.
+_JOINT_CHUNK = 4096
+
+
 def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
-                         substeps, chunk=200_000):
+                         substeps, chunk=_JOINT_CHUNK):
     """Integral of r(sum of release rates) over the window, merged timeline.
 
     Each node's own-rate integral is exact (see _RateClock); only the
     interaction remainder r(sum p_k) - sum r(p_k), which is bounded and
     varies on the slow timescale, is sampled on the merged event timeline.
-    Event instants carry one-sided limits: the first sample of an interval
-    takes the post-event value, the last the pre-event one (a battery that
-    empties exactly at the cut still transmits at p(0+) from the left).
+    Between cuts every node drains or idles throughout, and the remainder is
+    exactly 0.0 where at most one node drains, so only intervals with two
+    or more draining nodes are sampled.  Event instants carry one-sided
+    limits: the first sample of an interval takes the post-event value, the
+    last the pre-event one (a battery that empties exactly at the cut still
+    transmits at p(0+) from the left).
+
+    Returns the integral, the number of merged intervals and the number
+    sampled.
     """
     exact = 0.0
     for interp, run in zip(interps, runs):
@@ -355,7 +423,7 @@ def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
         exact += float(np.sum(clock.integral(run.seg_level)
                               - clock.integral(run.seg_end_level)))
     if len(runs) == 1:
-        return exact
+        return exact, 0, 0
     cuts = [np.asarray([burn_in, horizon])]
     for run in runs:
         cuts.append(run.seg_start)
@@ -363,6 +431,14 @@ def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
         cuts.append(run.drain_end[empties])
     t = np.unique(np.concatenate(cuts))
     t = t[(t >= burn_in) & (t <= horizon)]
+    # each node's segment at every interval start; a node drains through the
+    # interval iff the interval starts before its drain ends
+    segs = [np.clip(np.searchsorted(run.seg_start, t[:-1], side="right") - 1,
+                    0, run.seg_start.size - 1) for run in runs]
+    busy = sum((t[:-1] < run.drain_end[idx]).astype(np.intp)
+               for run, idx in zip(runs, segs))
+    keep = np.flatnonzero(busy >= 2)
+    segs = [idx[keep] for idx in segs]
     total = 0.0
     # sample fractions crowd logarithmically toward the interval start: right
     # after an arrival an aggressive policy sheds the top charge within a tiny
@@ -375,18 +451,17 @@ def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
     w[1:-1] = 0.5 * (frac[2:] - frac[:-2])
     w[0] = 0.5 * (frac[1] - frac[0])
     w[-1] = 0.5 * (frac[-1] - frac[-2])
-    for lo in range(0, t.size - 1, chunk):
-        hi = min(lo + chunk, t.size - 1)
-        t0 = t[lo:hi]
-        t1 = t[lo + 1:hi + 1]
+    for lo in range(0, keep.size, chunk):
+        block = keep[lo:lo + chunk]
+        t0 = t[block]
+        t1 = t[block + 1]
         dt = t1 - t0
         samples = t0[:, None] + dt[:, None] * frac[None, :]
         samples[:, -1] = t1  # exact cut float, not t0 + dt
         p_sum = np.zeros_like(samples)
         own_rate = np.zeros_like(samples)
-        for interp, run in zip(interps, runs):
-            idx = np.searchsorted(run.seg_start, t0, side="right") - 1
-            idx = np.clip(idx, 0, run.seg_start.size - 1)
+        for interp, run, seg in zip(interps, runs, segs):
+            idx = seg[lo:lo + chunk]
             de = run.drain_end[idx]
             # cut instants equal drain_end floats bitwise, so the one-sided
             # limits resolve exactly: the left endpoint takes the post-event
@@ -403,7 +478,7 @@ def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
             own_rate += rate(rf, p_node)
         vals = rate(rf, p_sum) - own_rate
         total += float(np.sum((vals @ w) * dt))
-    return exact + total
+    return exact + total, t.size - 1, keep.size
 
 
 def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
@@ -446,6 +521,8 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
     down = np.zeros((reps, m, probes_cross.size))
     up = np.zeros((reps, m, probes_cross.size))
     log = [] if config.track_events else None
+    arrivals = np.zeros(m, dtype=np.int64)
+    merged = sampled = 0
 
     for rep in range(reps):
         runs = []
@@ -455,6 +532,7 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
             run = _walk_trajectory(interps[k], params.capacity, times, energies,
                                    config.burn_in, config.horizon, log, k)
             runs.append(run)
+            arrivals[k] += run.pre_arrival.size
             atom[rep, k] = float(np.sum(run.idle_dur)) / window
             energy_out = float(np.sum(run.seg_level - run.seg_end_level))
             mean_p[rep, k] = energy_out / window
@@ -468,9 +546,11 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
                 d, u = _crossing_counts(run, probes_cross)
                 down[rep, k] = d / window
                 up[rep, k] = u / window
-        thr[rep] = _joint_rate_integral(interps, runs, rf, config.burn_in,
-                                        config.horizon,
-                                        config.joint_substeps) / window
+        bits, n_merged, n_sampled = _joint_rate_integral(
+            interps, runs, rf, config.burn_in, config.horizon, config.joint_substeps)
+        thr[rep] = bits / window
+        merged += n_merged
+        sampled += n_sampled
 
     def se(arr):
         if reps == 1:
@@ -492,7 +572,8 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
         up_rate=np.mean(up, axis=0), up_rate_se=se(up),
         down_count=np.sum(down, axis=0) * window,
         up_count=np.sum(up, axis=0) * window,
-        event_log=log or [])
+        event_log=log or [], window_arrivals=arrivals,
+        merged_intervals=merged, sampled_intervals=sampled)
 
 
 def _convolved_up_rate(measure: StationaryMeasure, params: HarvestParams,

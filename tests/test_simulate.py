@@ -1,5 +1,6 @@
 import importlib
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 
@@ -9,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehmac as eh
+from ehmac.arrivals import sample_arrivals
 from ehmac.errors import DomainError
 from ehmac.grids import uniform_grid
+from ehmac.rates import rate
+
+sim = importlib.import_module("ehmac.simulate")
 
 
 def exp_dist(zeta=1.0):
@@ -317,8 +322,7 @@ class TestSimulate:
         def no_sampling(*args, **kwargs):
             raise AssertionError("arrivals sampled before the span check")
 
-        monkeypatch.setattr(importlib.import_module("ehmac.simulate"), "sample_arrivals",
-                            no_sampling)
+        monkeypatch.setattr(sim, "sample_arrivals", no_sampling)
         hp = eh.HarvestParams(1.0, 1.0, capacity)
         pol = eh.constant_policy(1.0, 1.0, 64)
         ok = (eh.HarvestParams(1.0, 1.0, 1.0 + 1e-12), pol, exp_dist())
@@ -379,3 +383,308 @@ class TestCrossingBalance:
         stats = eh.simulate([(hp, pol, exp_dist())], rf, cfg)
         ups = stats.up_rate[0]
         assert ups[0] > ups[1] > ups[2]
+
+
+def scalar_walk(interp, capacity, times, energies, burn_in, horizon, log, node):
+    """Oracle: the walk as one Python loop over arrivals with scalar drain maps."""
+    xs = interp.x.tolist()
+    ps = interp.p.tolist()
+    psq = interp._psq.tolist()
+    bs = interp._b.tolist()
+    taus = interp.tau_nodes.tolist()
+    tau_top = taus[-1]
+    x_top = xs[-1]
+    p_top = ps[-1]
+    top_cell = len(xs) - 2
+
+    def tau_of(level):
+        if level >= x_top:
+            return tau_top + (level - x_top) / p_top
+        i = min(max(bisect_right(xs, level) - 1, 0), top_cell)
+        dv = level - xs[i]
+        pv = math.sqrt(psq[i] + bs[i] * dv)
+        return taus[i] + 2.0 * dv / (pv + ps[i])
+
+    def level_of(tau):
+        if tau >= tau_top:
+            return x_top + (tau - tau_top) * p_top
+        i = min(max(bisect_right(taus, tau) - 1, 0), top_cell)
+        dt = tau - taus[i]
+        return xs[i] + ps[i] * dt + 0.25 * bs[i] * dt * dt
+
+    t_list = times.tolist() + [horizon]
+    e_list = energies.tolist() + [0.0]
+    rows = len(t_list)
+    tau_at = [0.0] * rows
+    end_at = [0.0] * rows
+    post_at = [0.0] * rows
+    t_prev = 0.0
+    level = 0.0
+    for j, (t_next, energy) in enumerate(zip(t_list, e_list)):
+        if level > 0.0:
+            tau_lv = tau_of(level)
+            tau_at[j] = tau_lv
+            if t_prev + tau_lv <= t_next:
+                end = 0.0
+            else:
+                end = level_of(tau_lv - (t_next - t_prev))
+            end_at[j] = end
+        else:
+            end = 0.0
+        level = end + energy
+        if level > capacity:
+            level = capacity
+        post_at[j] = level
+        t_prev = t_next
+
+    t_next = np.asarray(t_list)
+    t_prev = np.concatenate(([0.0], times))
+    post = np.asarray(post_at)
+    start = np.concatenate(([0.0], post[:-1]))
+    tau = np.asarray(tau_at)
+    end = np.asarray(end_at)
+    t_stop = np.minimum(t_prev + tau, t_next)
+    a = int(np.searchsorted(times, burn_in, side="left"))
+    pre_arr = end[a:-1]
+    post_arr = post[a:-1]
+    overflow = float(np.sum(pre_arr + energies[a:] - post_arr))
+    w = int(np.searchsorted(t_next, burn_in, side="right"))
+    if log is not None:
+        empty = w + np.flatnonzero((t_stop[w:] > t_prev[w:]) & (end[w:] == 0.0)
+                                   & (t_stop[w:] >= burn_in))
+        arrival = np.arange(a, times.size)
+        order = np.argsort(np.concatenate((2 * empty, 2 * arrival + 1)))
+        when = np.concatenate((t_stop[empty], times[a:]))[order]
+        value = np.concatenate((np.zeros(empty.size), post_arr))[order]
+        log.extend((t, node, "empty" if i < empty.size else "arrival", v)
+                   for t, i, v in zip(when.tolist(), order.tolist(), value.tolist()))
+    seg_start = t_prev[w:]
+    seg_level = start[w:]
+    seg_tau = tau[w:]
+    seg_end_level = end[w:]
+    drain_end = t_stop[w:]
+    if seg_start[0] < burn_in:
+        if drain_end[0] > burn_in:
+            seg_tau[0] -= burn_in - seg_start[0]
+            seg_level[0] = level_of(seg_tau[0])
+        else:
+            seg_level[0] = seg_tau[0] = 0.0
+            drain_end[0] = burn_in
+        seg_start[0] = burn_in
+    return sim.NodeRun(seg_start=seg_start, seg_level=seg_level, seg_tau=seg_tau,
+                       seg_end_level=seg_end_level, drain_end=drain_end,
+                       drain_dur=drain_end - seg_start, idle_dur=t_next[w:] - drain_end,
+                       pre_arrival=pre_arr, post_arrival=post_arr, overflow=overflow)
+
+
+RUN_FIELDS = ("seg_start", "seg_level", "seg_tau", "seg_end_level", "drain_end",
+              "drain_dur", "idle_dur", "pre_arrival", "post_arrival")
+
+
+def assert_walks_identical(interp, capacity, times, energies, burn_in, horizon):
+    """The lockstep walk against the oracle: every row and log entry bitwise."""
+    log_want, log_got = [], []
+    want = scalar_walk(interp, capacity, times, energies, burn_in, horizon, log_want, 3)
+    got = sim._walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
+                               log_got, 3)
+    for name in RUN_FIELDS:
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    assert math.copysign(1.0, want.overflow) == math.copysign(1.0, got.overflow)
+    assert want.overflow == got.overflow
+    assert log_want == log_got
+    return want
+
+
+@st.composite
+def walk_inputs(draw):
+    """A rising or falling policy on a finite or unbounded battery, with
+    exponential or uniform packets and a burn-in anywhere in the first half."""
+    n = draw(st.integers(1, 32))
+    span = draw(st.floats(0.5, 6.0))
+    p = sorted(draw(st.lists(st.floats(0.01, 5.0), min_size=n + 1, max_size=n + 1)),
+               reverse=draw(st.booleans()))
+    policy = eh.PolicyGrid(uniform_grid(span, n), np.asarray([0.0] + p[1:]), p0plus=p[0])
+    unbounded = draw(st.booleans())
+    params = eh.HarvestParams(draw(st.floats(0.2, 3.0)), 1.0,
+                              math.inf if unbounded else span)
+    if draw(st.booleans()):
+        dist = exp_dist(draw(st.floats(0.3, 3.0)))
+    else:
+        dist = eh.PacketDistribution.tabulated([0.0, draw(st.floats(0.5, 4.0))], [0.0, 1.0])
+    horizon = draw(st.floats(5.0, 300.0))
+    burn_in = draw(st.floats(0.0, 0.5)) * horizon
+    times, energies = sample_arrivals(params, dist, horizon, draw(st.integers(0, 2 ** 16)))
+    return policy.interp(extend=unbounded), params.capacity, times, energies, burn_in, horizon
+
+
+class TestLockstepWalk:
+    """The block-parallel walk reproduces the one-row-at-a-time loop bitwise."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(walk_inputs())
+    def test_matches_scalar_loop(self, case):
+        assert_walks_identical(*case)
+
+    @pytest.mark.parametrize("capacity", [2.0, math.inf], ids=["finite", "unbounded"])
+    def test_burn_in_inside_a_drain(self, capacity):
+        interp = eh.policy_from_function(lambda x: 0.2 + x * x, 2.0, 64).interp(
+            extend=math.isinf(capacity))
+        times, energies = sample_arrivals(eh.HarvestParams(1.0, 1.0, capacity), exp_dist(),
+                                          200.0, 17)
+        probe = scalar_walk(interp, capacity, times, energies, 0.0, 200.0, None, 0)
+        j = int(np.flatnonzero(probe.drain_dur > 0.5)[3])
+        burn_in = probe.seg_start[j] + 0.5 * probe.drain_dur[j]
+        run = assert_walks_identical(interp, capacity, times, energies, burn_in, 200.0)
+        assert run.seg_start[0] == burn_in and 0.0 < run.seg_tau[0] < probe.seg_tau[j]
+
+    def test_zero_packet_after_an_empty_row(self):
+        # the row after the first arrival empties and then adds nothing, so
+        # its post level is 0.0 in the middle of a block
+        interp = eh.constant_policy(1.0, 4.0, 16).interp()
+        times = np.array([1.0, 1.5, 2.0, 2.2])
+        energies = np.array([0.2, 0.0, 0.3, 0.5])
+        run = assert_walks_identical(interp, 4.0, times, energies, 0.0, 5.0)
+        assert run.post_arrival[1] == 0.0 and run.post_arrival[3] == pytest.approx(0.6)
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes = []
+        kernel = sim._walk_rows
+
+        def counting(*args):
+            passes.append(int(args[5].size))   # lanes in the pass
+            return kernel(*args)
+
+        monkeypatch.setattr(sim, "_walk_rows", counting)
+        return passes
+
+    def test_repair_after_a_wrong_cut(self, monkeypatch):
+        # an unbounded battery cuts after every gap beyond the speculative
+        # threshold; a huge packet keeps it charged across such a gap
+        passes = self._count_passes(monkeypatch)
+        interp = eh.constant_policy(1.0, 4.0, 16).interp(extend=True)
+        gap = 2.0 * sim._SPECULATIVE_GAP * interp.tau_nodes[-1]
+        times = np.array([1.0, 2.0, 2.0 + gap, 3.0 + gap, 60.0])
+        energies = np.array([50.0, 0.5, 0.25, 0.5, 1.0])
+        run = assert_walks_identical(interp, math.inf, times, energies, 0.0, 80.0)
+        assert run.seg_end_level[2] > 0.0      # the cut row did not empty
+        assert passes == [3, 1]   # cuts after rows 2 and 4; one lane repairs
+
+    def test_repair_through_a_chain_of_wrong_cuts(self, monkeypatch):
+        # rows 1, 2 and 6 end in a long gap but do not empty.  The block after
+        # row 1 is walked from 30 instead of about 86, so it misses the cut
+        # after row 2 as well: two consecutive blocks start wrong.  One lane
+        # repairs both, in the same pass as the block after row 6.
+        passes = self._count_passes(monkeypatch)
+        interp = eh.policy_from_function(lambda x: 0.5 + 0.1 * x, 4.0, 32).interp(extend=True)
+        gap = 2.0 * sim._SPECULATIVE_GAP * interp.tau_nodes[-1]
+        times = np.cumsum([1.0, gap, gap, 0.5, 200.0, 1.0, gap, 1.0, 200.0])
+        energies = np.array([60.0, 30.0, 0.5, 0.5, 40.0, 0.5, 0.5, 0.5, 0.5])
+        run = assert_walks_identical(interp, math.inf, times, energies, 0.0, times[-1] + 1.0)
+        assert np.all(run.seg_end_level[[1, 2, 6]] > 0.0)
+        assert passes == [6, 2]   # cuts after rows 1, 2, 4, 6 and 8
+
+
+def every_interval_integral(interps, runs, rf, burn_in, horizon, substeps):
+    """Reference joint-rate integral that samples every merged interval."""
+    exact = 0.0
+    for interp, run in zip(interps, runs):
+        clock = sim._RateClock(interp, rf)
+        exact += float(np.sum(clock.integral(run.seg_level)
+                              - clock.integral(run.seg_end_level)))
+    cuts = [np.asarray([burn_in, horizon])]
+    for run in runs:
+        cuts.append(run.seg_start)
+        cuts.append(run.drain_end[(run.seg_end_level == 0.0) & (run.drain_dur > 0.0)])
+    t = np.unique(np.concatenate(cuts))
+    t = t[(t >= burn_in) & (t <= horizon)]
+    frac = np.unique(np.concatenate((
+        [0.0], np.geomspace(1e-7, 1.0, 4 * substeps + 9),
+        np.linspace(0.0, 1.0, substeps + 1))))
+    w = np.empty_like(frac)
+    w[1:-1] = 0.5 * (frac[2:] - frac[:-2])
+    w[0] = 0.5 * (frac[1] - frac[0])
+    w[-1] = 0.5 * (frac[-1] - frac[-2])
+    t0, t1 = t[:-1], t[1:]
+    dt = t1 - t0
+    samples = t0[:, None] + dt[:, None] * frac[None, :]
+    samples[:, -1] = t1
+    p_sum = np.zeros_like(samples)
+    own_rate = np.zeros_like(samples)
+    for interp, run in zip(interps, runs):
+        idx = np.clip(np.searchsorted(run.seg_start, t0, side="right") - 1,
+                      0, run.seg_start.size - 1)
+        de = run.drain_end[idx]
+        draining = samples < de[:, None]
+        draining[:, -1] = (t1 <= de) & (run.drain_dur[idx] > 0.0)
+        elapsed = np.minimum(samples, de[:, None]) - run.seg_start[idx][:, None]
+        tau_left = run.seg_tau[idx][:, None] - elapsed
+        p_node = np.where(draining, np.interp(tau_left, interp.tau_nodes, interp.p), 0.0)
+        p_sum += p_node
+        own_rate += rate(rf, p_node)
+    return exact + float(np.sum(((rate(rf, p_sum) - own_rate) @ w) * dt))
+
+
+def _node_runs(nodes, burn_in, horizon, seed):
+    interps, runs = [], []
+    for k, (params, policy) in enumerate(nodes):
+        interp = policy.interp(extend=params.is_infinite)
+        times, energies = sample_arrivals(params, exp_dist(), horizon, seed, node=k)
+        interps.append(interp)
+        runs.append(sim._walk_trajectory(interp, params.capacity, times, energies,
+                                         burn_in, horizon, None, k))
+    return interps, runs
+
+
+class TestJointIntervalSkip:
+    """Intervals with fewer than two draining nodes add exactly nothing."""
+
+    NODES = {
+        "two": [(eh.HarvestParams(1.0, 1.0, 2.0),
+                 eh.policy_from_function(lambda x: 0.2 + x * x, 2.0, 64)),
+                (eh.HarvestParams(0.7, 1.0, math.inf),
+                 eh.policy_from_function(lambda x: 0.3 + 0.5 * x, 6.0, 48))],
+        "three_one_idle": [(eh.HarvestParams(1.0, 1.0, 2.0),
+                            eh.policy_from_function(lambda x: 0.2 + x * x, 2.0, 64)),
+                           (eh.HarvestParams(0.0, 1.0, 3.0), eh.constant_policy(1.0, 3.0, 16)),
+                           (eh.HarvestParams(1.5, 1.0, 3.0),
+                            eh.policy_from_function(lambda x: 2.0 - 0.5 * x, 3.0, 32))],
+    }
+
+    @pytest.mark.parametrize("nodes", sorted(NODES))
+    def test_matches_every_interval_reference(self, nodes, rf):
+        burn_in, horizon = 13.7, 400.0
+        interps, runs = _node_runs(self.NODES[nodes], burn_in, horizon, seed=41)
+        want = every_interval_integral(interps, runs, rf, burn_in, horizon, 2)
+        results = set()
+        for chunk in (1, 7, sim._JOINT_CHUNK):
+            got, merged, sampled = sim._joint_rate_integral(interps, runs, rf, burn_in,
+                                                            horizon, 2, chunk=chunk)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            results.add((got, merged, sampled))
+        assert len({(m, s) for _, m, s in results}) == 1
+        assert 0 < sampled < merged
+        if nodes == "three_one_idle":
+            assert runs[1].drain_dur.sum() == 0.0   # idle throughout
+
+    def test_work_counts(self, rf, monkeypatch):
+        # node 0 drains over [1, 4), node 1 over [2, 3) and [6, 7): the cuts
+        # 0, 1, 2, 3, 4, 6, 7, 10 give seven intervals, one with both draining
+        arrivals = {0: ([1.0], [3.0]), 1: ([2.0, 6.0], [1.0, 1.0])}
+
+        def hand_built(params, dist, horizon, seed, node=0, replication=0):
+            times, energies = arrivals[node]
+            return np.asarray(times), np.asarray(energies)
+
+        monkeypatch.setattr(sim, "sample_arrivals", hand_built)
+        node = (eh.HarvestParams(1.0, 1.0, 5.0), eh.constant_policy(1.0, 5.0, 8), exp_dist())
+        stats = eh.simulate([node, node], rf,
+                            eh.SimConfig(horizon=10.0, replications=3, seed=0))
+        assert stats.window_arrivals.tolist() == [3, 6]
+        assert (stats.merged_intervals, stats.sampled_intervals) == (21, 3)
+        single = eh.simulate([node], rf, eh.SimConfig(horizon=10.0, replications=2, seed=0))
+        assert single.window_arrivals.tolist() == [2]
+        assert (single.merged_intervals, single.sampled_intervals) == (0, 0)
+        assert "intervals" not in stats.to_text()
