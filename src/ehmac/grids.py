@@ -13,6 +13,11 @@ across one cell).  All drain integrals below have closed forms under it:
 
 For slowly varying policies these reduce to the usual trapezoid-level rules
 to second order.
+
+Every level map of ``PolicyInterp`` reads its cell through one method,
+``locate``.  It takes the in-cell rate from the cell's lower-rate node,
+sqrt(p_j**2 + b*(x - x_j)), where both terms are nonnegative: from the other
+node the sum cancels on a steeply falling cell and loses digits.
 """
 
 from __future__ import annotations
@@ -25,6 +30,11 @@ from .errors import DomainError
 
 __all__ = ["uniform_grid", "grid_spacing", "inv_power_cells", "power_cells",
            "PolicyInterp"]
+
+# Without ``extend``, a level at most SPAN_TOL * max(L, 1) beyond a policy grid
+# of span L still reads the top node, and a battery whose capacity is that
+# close to the span may use the grid (``measures.check_span``).
+SPAN_TOL = 1e-9
 
 
 def uniform_grid(capacity: float, n: int) -> np.ndarray:
@@ -79,69 +89,61 @@ class PolicyInterp:
         self.extend = extend
         self._psq = p * p
         self._b = np.diff(self._psq) / np.diff(x)  # slope of p^2 per cell
+        # per cell, the node with the lower rate: the right one where p falls
+        self._low = np.arange(x.size - 1) + (p[1:] < p[:-1])
         # time to drain from each node to empty
         self.tau_nodes = np.concatenate(([0.0], np.cumsum(inv_power_cells(x, p))))
         # energy-weighted cumulative: integral of p over (0, x_i]
         self.pint_nodes = np.concatenate(([0.0], np.cumsum(power_cells(x, p))))
 
-    def _cell_of(self, levels):
-        idx = np.searchsorted(self.x, levels, side="right") - 1
-        return np.clip(idx, 0, self.x.size - 2)
+    def locate(self, levels):
+        """Cell index, offset into the cell, in-cell rate and excess over the top.
+
+        Levels beyond the top node are read at the top node, and the excess
+        is returned apart; without ``extend`` an excess beyond the span
+        tolerance raises.
+        """
+        lv = np.asarray(levels, dtype=float)
+        top = self.x[-1]
+        clipped = np.minimum(lv, top)
+        over = lv - clipped
+        if not self.extend and np.any(over > SPAN_TOL * max(top, 1.0)):
+            raise DomainError("level beyond the policy grid")
+        i = np.clip(np.searchsorted(self.x, clipped, side="right") - 1, 0, self.x.size - 2)
+        j = self._low[i]
+        pv = np.sqrt(np.maximum(self._psq[j] + self._b[i] * (clipped - self.x[j]), 0.0))
+        return i, clipped - self.x[i], pv, over
 
     def value(self, levels):
         """Release rate at the given battery levels (levels > 0 assumed)."""
-        lv = np.asarray(levels, dtype=float)
-        if not self.extend and np.any(lv > self.x[-1] * (1.0 + 1e-12)):
-            raise DomainError("level beyond the policy grid")
-        clipped = np.minimum(lv, self.x[-1])
-        i = self._cell_of(clipped)
-        psq = self._psq[i] + self._b[i] * (clipped - self.x[i])
-        out = np.sqrt(np.maximum(psq, 0.0))
-        return float(out) if np.ndim(levels) == 0 else out
+        pv = self.locate(levels)[2]
+        return float(pv) if np.ndim(levels) == 0 else pv
 
     def tau(self, levels):
         """Time to drain from ``levels`` to empty absent new arrivals."""
         lv = np.asarray(levels, dtype=float)
-        over = np.maximum(lv - self.x[-1], 0.0)
-        if not self.extend and np.any(over > 1e-12 * max(self.x[-1], 1.0)):
-            raise DomainError("level beyond the policy grid")
-        clipped = lv - over
-        i = self._cell_of(clipped)
-        dv = clipped - self.x[i]
-        pv = np.sqrt(np.maximum(self._psq[i] + self._b[i] * dv, 0.0))
-        out = self.tau_nodes[i] + 2.0 * dv / (pv + self.p[i]) + over / self.p[-1]
+        i, dv, pv, over = self.locate(lv)
+        # at and above the top node the policy continues at its top value
+        out = np.where(lv >= self.x[-1], self.tau_nodes[-1] + over / self.p[-1],
+                       self.tau_nodes[i] + 2.0 * dv / (pv + self.p[i]))
         return float(out) if np.ndim(levels) == 0 else out
 
     def tau_inverse(self, tau_values):
         """Battery level whose drain-to-empty time equals ``tau_values``."""
         tv = np.asarray(tau_values, dtype=float)
-        over = np.maximum(tv - self.tau_nodes[-1], 0.0)
-        clipped = tv - over
-        i = np.clip(np.searchsorted(self.tau_nodes, clipped, side="right") - 1,
-                    0, self.x.size - 2)
-        dt = clipped - self.tau_nodes[i]
+        taus = self.tau_nodes
+        i = np.clip(np.searchsorted(taus, tv, side="right") - 1, 0, taus.size - 2)
+        dt = tv - taus[i]
         # p falls linearly in time inside a cell: level is quadratic in dt;
         # clamp to the cell edge against round-trip roundoff
-        out = np.minimum(self.x[i] + self.p[i] * dt + 0.25 * self._b[i] * dt * dt,
-                         self.x[i + 1])
-        out = out + over * self.p[-1]
+        out = np.where(tv >= taus[-1], self.x[-1] + (tv - taus[-1]) * self.p[-1],
+                       np.minimum(self.x[i] + self.p[i] * dt + 0.25 * self._b[i] * dt * dt,
+                                  self.x[i + 1]))
         return float(out) if np.ndim(tau_values) == 0 else out
-
-    def drain(self, levels, dt):
-        """Levels after draining for time ``dt`` (0 once the battery empties)."""
-        lv = np.asarray(levels, dtype=float)
-        target = self.tau(lv) - np.asarray(dt, dtype=float)
-        out = np.where(target > 0.0, self.tau_inverse(np.maximum(target, 0.0)), 0.0)
-        return float(out) if np.ndim(levels) == 0 and np.ndim(dt) == 0 else out
 
     def power_integral(self, levels):
         """Integral of p(v) dv over (0, levels]; equals energy radiated per sweep."""
-        lv = np.asarray(levels, dtype=float)
-        over = np.maximum(lv - self.x[-1], 0.0)
-        clipped = lv - over
-        i = self._cell_of(clipped)
-        dv = clipped - self.x[i]
-        pv = np.sqrt(np.maximum(self._psq[i] + self._b[i] * dv, 0.0))
+        i, dv, pv, over = self.locate(levels)
         p0 = self.p[i]
         partial = (2.0 * dv / 3.0) * (pv * pv + pv * p0 + p0 * p0) / (pv + p0)
         out = self.pint_nodes[i] + partial + over * self.p[-1]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .arrivals import HarvestParams, PacketDistribution, survival
 from .errors import DomainError, NumericOverflowError
-from .grids import PolicyInterp, grid_spacing, inv_power_cells, uniform_grid
+from .grids import SPAN_TOL, PolicyInterp, grid_spacing, inv_power_cells, uniform_grid
 
 __all__ = [
     "PolicyGrid",
@@ -203,7 +203,7 @@ def _closed_form_on_grid(x: np.ndarray, pd: np.ndarray, lam: float, zeta: float)
 def check_span(policy: PolicyGrid, params: HarvestParams) -> None:
     """Raise DomainError unless a finite battery's policy grid spans its capacity."""
     if not params.is_infinite and (abs(policy.capacity - params.capacity)
-                                   > 1e-9 * max(params.capacity, 1.0)):
+                                   > SPAN_TOL * max(params.capacity, 1.0)):
         raise DomainError("policy grid span must equal the battery capacity")
 
 

@@ -29,6 +29,10 @@ interpretation the release rate falls linearly in tau inside each cell, so
 p at any instant is one ``np.interp`` over the policy's tau nodes; the walk
 records tau at every segment start (``NodeRun.seg_tau``), and the sampler
 subtracts the elapsed time from it.
+
+The walk has no drain arithmetic of its own: it reads tau of a level and the
+level of a tau through ``PolicyInterp.tau`` and ``tau_inverse``, and the
+closed-form sums along drains go through ``PolicyInterp.locate``.
 """
 
 from __future__ import annotations
@@ -156,28 +160,6 @@ class TrajectoryStats:
 _SPECULATIVE_GAP = 1.0 / 3.0
 
 
-def _tau_of(interp, level):
-    """Drain time to empty from ``level``, the walk's own arithmetic.
-
-    Above the last node the policy continues at its top value; below it the
-    cell-local closed form is ``PolicyInterp.tau``'s, operation for operation.
-    """
-    x_top = interp.x[-1]
-    return np.where(level >= x_top,
-                    interp.tau_nodes[-1] + (level - x_top) / interp.p[-1],
-                    interp.tau(np.minimum(level, x_top)))
-
-
-def _level_of(interp, tau):
-    """Level whose drain time is ``tau``: the release rate is linear in tau."""
-    taus = interp.tau_nodes
-    i = np.clip(np.searchsorted(taus, tau, side="right") - 1, 0, taus.size - 2)
-    dt = tau - taus[i]
-    return np.where(tau >= taus[-1],
-                    interp.x[-1] + (tau - taus[-1]) * interp.p[-1],
-                    interp.x[i] + interp.p[i] * dt + 0.25 * interp._b[i] * dt * dt)
-
-
 def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk):
     """Advance walks in lockstep, one row of each per step, writing in place.
 
@@ -193,9 +175,9 @@ def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk
         t0 = t_prev[rows]
         t1 = t_next[rows]
         live = level > 0.0
-        tau_r = np.where(live, _tau_of(interp, level), 0.0)
+        tau_r = np.where(live, interp.tau(level), 0.0)
         drains = live & (t0 + tau_r > t1)
-        end_r = np.where(drains, _level_of(interp, tau_r - (t1 - t0)), 0.0)
+        end_r = np.where(drains, interp.tau_inverse(tau_r - (t1 - t0)), 0.0)
         post_r = np.minimum(end_r + energy[rows], capacity)
         go = (rows < last) & (post_r != post[rows])
         start[rows] = level
@@ -243,7 +225,7 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
     if math.isinf(capacity):
         gap = _SPECULATIVE_GAP * interp.tau_nodes[-1]
     else:
-        gap = _tau_of(interp, capacity)
+        gap = interp.tau(capacity)
     cut = np.flatnonzero(t_prev[:-1] + gap < t_next[:-1])
     first = np.concatenate(([0], cut + 1))
     last = np.append(cut, rows - 1)
@@ -296,7 +278,7 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
     if seg_start[0] < burn_in:
         if drain_end[0] > burn_in:   # drain straddles the burn-in: clip it
             seg_tau[0] -= burn_in - seg_start[0]
-            seg_level[0] = _level_of(interp, seg_tau[0])
+            seg_level[0] = interp.tau_inverse(seg_tau[0])
         else:                        # empty at the burn-in
             seg_level[0] = seg_tau[0] = 0.0
             drain_end[0] = burn_in
@@ -378,12 +360,7 @@ class _RateClock:
     def integral(self, levels):
         """Cumulative bits transmitted draining from ``levels`` down to 0."""
         interp = self.interp
-        lv = np.asarray(levels, dtype=float)
-        over = np.maximum(lv - interp.x[-1], 0.0)
-        clipped = lv - over
-        i = interp._cell_of(clipped)
-        dv = clipped - interp.x[i]
-        pv = np.sqrt(np.maximum(interp._psq[i] + interp._b[i] * dv, 0.0))
+        i, dv, pv, over = interp.locate(levels)
         partial = self._cell_integral(interp.p[i], np.maximum(pv, interp.p[i] * 1e-300),
                                       np.maximum(dv, 1e-300))
         partial = np.where(dv > 0.0, partial, 0.0)

@@ -3,6 +3,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,10 +47,13 @@ class TestDepletionMap:
     def test_constant_drain_is_linear(self):
         _, pol = constant_setup(level=2.0)
         interp = pol.interp(extend=True)
-        for x0 in (0.3, 1.7, 5.0, 11.9):
+        # levels inside the grid (span 12) and beyond it, read at the top value
+        for x0 in (0.3, 1.7, 5.0, 11.9, 20.0):
+            assert interp.tau(x0) == pytest.approx(0.5 * x0, rel=1e-12)
             for t in (0.05, 0.4, 3.0):
-                expected = max(x0 - 2.0 * t, 0.0)
-                assert interp.drain(x0, t) == pytest.approx(expected, abs=1e-8)
+                left = interp.tau(x0) - t
+                level = interp.tau_inverse(left) if left > 0.0 else 0.0
+                assert level == pytest.approx(max(x0 - 2.0 * t, 0.0), abs=1e-8)
 
     def test_tau_roundtrip(self):
         pol = eh.policy_from_function(lambda x: 0.3 + x * x, 4.0, 256)
@@ -66,13 +70,68 @@ class TestDepletionMap:
         assert interp.power_integral(3.0) == pytest.approx(float(brute), rel=1e-6)
 
 
+# adjacent rates a millionfold apart either way, and everything in between
+steep_rates = st.one_of(st.just(1e-3), st.just(1e3),
+                        st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def steep_policies(draw):
+    """An unordered policy whose neighbouring rates may differ a millionfold."""
+    n = draw(st.integers(1, 16))
+    p = draw(st.lists(steep_rates, min_size=n + 1, max_size=n + 1))
+    return eh.PolicyGrid(uniform_grid(draw(st.floats(0.1, 20.0)), n),
+                         np.asarray([0.0] + p[1:]), p0plus=p[0])
+
+
+def exact_value(x, p, level):
+    """p at a float level from exact rationals: p**2 linear in the cell."""
+    i = min(max(bisect_right(x, level) - 1, 0), len(x) - 2)
+    x0, x1, p0, p1 = (Fraction(v) for v in (x[i], x[i + 1], p[i], p[i + 1]))
+    return math.sqrt(p0 * p0 + (p1 * p1 - p0 * p0) * (Fraction(level) - x0) / (x1 - x0))
+
+
+class TestPolicyValue:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(steep_policies(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_value_exact_on_steep_cells(self, policy, fracs):
+        # read from the lower-rate node, p**2 + b*dv never cancels; from the
+        # left node a steeply falling cell lost up to about 3e-5 relative
+        interp = policy.interp()
+        levels = np.concatenate((np.asarray(fracs) * interp.x[-1], interp.x[1:]))
+        want = [exact_value(interp.x.tolist(), interp.p.tolist(), v) for v in levels.tolist()]
+        np.testing.assert_allclose(interp.value(levels), want, rtol=1e-14, atol=0.0)
+
+    def test_span_tolerance(self):
+        # check_span admits a capacity 5e-10 * L beyond the grid, so a full
+        # battery reads tau's top branch; the rows are those recorded when
+        # the walk had its own copy of that branch
+        span = 2.0
+        capacity = span * (1.0 + 5e-10)
+        interp = eh.policy_from_function(lambda x: 0.2 + x * x, span, 64).interp()
+        times, energies = sample_arrivals(eh.HarvestParams(1.0, 1.0, capacity), exp_dist(),
+                                          200.0, 17)
+        run = assert_walks_identical(interp, capacity, times, energies, 0.0, 200.0)
+        assert np.count_nonzero(run.seg_level == capacity) == 69
+        assert math.fsum(run.seg_tau) == 560.4132141861422
+        assert math.fsum(run.seg_level) == 290.8751895841143
+        assert math.fsum(run.seg_end_level) == 139.27084909579943
+        beyond = span * (1.0 + 2e-9)
+        for reader in (interp.tau, interp.value, interp.power_integral):
+            with pytest.raises(DomainError, match="beyond the policy grid"):
+                reader(beyond)
+
+
 @st.composite
 def admissible_interps(draw):
     """A random admissible policy, read finite or extended beyond its grid.
 
-    Rising policies span p in [0.01, 10] and unordered ones [0.5, 2]: over
-    wider spans the reference path value(tau_inverse(tau)) itself loses
-    digits to cancellation in p**2 on steeply falling cells.
+    Rising policies span p in [0.01, 10] and unordered ones [0.5, 2].  Over
+    wider spans the comparison is ill-conditioned, not one side of it wrong:
+    on a cell where p falls a millionfold, value(tau_inverse(tau)) amplifies
+    the roundoff of tau, and np.interp over the rounded tau nodes is itself
+    off by up to 2e-4 against exact rationals, while value alone is exact to
+    a few ulps (``TestPolicyValue``).
     """
     n = draw(st.integers(1, 48))
     capacity = draw(st.floats(0.1, 20.0))
@@ -115,8 +174,6 @@ class TestDrainTimeIdentity:
         # every map is monotone exactly, not just up to roundoff
         assert np.all(np.diff(interp.tau(levels)) >= 0.0)
         assert np.all(np.diff(interp.tau_inverse(tau)) >= 0.0)
-        assert np.all(np.diff(interp.drain(levels[-1], tau)) <= 0.0)
-        assert np.all(np.diff(interp.drain(levels, 0.5 * tau_span)) >= 0.0)
 
 
 # Seeded runs recorded with the level-space joint-rate kernel (value of
@@ -389,8 +446,8 @@ def scalar_walk(interp, capacity, times, energies, burn_in, horizon, log, node):
     """Oracle: the walk as one Python loop over arrivals with scalar drain maps."""
     xs = interp.x.tolist()
     ps = interp.p.tolist()
-    psq = interp._psq.tolist()
-    bs = interp._b.tolist()
+    psq = [v * v for v in ps]
+    bs = [(psq[i + 1] - psq[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
     taus = interp.tau_nodes.tolist()
     tau_top = taus[-1]
     x_top = xs[-1]
@@ -401,16 +458,16 @@ def scalar_walk(interp, capacity, times, energies, burn_in, horizon, log, node):
         if level >= x_top:
             return tau_top + (level - x_top) / p_top
         i = min(max(bisect_right(xs, level) - 1, 0), top_cell)
-        dv = level - xs[i]
-        pv = math.sqrt(psq[i] + bs[i] * dv)
-        return taus[i] + 2.0 * dv / (pv + ps[i])
+        j = i + 1 if ps[i + 1] < ps[i] else i   # the cell's lower-rate node
+        pv = math.sqrt(psq[j] + bs[i] * (level - xs[j]))
+        return taus[i] + 2.0 * (level - xs[i]) / (pv + ps[i])
 
     def level_of(tau):
         if tau >= tau_top:
             return x_top + (tau - tau_top) * p_top
         i = min(max(bisect_right(taus, tau) - 1, 0), top_cell)
         dt = tau - taus[i]
-        return xs[i] + ps[i] * dt + 0.25 * bs[i] * dt * dt
+        return min(xs[i] + ps[i] * dt + 0.25 * bs[i] * dt * dt, xs[i + 1])
 
     t_list = times.tolist() + [horizon]
     e_list = energies.tolist() + [0.0]
@@ -538,6 +595,16 @@ class TestLockstepWalk:
         burn_in = probe.seg_start[j] + 0.5 * probe.drain_dur[j]
         run = assert_walks_identical(interp, capacity, times, energies, burn_in, 200.0)
         assert run.seg_start[0] == burn_in and 0.0 < run.seg_tau[0] < probe.seg_tau[j]
+
+    def test_drain_ends_at_the_cell_edge(self):
+        # one ulp of drain from a full battery: the level, quadratic in the
+        # drain time, overshoots the top node by an ulp unless clamped there
+        interp = eh.PolicyGrid(uniform_grid(1.0, 2), np.array([0.0, 0.3, 0.1]),
+                               p0plus=1.0).interp()
+        times = np.array([1.0, 1.0 + 2.0 ** -51, 2.0])
+        energies = np.array([5.0, 0.5, 0.1])
+        run = assert_walks_identical(interp, 1.0, times, energies, 0.0, 10.0)
+        assert 0.0 < run.drain_dur[1] and run.seg_end_level[1] == 1.0
 
     def test_zero_packet_after_an_empty_row(self):
         # the row after the first arrival empties and then adds nothing, so
