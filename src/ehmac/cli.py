@@ -196,10 +196,16 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path | None):
 
 
 def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
-    """Simulate a policy and write the statistics and crossing report."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Simulate a policy and write the statistics and crossing report.
+
+    The run settings are checked before a policy is loaded or solved.
+    """
     if not cfg.capacities:
         raise UsageError("simulate needs one capacity")
+    sim_cfg = SimConfig(horizon=cfg.horizon, replications=cfg.replications,
+                        seed=cfg.seed, burn_in=cfg.burn_in,
+                        level_probes=tuple(cfg.level_probes))
+    outdir.mkdir(parents=True, exist_ok=True)
     rf = RateFunction(cfg.n0)
     cap = cfg.capacities[0]
     hp = _params(cfg, cap)
@@ -207,16 +213,13 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
         policy = load_policy(cfg.policy_file)
     elif cfg.policy_level > 0.0:
         span = cap if math.isfinite(cap) else 12.0 / cfg.zeta
-        policy = constant_policy(cfg.policy_level, span, max(cfg.grid_n, 64))
+        policy = constant_policy(cfg.policy_level, span, cfg.grid_n)
     else:
         report = _solve_cell((cfg, cap, cfg.k_values[0], cfg.p0plus_values[0],
                               cfg.init_policies[0]))
         policy = report.policies[0]
         export_policy(policy, outdir / "policy_solved.csv")
     dist = PacketDistribution.exponential(cfg.zeta)
-    sim_cfg = SimConfig(horizon=cfg.horizon, replications=cfg.replications,
-                        seed=cfg.seed, burn_in=cfg.burn_in,
-                        level_probes=tuple(cfg.level_probes))
     stats = simulate([(hp, policy, dist)] * cfg.node_count, rf, sim_cfg)
     (outdir / "stats.txt").write_text(stats.to_text(), encoding="utf-8")
     np.savetxt(outdir / "cdf_node0.csv",

@@ -94,6 +94,7 @@ class ExperimentConfig:
             ("replications", self.replications >= 1),
             ("workers", self.workers >= 1),
             ("k_step", self.k_step > 0.0),
+            ("k_max", self.k_max > self.k_min),
         ]
         for name, ok in checks:
             if not ok:

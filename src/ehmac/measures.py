@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
+# An unbounded battery's level axis is truncated where the density tail
+# integral falls below _TAIL_TOL; the span doubles up to _MAX_DOUBLINGS times.
+_TAIL_TOL = 1e-8
+_MAX_DOUBLINGS = 40
 
 
 @dataclass(frozen=True)
@@ -207,12 +211,11 @@ def check_span(policy: PolicyGrid, params: HarvestParams) -> None:
         raise DomainError("policy grid span must equal the battery capacity")
 
 
-def measure_closed_form(policy: PolicyGrid, params: HarvestParams, *,
-                        tail_tol: float = 1e-8, max_doublings: int = 40) -> StationaryMeasure:
+def measure_closed_form(policy: PolicyGrid, params: HarvestParams) -> StationaryMeasure:
     """Stationary measure under exponential packets from the closed form.
 
     For an unbounded battery the level axis is truncated where the density
-    tail integral falls below ``tail_tol``, doubling the span until stable;
+    tail integral falls below ``_TAIL_TOL``, doubling the span until stable;
     the policy continues at its last sampled value beyond its own grid.
     """
     lam, zeta = params.lam, params.zeta
@@ -231,14 +234,14 @@ def measure_closed_form(policy: PolicyGrid, params: HarvestParams, *,
     interp = policy.interp(extend=True)
     span = policy.capacity
     n = policy.n
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         x = uniform_grid(span, n)
         pd = np.concatenate(([policy.p0plus], interp.value(x[1:])))
         atom, density, masses = _closed_form_on_grid(x, pd, lam, zeta)
         # beyond the truncation the density decays at least at rate zeta - lam/p
         decay = zeta - lam / tail_rate
         tail = density[-1] / decay if decay > 0 else math.inf
-        if tail < tail_tol:
+        if tail < _TAIL_TOL:
             return StationaryMeasure(grid=x, atom=atom, density=density,
                                      cell_masses=masses)
         span *= 2.0

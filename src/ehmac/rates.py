@@ -1,9 +1,8 @@
 """Concave transmission rate functions and the inequalities they satisfy.
 
-The stock rate is the AWGN form ``0.5 * log2(1 + x / n0)`` in bits per unit
-time.  Everything downstream only relies on the qualitative contract
-(r(0) = 0, increasing, strictly concave, smooth), so alternative concave
-rates can be registered without touching the solvers.
+The rate is the AWGN form ``0.5 * log2(1 + x / n0)`` in bits per unit time,
+the only one the package implements.  The solvers rely only on its
+qualitative contract (r(0) = 0, increasing, strictly concave, smooth).
 """
 
 from __future__ import annotations
@@ -17,25 +16,19 @@ from .errors import DomainError, UsageError
 
 _LN2 = math.log(2.0)
 
-SUPPORTED_FORMS = ("shannon",)
-
 
 @dataclass(frozen=True)
 class RateFunction:
     """Rate curve r(x) for total received power x >= 0.
 
-    n0 is the noise power spectral density; ``form`` selects the analytic
-    family (only "shannon" ships).
+    n0 is the noise power spectral density.
     """
 
     n0: float = 1.0
-    form: str = "shannon"
 
     def __post_init__(self):
         if not self.n0 > 0.0:
             raise DomainError(f"noise level must be positive, got {self.n0}")
-        if self.form not in SUPPORTED_FORMS:
-            raise UsageError(f"unsupported rate form {self.form!r}")
 
     def __call__(self, x):
         return rate(self, x)

@@ -72,6 +72,8 @@ class SimConfig:
             raise DomainError(f"horizon must be finite, got {self.horizon}")
         if self.replications < 1:
             raise DomainError("at least one replication is required")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.joint_substeps < 1:
             raise DomainError("joint_substeps must be at least 1")
         if self.cdf_probes < 0:

@@ -75,6 +75,7 @@ INIT_POLICIES = ("linear", "constant", "sqrt")
 
 _LOG_P_CAP = 0.5 * math.log(QMAX_CAP)  # log(p) ceiling before overflow abort
 _SWITCH_FACTOR = 1e3  # hand over from y = p^2 to log(p) at this multiple
+_MAX_LOG_STEP = 0.15  # el_residual skips nodes whose log p steps exceed this
 
 
 @dataclass(frozen=True)
@@ -416,15 +417,14 @@ def solve_mac_gauss_seidel(nodes, rf: RateFunction, configs) -> SolveReport:
     return _ascend(nodes, rf, configs, tied=False)
 
 
-def el_residual(policy: PolicyGrid, phi, params: HarvestParams, k_const: float,
-                max_log_step: float = 0.15):
+def el_residual(policy: PolicyGrid, phi, params: HarvestParams, k_const: float):
     """Pointwise defect of a policy in the necessary condition.
 
     Substitutes the gridded policy and its finite-difference slope back into
     p p' phi'' + (lam - zeta p) phi' + zeta phi + K.  The slope comes from a
     five-point stencil on log p, so the residual is only meaningful where the
     grid resolves the policy's log-slope; points whose neighboring log
-    increments exceed ``max_log_step`` are masked out (the steep start of an
+    increments exceed ``_MAX_LOG_STEP`` are masked out (the steep start of an
     aggressive policy moves faster than any fixed grid can measure).
 
     Returns (levels, residuals) over the resolvable interior nodes.
@@ -437,7 +437,7 @@ def el_residual(policy: PolicyGrid, phi, params: HarvestParams, k_const: float,
     step = np.abs(np.diff(s))
     resolved = np.maximum.reduce([step[idx - 2], step[idx - 1], step[idx],
                                   step[np.minimum(idx + 1, step.size - 1)]])
-    keep = resolved < max_log_step
+    keep = resolved < _MAX_LOG_STEP
     lam, zeta = params.lam, params.zeta
     res = np.empty(idx.size)
     for row, i in enumerate(idx):

@@ -1,18 +1,19 @@
 """Sum-throughput of coupled transmitters and its coordinate moments.
 
 The long-run sum-throughput is the mean of r(sum_k p_k(X_k)) under the
-product of the per-node stationary laws.  Each law mixes an atom at zero
-with a density, so the mean expands over node subsets: nodes outside the
-subset sit at the atom (and radiate nothing), nodes inside contribute a
-tensor-product quadrature against their densities.  The same expansion with
-one coordinate held at a scalar power argument yields the moment functions
-feeding the necessary-condition ODE.
+product of the per-node stationary laws.  Each law is an atom at an empty
+battery plus a density on (0, L]; on the measure grid it becomes one
+discrete law, the atom as a point of power 0 and weight pi_0 beside the
+density's quadrature points.  The throughput is one weighted sum of the
+rate over the tensor product of all nodes' laws.  The same sum with one
+coordinate held at a scalar power argument, over the other nodes' laws,
+yields the moment functions feeding the necessary-condition ODE.
 
-Both expansions reduce through one kernel, ``_tensor_sums``.  It walks the
-tensor grid in cache-sized blocks, builds each block of rate arguments once,
-evaluates every function asked for on it (the rate, or the rate and its two
+Both reduce through one kernel, ``_tensor_sums``.  It walks the tensor grid
+in cache-sized blocks, builds each block of rate arguments once, evaluates
+every function asked for on it (the rate, or the rate and its two
 derivatives), and reduces each result with one mat-vec against the block's
-weights.  A single active node skips the blocking: its sum is one mat-vec.
+weights.  A single node skips the blocking: its sum is one mat-vec.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ __all__ = [
     "infinite_battery_lower_bound",
 ]
 
-SUBSET_NODE_CAP = 4
+# A node's law on an n-cell grid has n + 2 points, so a moment knot's tensor
+# over the other nodes' laws grows as (n + 2)^(m - 1).
+NODE_CAP = 4
 QMAX_CAP = 1e120  # beyond this, second rate derivatives leave the float range
 # Soft cap on the rate arguments one block of the tensor sums holds.  64k
 # float64 elements are 512 KiB, so a block's arguments and one function's
@@ -78,10 +81,22 @@ class SystemState:
         return len(self.nodes)
 
 
-def _node_quadrature(node: Node):
-    """Density-side powers and weights of one node on its measure grid."""
-    meas = node.measure
-    return node.policy.density_side_on(meas.grid), meas.node_weights(), meas.atom
+def _node_laws(state: SystemState, skip: int | None = None):
+    """Powers and weights of each node's law (but ``skip``'s) on its measure grid.
+
+    A node's powers are [0, p(x_0+), p(x_1), ...] and its weights [pi_0, node
+    weights...]: the atom is the zero-power point.
+    """
+    if state.node_count > NODE_CAP:
+        raise CapacityError(f"the tensor sums are capped at {NODE_CAP} nodes, "
+                            f"got {state.node_count}")
+    powers, weights = [], []
+    for k, nd in enumerate(state.nodes):
+        if k != skip:
+            meas = nd.measure
+            powers.append(np.concatenate(([0.0], nd.policy.density_side_on(meas.grid))))
+            weights.append(np.concatenate(([meas.atom], meas.node_weights())))
+    return powers, weights
 
 
 def _tensor_sums(funcs, powers, weights, base):
@@ -114,29 +129,16 @@ def _tensor_sums(funcs, powers, weights, base):
     return sums
 
 
-def sum_throughput(state: SystemState, subset_cap: int = SUBSET_NODE_CAP) -> float:
+def sum_throughput(state: SystemState) -> float:
     """Mean of r(total transmitted power) under the product stationary law.
 
-    Expands over node subsets (the all-atom subset contributes nothing since
-    r(0) = 0); raises CapacityError when the expansion would exceed
-    ``subset_cap`` nodes.
+    One tensor sum over every node's law; raises CapacityError beyond
+    ``NODE_CAP`` nodes.
     """
-    m = state.node_count
-    if m > subset_cap:
-        raise CapacityError(f"subset expansion capped at {subset_cap} nodes, got {m}")
-    quads = [_node_quadrature(nd) for nd in state.nodes]
+    powers, weights = _node_laws(state)
     rf = state.rate
-    total = 0.0
-    for mask in range(1, 1 << m):
-        active = [k for k in range(m) if mask >> k & 1]
-        coef = math.prod(quads[k][2] for k in range(m) if not mask >> k & 1)
-        if coef == 0.0:
-            continue
-        powers = [quads[k][0] for k in active]
-        weights = [quads[k][1] for k in active]
-        (val,) = _tensor_sums((lambda a: rate(rf, a),), powers, weights, 0.0)
-        total += coef * float(val[0])
-    return total
+    (val,) = _tensor_sums((lambda a: rate(rf, a),), powers, weights, 0.0)
+    return float(val[0])
 
 
 @dataclass
@@ -269,37 +271,23 @@ class ExactRateMoments:
 def phi_moments(state: SystemState, j: int, q_grid) -> PhiMoments:
     """Tabulate the coordinate moments of node ``j`` on the given power knots.
 
-    The mean over the other coordinates expands across their subsets exactly
-    like the throughput; derivative moments use analytic rate derivatives.
+    One tensor sum over the other nodes' laws per knot, like the throughput;
+    derivative moments use analytic rate derivatives.
     """
     m = state.node_count
     if not 0 <= j < m:
         raise UsageError(f"node index {j} out of range for {m} nodes")
-    if m > SUBSET_NODE_CAP:
-        raise CapacityError(f"subset expansion capped at {SUBSET_NODE_CAP} nodes")
     q = np.unique(np.asarray(q_grid, dtype=float))
     if np.any(q < 0.0):
         raise DomainError("power knots must be nonnegative")
-    others = [state.nodes[k] for k in range(m) if k != j]
-    quads = [_node_quadrature(nd) for nd in others]
+    powers, weights = _node_laws(state, skip=j)
     rf = state.rate
+    funcs = (lambda a: rate(rf, a),
+             lambda a: rate_deriv(rf, a, 1),
+             lambda a: rate_deriv(rf, a, 2))
 
     def tabulate(knots):
-        acc = [np.zeros(knots.size) for _ in range(3)]
-        funcs = (lambda a: rate(rf, a),
-                 lambda a: rate_deriv(rf, a, 1),
-                 lambda a: rate_deriv(rf, a, 2))
-        mm = len(quads)
-        for mask in range(1 << mm):
-            active = [k for k in range(mm) if mask >> k & 1]
-            coef = math.prod(quads[k][2] for k in range(mm) if not mask >> k & 1)
-            if coef == 0.0:
-                continue
-            powers = [quads[k][0] for k in active]
-            weights = [quads[k][1] for k in active]
-            for total, part in zip(acc, _tensor_sums(funcs, powers, weights, knots)):
-                total += coef * part
-        return acc[0], acc[1], acc[2]
+        return _tensor_sums(funcs, powers, weights, knots)
 
     phi, dphi, d2phi = tabulate(q)
     return PhiMoments(q=q, phi=phi, dphi=dphi, d2phi=d2phi, provider=tabulate)

@@ -122,6 +122,17 @@ class TestSolveCommand:
         assert (cell / "measure_node0.csv").exists()
         assert "termination" in (cell / "report.txt").read_text(encoding="utf-8")
 
+    def test_empty_best_k_interval_rejected_at_load(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 1.0\nk_values = 0\n"
+                       "grid_n = 64\nbest_k = true\nk_min = 0\nk_max = -1\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error[E_CONFIG]" in err and "k_max" in err
+        assert not out.exists()
+
     def test_requires_out_dir(self, capsys):
         assert run(["solve"]) == 2
         assert "error[E_USAGE]" in capsys.readouterr().err
@@ -272,6 +283,27 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", str(cfg), "--out",
                     str(tmp_path / "o")]) == 1
         assert "error[E_DOMAIN]" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = inf\nnode_count = 1\n"
+                       "policy_level = 2.0\nhorizon = 100\nburn_in = 10\n",
+                       encoding="utf-8")
+        assert run(["simulate", "--config", str(cfg), "--out",
+                    str(tmp_path / "o"), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_DOMAIN]") and len(err.splitlines()) == 1
+
+    def test_run_settings_checked_before_solving(self, tmp_path, capsys):
+        # no policy_file and no policy_level: a policy would be solved first
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 1.0\nk_values = 0\n"
+                       "grid_n = 64\nhorizon = inf\nburn_in = 10\n",
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error[E_DOMAIN]" in capsys.readouterr().err
+        assert not (out / "policy_solved.csv").exists()
 
     def test_seed_override_changes_draws(self, tmp_path):
         base = ("schema_version = 1\ncapacities = inf\nnode_count = 1\n"

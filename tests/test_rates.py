@@ -37,10 +37,6 @@ class TestRateValues:
         with pytest.raises(DomainError):
             eh.RateFunction(n0=0.0)
 
-    def test_unknown_form(self):
-        with pytest.raises(UsageError):
-            eh.RateFunction(form="capacity")
-
 
 class TestRateDerivatives:
     def test_first_at_zero(self, rf):

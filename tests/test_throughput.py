@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -226,6 +227,60 @@ RF = eh.RateFunction(1.0)
 FUNCS = (lambda a: eh.rate(RF, a),
          lambda a: eh.rate_deriv(RF, a, 1),
          lambda a: eh.rate_deriv(RF, a, 2))
+
+
+def brute_force_means(funcs, nodes, base):
+    """math.fsum of f(base + sum of powers) over the product law, per f.
+
+    The law is expanded over atom/density subsets: a node outside the subset
+    sits at its atom (weight pi_0, power 0), a node inside it runs over its
+    density's quadrature points.
+    """
+    parts = [(nd.measure.atom, nd.policy.density_side_on(nd.measure.grid).tolist(),
+              nd.measure.node_weights().tolist()) for nd in nodes]
+    sums = []
+    for f in funcs:
+        terms = []
+        for inside in itertools.product((False, True), repeat=len(parts)):
+            coef = math.prod(atom for (atom, _, _), on in zip(parts, inside) if not on)
+            active = [zip(p, w) for (_, p, w), on in zip(parts, inside) if on]
+            for point in itertools.product(*active):
+                arg = base + math.fsum(pw[0] for pw in point)
+                terms.append(coef * math.prod(pw[1] for pw in point) * f(arg))
+        sums.append(math.fsum(terms))
+    return sums
+
+
+FOLD_CASES = [
+    (sloped_node(1.0, 1.0, 1.5, lambda x: 0.3 + 0.9 * x, 6),
+     sloped_node(0.7, 1.3, 2.0, lambda x: 0.2 + 0.5 * x, 8)),
+    (sloped_node(1.0, 1.0, 1.0, lambda x: 0.4 + x * x, 5),
+     sloped_node(0.7, 1.3, 2.0, lambda x: 0.2 + 0.5 * x, 6),
+     sloped_node(1.2, 0.8, 3.0, lambda x: 0.3 + math.sqrt(x), 7)),
+]
+
+
+class TestFoldedLawOracle:
+    """The kernel's folded per-node laws against the atom/density subset
+    expansion, summed term by term."""
+
+    @pytest.mark.parametrize("chunk", [th._CHUNK, 7], ids=["one_block", "blocked"])
+    @pytest.mark.parametrize("nodes", FOLD_CASES, ids=["two_nodes", "three_nodes"])
+    def test_throughput_and_moments(self, nodes, chunk):
+        atoms = [meas.atom for _, _, meas in nodes]
+        assert len(set(atoms)) == len(atoms) and min(atoms) > 0.01
+        state = eh.SystemState(nodes=nodes, rate=RF)
+        knots = np.array([0.0, 0.3, 1.1, 2.5, 6.0])
+        with mock.patch.object(th, "_CHUNK", chunk):
+            total = eh.sum_throughput(state)
+            tables = [eh.phi_moments(state, j, knots) for j in range(len(nodes))]
+        (want,) = brute_force_means(FUNCS[:1], state.nodes, 0.0)
+        assert total == pytest.approx(want, rel=1e-12, abs=0.0)
+        for j, phi in enumerate(tables):
+            others = state.nodes[:j] + state.nodes[j + 1:]
+            want = np.array([brute_force_means(FUNCS, others, q) for q in knots])
+            got = np.column_stack([phi.phi, phi.dphi, phi.d2phi])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @st.composite
