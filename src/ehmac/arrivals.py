@@ -38,12 +38,14 @@ class HarvestParams:
 
     def __post_init__(self):
         if not self.lam >= 0.0:
-            raise DomainError(f"arrival intensity must be >= 0, got {self.lam}")
+            raise DomainError(f"arrival intensity must be >= 0, got {self.lam}", field="lam")
         if not self.zeta > 0.0:
-            raise DomainError(f"inverse mean packet energy must be > 0, got {self.zeta}")
+            raise DomainError(f"inverse mean packet energy must be > 0, got {self.zeta}",
+                              field="zeta")
         if not self.capacity >= 0.0:
             # zero is admitted as the degenerate bound case (no storage at all)
-            raise DomainError(f"capacity must be nonnegative or infinite, got {self.capacity}")
+            raise DomainError(f"capacity must be nonnegative or infinite, got {self.capacity}",
+                              field="capacity")
 
     @property
     def is_infinite(self) -> bool:

@@ -27,37 +27,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrivals import HarvestParams, PacketDistribution
+from .arrivals import PacketDistribution
 from .bounds import upper_bound_finite, upper_bound_infinite
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, EhmacError, UsageError
 from .measures import (constant_policy, export_measure, export_policy,
                        load_policy, measure_closed_form)
-from .rates import RateFunction
-from .simulate import SimConfig, crossing_balance, simulate
-from .solver import SolverConfig, best_k_search, solve_symmetric_mac
+from .simulate import crossing_balance, simulate
+from .solver import best_k_search, solve_symmetric_mac
 
 SUMMARY_COLUMNS = ("L", "K", "p0plus", "utility", "R_upper", "ratio")
 
 
-def _params(cfg: ExperimentConfig, capacity: float) -> HarvestParams:
-    return HarvestParams(cfg.lam, cfg.zeta, capacity)
-
-
-def _solver_config(cfg: ExperimentConfig, k: float, p0: float,
-                   init: str) -> SolverConfig:
-    return SolverConfig(k_const=k, p0plus=p0, grid_n=cfg.grid_n,
-                        theta_tol=cfg.theta_tol, max_outer=cfg.max_outer,
-                        ode_substeps=cfg.ode_substeps, init_policy=init,
-                        divergence_tol=cfg.divergence_tol)
-
-
 def _bound_for(cfg: ExperimentConfig, capacity: float) -> float:
-    rf = RateFunction(cfg.n0)
-    hps = [_params(cfg, capacity)] * cfg.node_count
-    if math.isinf(capacity):
-        return upper_bound_infinite(hps, rf)
-    return upper_bound_finite(hps, rf)
+    bound = upper_bound_infinite if math.isinf(capacity) else upper_bound_finite
+    return bound([cfg.harvest(capacity)] * cfg.node_count, cfg.rate_function())
 
 
 def _write_summary(path: Path, rows):
@@ -84,14 +68,11 @@ def cmd_bound(cfg: ExperimentConfig, outdir: Path | None):
 
 def _solve_cell(args):
     cfg, cap, k, p0, init = args
-    rf = RateFunction(cfg.n0)
-    hp = _params(cfg, cap)
-    sc = _solver_config(cfg, k, p0, init)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        report = solve_symmetric_mac(cfg.node_count, hp, rf, sc,
-                                     keep_history=cfg.keep_history)
-    return report
+        return solve_symmetric_mac(cfg.node_count, cfg.harvest(cap), cfg.rate_function(),
+                                   cfg.solver_config(p0, init, k),
+                                   keep_history=cfg.keep_history)
 
 
 def _summary_row(cfg: ExperimentConfig, cap, k, p0, utility):
@@ -140,10 +121,9 @@ def _solved_cells(cfg: ExperimentConfig, run):
 
 def _best_k_scan(args):
     cfg, cap = args
-    sc = _solver_config(cfg, 0.0, cfg.p0plus_values[0], cfg.init_policies[0])
-    return best_k_search(cfg.node_count, _params(cfg, cap), RateFunction(cfg.n0),
-                         sc, cfg.k_min, cfg.k_max, step=cfg.k_step,
-                         coarse_step=cfg.k_coarse)
+    return best_k_search(cfg.node_count, cfg.harvest(cap), cfg.rate_function(),
+                         cfg.solver_config(cfg.p0plus_values[0], cfg.init_policies[0]),
+                         cfg.k_min, cfg.k_max, step=cfg.k_step, coarse_step=cfg.k_coarse)
 
 
 def cmd_solve(cfg: ExperimentConfig, outdir: Path):
@@ -152,6 +132,8 @@ def cmd_solve(cfg: ExperimentConfig, outdir: Path):
     Each capacity's best-K scan follows that capacity's cells; with
     ``workers > 1`` the scans run in the pool beside the cells.
     """
+    if any(math.isinf(cap) for cap in cfg.capacities):
+        raise UsageError("solve needs finite capacities")
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     per_cap = len(cfg.k_values) * len(cfg.p0plus_values) * len(cfg.init_policies)
@@ -196,19 +178,12 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path | None):
 
 
 def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
-    """Simulate a policy and write the statistics and crossing report.
-
-    The run settings are checked before a policy is loaded or solved.
-    """
+    """Simulate a policy and write the statistics and crossing report."""
     if not cfg.capacities:
         raise UsageError("simulate needs one capacity")
-    sim_cfg = SimConfig(horizon=cfg.horizon, replications=cfg.replications,
-                        seed=cfg.seed, burn_in=cfg.burn_in,
-                        level_probes=tuple(cfg.level_probes))
     outdir.mkdir(parents=True, exist_ok=True)
-    rf = RateFunction(cfg.n0)
     cap = cfg.capacities[0]
-    hp = _params(cfg, cap)
+    hp = cfg.harvest(cap)
     if cfg.policy_file:
         policy = load_policy(cfg.policy_file)
     elif cfg.policy_level > 0.0:
@@ -220,7 +195,8 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
         policy = report.policies[0]
         export_policy(policy, outdir / "policy_solved.csv")
     dist = PacketDistribution.exponential(cfg.zeta)
-    stats = simulate([(hp, policy, dist)] * cfg.node_count, rf, sim_cfg)
+    stats = simulate([(hp, policy, dist)] * cfg.node_count, cfg.rate_function(),
+                     cfg.sim_config())
     (outdir / "stats.txt").write_text(stats.to_text(), encoding="utf-8")
     np.savetxt(outdir / "cdf_node0.csv",
                np.column_stack([stats.cdf_levels[0], stats.cdf[0]]),

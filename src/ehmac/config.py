@@ -10,8 +10,11 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
-from .solver import INIT_POLICIES
+from .arrivals import HarvestParams
+from .errors import ConfigError, DomainError, UsageError
+from .rates import RateFunction
+from .simulate import SimConfig
+from .solver import SolverConfig
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "EHMAC_"
@@ -42,24 +45,33 @@ def _parse_str_list(text: str):
     return tuple(s for s in (part.strip() for part in text.split(",")) if s)
 
 
+# the typed field a rejected value came from, where its config key differs
+_CONFIG_KEYS = {"p0plus": "p0plus_values", "init_policy": "init_policies"}
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated, typed view of one experiment description."""
+    """Typed view of one experiment description.
+
+    Each typed field is checked by the object it builds (``harvest``,
+    ``rate_function``, ``solver_config``, ``sim_config``); ``validate`` builds
+    them all and checks only the keys no such object reads.
+    """
 
     schema_version: int = SCHEMA_VERSION
     lam: float = 1.0
     zeta: float = 1.0
-    n0: float = 1.0
+    n0: float = RateFunction.n0
     node_count: int = 2
     capacities: tuple = (3.0,)
-    k_values: tuple = (0.0,)
-    p0plus_values: tuple = (0.001,)
-    init_policies: tuple = ("linear",)
-    grid_n: int = 512
-    theta_tol: float = 0.01
-    max_outer: int = 60
-    ode_substeps: int = 4
-    divergence_tol: float = 0.15
+    k_values: tuple = (SolverConfig.k_const,)
+    p0plus_values: tuple = (SolverConfig.p0plus,)
+    init_policies: tuple = (SolverConfig.init_policy,)
+    grid_n: int = SolverConfig.grid_n
+    theta_tol: float = SolverConfig.theta_tol
+    max_outer: int = SolverConfig.max_outer
+    ode_substeps: int = SolverConfig.ode_substeps
+    divergence_tol: float = SolverConfig.divergence_tol
     best_k: bool = False
     k_min: float = -1.0
     k_max: float = 0.0
@@ -67,7 +79,7 @@ class ExperimentConfig:
     k_coarse: float = 0.05
     horizon: float = 1e5
     replications: int = 4
-    seed: int = 0
+    seed: int = SimConfig.seed
     burn_in: float = 100.0
     level_probes: tuple = ()
     policy_file: str = ""
@@ -75,31 +87,48 @@ class ExperimentConfig:
     keep_history: bool = False
     workers: int = 1
 
+    def harvest(self, capacity: float) -> HarvestParams:
+        return HarvestParams(self.lam, self.zeta, capacity)
+
+    def rate_function(self) -> RateFunction:
+        return RateFunction(self.n0)
+
+    def solver_config(self, p0: float, init: str, k: float = 0.0) -> SolverConfig:
+        return SolverConfig(k_const=k, p0plus=p0, grid_n=self.grid_n,
+                            theta_tol=self.theta_tol, max_outer=self.max_outer,
+                            ode_substeps=self.ode_substeps, init_policy=init,
+                            divergence_tol=self.divergence_tol)
+
+    def sim_config(self) -> SimConfig:
+        return SimConfig(horizon=self.horizon, replications=self.replications,
+                         seed=self.seed, burn_in=self.burn_in, level_probes=self.level_probes)
+
     def validate(self) -> "ExperimentConfig":
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version}; "
                               f"this build reads version {SCHEMA_VERSION}",
                               field="schema_version")
-        checks = [
-            ("lam", self.lam >= 0.0), ("zeta", self.zeta > 0.0),
-            ("n0", self.n0 > 0.0), ("node_count", self.node_count >= 1),
-            ("capacities", all(c > 0.0 for c in self.capacities)),
-            ("p0plus_values", all(p > 0.0 for p in self.p0plus_values)),
-            ("grid_n", self.grid_n >= 64),
-            ("theta_tol", self.theta_tol > 0.0),
-            ("max_outer", self.max_outer >= 1),
-            ("ode_substeps", self.ode_substeps >= 1),
-            ("init_policies", all(i in INIT_POLICIES for i in self.init_policies)),
-            ("horizon", self.horizon > self.burn_in >= 0.0),
-            ("replications", self.replications >= 1),
-            ("workers", self.workers >= 1),
-            ("k_step", self.k_step > 0.0),
-            ("k_max", self.k_max > self.k_min),
-        ]
+        checks = [("node_count", self.node_count >= 1), ("workers", self.workers >= 1),
+                  # HarvestParams admits 0, the no-storage case of the bound
+                  ("capacities", all(c > 0.0 for c in self.capacities)),
+                  ("policy_level", self.policy_level >= 0.0),
+                  ("k_step", self.k_step > 0.0), ("k_max", self.k_max > self.k_min)]
         for name, ok in checks:
             if not ok:
                 raise ConfigError(f"invalid value for {name}: {getattr(self, name)!r}",
                                   field=name)
+        try:
+            self.rate_function()
+            self.sim_config()
+            # an empty list still has its shared fields checked
+            for cap in self.capacities or (math.inf,):
+                self.harvest(cap)
+            for p0 in self.p0plus_values or (SolverConfig.p0plus,):
+                for init in self.init_policies or (SolverConfig.init_policy,):
+                    self.solver_config(p0, init)
+        except (DomainError, UsageError) as err:
+            key = _CONFIG_KEYS.get(err.field, err.field)
+            raise ConfigError(f"invalid value for {key}: {err}", field=key) from err
         return self
 
 

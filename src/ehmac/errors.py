@@ -6,9 +6,16 @@ stable diagnostics on stderr.
 
 
 class EhmacError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``field`` names the input that was rejected, when there is one.
+    """
 
     code = "E_INTERNAL"
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainError(EhmacError, ValueError):
@@ -72,7 +79,3 @@ class ConfigError(EhmacError, ValueError):
     """An experiment configuration failed validation."""
 
     code = "E_CONFIG"
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field

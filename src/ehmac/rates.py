@@ -28,7 +28,7 @@ class RateFunction:
 
     def __post_init__(self):
         if not self.n0 > 0.0:
-            raise DomainError(f"noise level must be positive, got {self.n0}")
+            raise DomainError(f"noise level must be positive, got {self.n0}", field="n0")
 
     def __call__(self, x):
         return rate(self, x)

@@ -65,19 +65,21 @@ class SimConfig:
 
     def __post_init__(self):
         if not self.burn_in >= 0.0:
-            raise DomainError(f"burn-in must be nonnegative, got {self.burn_in}")
+            raise DomainError(f"burn-in must be nonnegative, got {self.burn_in}",
+                              field="burn_in")
         if not self.horizon > self.burn_in:
-            raise DomainError("horizon must exceed the burn-in time")
+            raise DomainError("horizon must exceed the burn-in time", field="horizon")
         if not math.isfinite(self.horizon):
-            raise DomainError(f"horizon must be finite, got {self.horizon}")
+            raise DomainError(f"horizon must be finite, got {self.horizon}", field="horizon")
         if self.replications < 1:
-            raise DomainError("at least one replication is required")
+            raise DomainError("at least one replication is required", field="replications")
         if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
+            raise DomainError(f"seed must be nonnegative, got {self.seed}", field="seed")
         if self.joint_substeps < 1:
-            raise DomainError("joint_substeps must be at least 1")
+            raise DomainError("joint_substeps must be at least 1", field="joint_substeps")
         if self.cdf_probes < 0:
-            raise DomainError(f"cdf_probes must be nonnegative, got {self.cdf_probes}")
+            raise DomainError(f"cdf_probes must be nonnegative, got {self.cdf_probes}",
+                              field="cdf_probes")
 
 
 @dataclass

@@ -105,18 +105,22 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.p0plus > 0.0:
-            raise DomainError(f"p(0+) must be positive, got {self.p0plus}")
+            raise DomainError(f"p(0+) must be positive, got {self.p0plus}", field="p0plus")
         if not self.theta_tol > 0.0:
-            raise DomainError(f"theta_tol must be positive, got {self.theta_tol}")
+            raise DomainError(f"theta_tol must be positive, got {self.theta_tol}",
+                              field="theta_tol")
         if self.grid_n < 64:
-            raise DomainError(f"grid_n must be at least 64, got {self.grid_n}")
+            raise DomainError(f"grid_n must be at least 64, got {self.grid_n}", field="grid_n")
         if self.ode_substeps < 1:
-            raise DomainError("ode_substeps must be at least 1")
+            raise DomainError("ode_substeps must be at least 1", field="ode_substeps")
         if self.max_outer < 1:
-            raise DomainError("max_outer must be at least 1")
+            raise DomainError("max_outer must be at least 1", field="max_outer")
         if self.init_policy not in INIT_POLICIES:
             raise UsageError(f"init_policy must be one of {INIT_POLICIES}, "
-                             f"got {self.init_policy!r}")
+                             f"got {self.init_policy!r}", field="init_policy")
+        if not self.divergence_tol >= 0.0:
+            raise DomainError(f"divergence_tol must be nonnegative, got "
+                              f"{self.divergence_tol}", field="divergence_tol")
 
 
 @dataclass

@@ -63,10 +63,38 @@ class TestConfigParsing:
         raw = apply_env_overrides({"grid_n": 128}, env={"EHMAC_GRID_N": "256"})
         assert raw["grid_n"] == 256
 
-    def test_validation_catches_bad_fields(self):
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("lam", -1.0, id="lam"),
+        pytest.param("zeta", 0.0, id="zeta"),
+        pytest.param("n0", 0.0, id="n0"),
+        pytest.param("p0plus_values", (0.01, -0.1), id="p0plus_values"),
+        pytest.param("grid_n", 8, id="grid_n"),
+        pytest.param("theta_tol", 0.0, id="theta_tol"),
+        pytest.param("max_outer", 0, id="max_outer"),
+        pytest.param("ode_substeps", 0, id="ode_substeps"),
+        pytest.param("init_policies", ("linear", "cubic"), id="init_policies"),
+        pytest.param("horizon", 50.0, id="horizon_within_burn_in"),
+        pytest.param("horizon", math.inf, id="horizon_inf"),
+        pytest.param("burn_in", -1.0, id="burn_in"),
+        pytest.param("replications", 0, id="replications"),
+        pytest.param("seed", -1, id="seed"),
+        pytest.param("divergence_tol", -1.0, id="divergence_tol"),
+        pytest.param("divergence_tol", math.nan, id="divergence_tol_nan"),
+        pytest.param("policy_level", -2.0, id="policy_level"),
+    ])
+    def test_validation_catches_bad_fields(self, key, value):
         with pytest.raises(ConfigError) as err:
-            ExperimentConfig(grid_n=8).validate()
+            ExperimentConfig(**{key: value}).validate()
+        assert err.value.field == key
+        assert str(err.value).startswith(f"invalid value for {key}:")
+
+    def test_empty_lists_still_check_shared_fields(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(p0plus_values=(), grid_n=8).validate()
         assert err.value.field == "grid_n"
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(capacities=(), lam=-1.0).validate()
+        assert err.value.field == "lam"
 
     def test_presets_exist(self):
         for name in ("table1", "table2", "fig1", "fig2", "fig3"):
@@ -136,6 +164,16 @@ class TestSolveCommand:
     def test_requires_out_dir(self, capsys):
         assert run(["solve"]) == 2
         assert "error[E_USAGE]" in capsys.readouterr().err
+
+    def test_unbounded_capacity_rejected_before_out(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 1, inf\nk_values = 0\n"
+                       "grid_n = 64\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_USAGE]") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_single_node_grid(self, tmp_path):
         # one transmitter: the update collapses to the standalone level ODE
@@ -217,6 +255,28 @@ class TestFig3Preset:
         assert cells == ["L3_K0_p00.1", "L3_K0_p00.1_constant", "L3_K0_p00.1_sqrt"]
 
 
+class TestLoadErrors:
+    @pytest.mark.parametrize("command", ["bound", "solve", "sweep", "simulate"])
+    def test_bad_typed_field_exits_at_load(self, tmp_path, capsys, monkeypatch,
+                                           command):
+        monkeypatch.setenv("EHMAC_GRID_N", "8")
+        out = tmp_path / "out"
+        assert run([command, "--preset", "fig1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
+        assert "grid_n" in err
+        assert not out.exists()
+
+    def test_env_override_names_the_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EHMAC_THETA_TOL", "-1")
+        out = tmp_path / "out"
+        assert run(["sweep", "--preset", "fig1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
+        assert "theta_tol" in err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_stdout_rows_in_grid_order(self, tmp_path, capsys):
         cfg = tmp_path / "w.cfg"
@@ -275,35 +335,39 @@ class TestSimulateCommand:
                     str(tmp_path / "o")]) == 1
         assert "error[E_IO]" in capsys.readouterr().err
 
-    def test_infinite_horizon_is_a_domain_error(self, tmp_path, capsys):
+    def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("schema_version = 1\ncapacities = inf\nnode_count = 1\n"
                        "policy_level = 2.0\nhorizon = inf\nburn_in = 10\n",
                        encoding="utf-8")
-        assert run(["simulate", "--config", str(cfg), "--out",
-                    str(tmp_path / "o")]) == 1
-        assert "error[E_DOMAIN]" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error[E_CONFIG]" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_negative_seed_is_a_domain_error(self, tmp_path, capsys):
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("schema_version = 1\ncapacities = inf\nnode_count = 1\n"
                        "policy_level = 2.0\nhorizon = 100\nburn_in = 10\n",
                        encoding="utf-8")
-        assert run(["simulate", "--config", str(cfg), "--out",
-                    str(tmp_path / "o"), "--seed", "-1"]) == 1
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out),
+                    "--seed", "-1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error[E_DOMAIN]") and len(err.splitlines()) == 1
+        assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
+        assert not out.exists()
 
-    def test_run_settings_checked_before_solving(self, tmp_path, capsys):
+    def test_run_settings_rejected_at_load(self, tmp_path, capsys):
         # no policy_file and no policy_level: a policy would be solved first
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("schema_version = 1\ncapacities = 1.0\nk_values = 0\n"
                        "grid_n = 64\nhorizon = inf\nburn_in = 10\n",
                        encoding="utf-8")
         out = tmp_path / "o"
-        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "error[E_DOMAIN]" in capsys.readouterr().err
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error[E_CONFIG]" in capsys.readouterr().err
         assert not (out / "policy_solved.csv").exists()
+        assert not out.exists()
 
     def test_seed_override_changes_draws(self, tmp_path):
         base = ("schema_version = 1\ncapacities = inf\nnode_count = 1\n"

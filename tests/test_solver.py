@@ -23,6 +23,13 @@ class TestSolverConfig:
         with pytest.raises(UsageError):
             eh.SolverConfig(init_policy="cubic")
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_divergence_tol_must_be_nonnegative(self, tol):
+        with pytest.raises(DomainError) as err:
+            eh.SolverConfig(divergence_tol=tol)
+        assert err.value.field == "divergence_tol"
+        eh.SolverConfig(divergence_tol=0.0)  # zero: any utility drop diverges
+
 
 class TestNecessaryConditionOde:
     def test_increasing_above_threshold(self, rf):
