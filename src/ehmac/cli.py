@@ -119,6 +119,14 @@ def _solved_cells(cfg: ExperimentConfig, run):
     return zip(cells, run(_solve_cell, cells))
 
 
+def _require_first(cfg: ExperimentConfig, *names):
+    """Reject an empty config list that the command reads its first value from."""
+    for name in names:
+        if not getattr(cfg, name):
+            raise ConfigError(f"invalid value for {name}: the list is empty, and "
+                              "this command reads its first value", field=name)
+
+
 def _best_k_scan(args):
     cfg, cap = args
     return best_k_search(cfg.node_count, cfg.harvest(cap), cfg.rate_function(),
@@ -134,6 +142,8 @@ def cmd_solve(cfg: ExperimentConfig, outdir: Path):
     """
     if any(math.isinf(cap) for cap in cfg.capacities):
         raise UsageError("solve needs finite capacities")
+    if cfg.best_k:
+        _require_first(cfg, "p0plus_values", "init_policies")
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     per_cap = len(cfg.k_values) * len(cfg.p0plus_values) * len(cfg.init_policies)
@@ -181,8 +191,13 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
     """Simulate a policy and write the statistics and crossing report."""
     if not cfg.capacities:
         raise UsageError("simulate needs one capacity")
-    outdir.mkdir(parents=True, exist_ok=True)
     cap = cfg.capacities[0]
+    if not cfg.policy_file and not cfg.policy_level > 0.0:  # a policy is solved below
+        if math.isinf(cap):
+            raise UsageError("simulate solves a policy only for a finite capacity; "
+                             "set policy_file or policy_level")
+        _require_first(cfg, "k_values", "p0plus_values", "init_policies")
+    outdir.mkdir(parents=True, exist_ok=True)
     hp = cfg.harvest(cap)
     if cfg.policy_file:
         policy = load_policy(cfg.policy_file)

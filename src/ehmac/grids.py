@@ -15,9 +15,12 @@ For slowly varying policies these reduce to the usual trapezoid-level rules
 to second order.
 
 Every level map of ``PolicyInterp`` reads its cell through one method,
-``locate``.  It takes the in-cell rate from the cell's lower-rate node,
-sqrt(p_j**2 + b*(x - x_j)), where both terms are nonnegative: from the other
-node the sum cancels on a steeply falling cell and loses digits.
+``locate``.  It finds the cell by arithmetic, floor(level / h), and one
+correction step each way: ``grid_spacing`` admits a grid only when every
+node lies within h/2 of i*h, so the floor is off by at most one.  It takes
+the in-cell rate from the cell's lower-rate node, sqrt(p_j**2 + b*(x - x_j)),
+where both terms are nonnegative: from the other node the sum cancels on a
+steeply falling cell and loses digits.
 """
 
 from __future__ import annotations
@@ -46,12 +49,20 @@ def uniform_grid(capacity: float, n: int) -> np.ndarray:
 
 
 def grid_spacing(x: np.ndarray) -> float:
-    """Spacing of a uniform grid starting at 0; raises if not uniform."""
+    """Spacing of a uniform grid starting at 0; raises if not uniform.
+
+    Besides equal steps, every node must lie within h/2 of i*h, which bounds
+    the drift the step tolerance lets accumulate; ``PolicyInterp.locate``
+    relies on it.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2 or x[0] != 0.0:
         raise DomainError("grid must be a 1-d array starting at 0")
     h = (x[-1] - x[0]) / (x.size - 1)
-    if not np.allclose(np.diff(x), h, rtol=1e-9, atol=1e-12 * max(h, 1.0)):
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"grid spacing must be positive and finite, got {h}")
+    if not (np.allclose(np.diff(x), h, rtol=1e-9, atol=1e-12 * max(h, 1.0))
+            and np.max(np.abs(x - h * np.arange(x.size))) < 0.5 * h):
         raise DomainError("grid spacing must be uniform")
     return float(h)
 
@@ -87,6 +98,7 @@ class PolicyInterp:
         self.x = x
         self.p = p
         self.extend = extend
+        self._inv_h = 1.0 / grid_spacing(x)
         self._psq = p * p
         self._b = np.diff(self._psq) / np.diff(x)  # slope of p^2 per cell
         # per cell, the node with the lower rate: the right one where p falls
@@ -99,17 +111,26 @@ class PolicyInterp:
     def locate(self, levels):
         """Cell index, offset into the cell, in-cell rate and excess over the top.
 
+        The cell is the one a binary search gives, the last node at or below
+        the level, clipped to the cells: floor(level / h) is off from it by
+        at most one, since every node lies within h/2 of i*h
+        (``grid_spacing``), so one step down and one step up correct it.
         Levels beyond the top node are read at the top node, and the excess
         is returned apart; without ``extend`` an excess beyond the span
-        tolerance raises.
+        tolerance raises, and so does a NaN level.
         """
         lv = np.asarray(levels, dtype=float)
         top = self.x[-1]
         clipped = np.minimum(lv, top)
         over = lv - clipped
+        if np.isnan(clipped).any():
+            raise DomainError("battery level is NaN")
         if not self.extend and np.any(over > SPAN_TOL * max(top, 1.0)):
             raise DomainError("level beyond the policy grid")
-        i = np.clip(np.searchsorted(self.x, clipped, side="right") - 1, 0, self.x.size - 2)
+        last = self.x.size - 2
+        i = np.clip(clipped * self._inv_h, 0, last).astype(np.intp)
+        i -= (self.x[i] > clipped) & (i > 0)
+        i += (self.x[i + 1] <= clipped) & (i < last)
         j = self._low[i]
         pv = np.sqrt(np.maximum(self._psq[j] + self._b[i] * (clipped - self.x[j]), 0.0))
         return i, clipped - self.x[i], pv, over

@@ -175,6 +175,19 @@ class TestSolveCommand:
         assert err.startswith("error[E_USAGE]") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("empty", ["p0plus_values", "init_policies"])
+    def test_empty_best_k_list_rejected_before_out(self, tmp_path, capsys, empty):
+        # the best-K scan reads the first p(0+) and initializer
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 1.0\nk_values = 0\n"
+                       f"grid_n = 64\nbest_k = true\n{empty} =\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and empty in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_single_node_grid(self, tmp_path):
         # one transmitter: the update collapses to the standalone level ODE
         cfg = tmp_path / "p2p.cfg"
@@ -367,6 +380,23 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "error[E_CONFIG]" in capsys.readouterr().err
         assert not (out / "policy_solved.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, code", [
+        ("capacities = inf", "E_USAGE"),
+        ("k_values =", "E_CONFIG"),
+        ("p0plus_values =", "E_CONFIG"),
+        ("init_policies =", "E_CONFIG"),
+    ])
+    def test_unsolvable_policy_rejected_before_out(self, tmp_path, capsys, line, code):
+        # no policy_file and no policy_level: the first cell would be solved
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 1.0\ngrid_n = 64\n"
+                       f"horizon = 200\nburn_in = 10\n{line}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{code}]") and len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_seed_override_changes_draws(self, tmp_path):
