@@ -117,15 +117,18 @@ class PolicyInterp:
         (``grid_spacing``), so one step down and one step up correct it.
         Levels beyond the top node are read at the top node, and the excess
         is returned apart; without ``extend`` an excess beyond the span
-        tolerance raises, and so does a NaN level.
+        tolerance raises.  A NaN level raises, and so does a level more than
+        the span tolerance below empty, -inf included.
         """
         lv = np.asarray(levels, dtype=float)
         top = self.x[-1]
+        tol = SPAN_TOL * max(top, 1.0)
         clipped = np.minimum(lv, top)
+        # one pass rejects NaN, -inf and levels below empty
+        if not (clipped >= -tol).all():
+            raise DomainError("battery level is NaN or below empty")
         over = lv - clipped
-        if np.isnan(clipped).any():
-            raise DomainError("battery level is NaN")
-        if not self.extend and np.any(over > SPAN_TOL * max(top, 1.0)):
+        if not self.extend and np.any(over > tol):
             raise DomainError("level beyond the policy grid")
         last = self.x.size - 2
         i = np.clip(clipped * self._inv_h, 0, last).astype(np.intp)

@@ -9,11 +9,17 @@ rate over the tensor product of all nodes' laws.  The same sum with one
 coordinate held at a scalar power argument, over the other nodes' laws,
 yields the moment functions feeding the necessary-condition ODE.
 
-Both reduce through one kernel, ``_tensor_sums``.  It walks the tensor grid
-in cache-sized blocks, builds each block of rate arguments once, evaluates
-every function asked for on it (the rate, or the rate and its two
-derivatives), and reduces each result with one mat-vec against the block's
-weights.  A single node skips the blocking: its sum is one mat-vec.
+Both reduce through one kernel, ``_tensor_sums``.  It takes the powers in
+units of the noise level n0, splits the laws into a leading and a trailing
+half, and walks the tensor grid in cache-sized blocks: a slice of the
+moment knots x a slice of the leading half x the whole trailing half, so no
+block outgrows the cache whatever the node count.  Each block of rate
+arguments a is built once.  The rate needs one log1p(a) per argument, and
+the moments take 1 / (1 + a) and its square from one reciprocal in place.
+Each result is contracted with the trailing half's weights and then the
+leading block's, and the rate constants are applied to the finished sums.
+Zero, one or many summed laws take the same path.  The rate functions of
+``rates`` stay the scalar and array API; the sums do not call them.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from scipy.interpolate import CubicSpline
 from .arrivals import HarvestParams
 from .errors import CapacityError, DomainError, MomentRangeError, UsageError
 from .measures import PolicyGrid, StationaryMeasure
-from .rates import RateFunction, rate, rate_deriv
+from .rates import RateFunction, rate
 
 __all__ = [
     "Node",
@@ -47,11 +53,13 @@ __all__ = [
 NODE_CAP = 4
 QMAX_CAP = 1e120  # beyond this, second rate derivatives leave the float range
 # Soft cap on the rate arguments one block of the tensor sums holds.  64k
-# float64 elements are 512 KiB, so a block's arguments and one function's
-# values stay in a 1-4 MiB L2 cache.  On a three-node moment tabulation
-# (104 knots x 129 x 129 powers), 64k-element blocks were 1.2-1.7x faster
-# than 16k, 256k or 4M-element ones.
+# float64 elements are 512 KiB, so a block's arguments and its log1p values
+# stay in a 1-4 MiB L2 cache.  On a three-node moment tabulation at grid 128
+# (104 knots x 130 x 130 powers; one thread of a 2-core x86-64 VM, numpy
+# 2.4), 64k-element blocks took 13-14 ms, against 14-17 ms for 16k, 16-19 ms
+# for 256k and 28-32 ms for 4M-element blocks.
 _CHUNK = 1 << 16
+_LN2 = math.log(2.0)
 
 
 class Node(NamedTuple):
@@ -99,33 +107,60 @@ def _node_laws(state: SystemState, skip: int | None = None):
     return powers, weights
 
 
-def _tensor_sums(funcs, powers, weights, base):
-    """One sum per f in ``funcs`` of f(base + sum powers) * prod weights.
+def _flat_law(powers, weights):
+    """One law of the summed powers of a group of laws, flattened.
+
+    An empty group is the point 0 of weight 1.
+    """
+    if not powers:
+        return np.zeros(1), np.ones(1)
+    return (reduce(np.add.outer, powers).ravel(),
+            reduce(np.multiply.outer, weights).ravel())
+
+
+def _tensor_sums(n0, powers, weights, base, moments=False):
+    """Sum of r(base + sum powers) * prod weights, and of r' and r'' with ``moments``.
 
     ``base`` is a scalar or a 1-d array of scalar power offsets; each sum has
-    one entry per offset.  A block is a slice of the offsets x a slice of the
-    leading node's powers x all the other nodes' powers: at most ``_CHUNK``
-    elements, unless the other nodes' powers alone exceed that.
+    one entry per offset, and the sums come as the rows of one array.  The
+    k laws form a leading half (the first k // 2, flattened) and a trailing
+    half (the rest, flattened).  A block is a slice of the offsets x a slice
+    of the leading half x the whole trailing half: at most ``_CHUNK``
+    arguments, unless the trailing half alone exceeds that.
+
+    Every argument is taken in units of n0, a = x / n0.  A block then needs
+    log1p(a) for the rate and 1 / (1 + a) and its square for the
+    derivatives; the constants 0.5 / ln 2, 0.5 / (ln 2 n0) and
+    -0.5 / (ln 2 n0^2) are applied to the sums.
     """
-    base = np.atleast_1d(np.asarray(base, dtype=float))
-    if not powers:
-        return [f(base) for f in funcs]
-    if len(powers) == 1:
-        args = base[:, None] + powers[0][None, :]
-        return [f(args) @ weights[0] for f in funcs]
-    lead, w_lead = powers[0], weights[0]
-    rest = reduce(np.add.outer, powers[1:]).ravel()
-    w_rest = reduce(np.multiply.outer, weights[1:]).ravel()
+    base = np.atleast_1d(np.asarray(base, dtype=float)) / n0
+    powers = [np.asarray(p, dtype=float) / n0 for p in powers]
+    if (base < 0.0).any() or any((p < 0.0).any() for p in powers):
+        raise DomainError("total power must be nonnegative")
+    half = len(powers) // 2
+    lead, w_lead = _flat_law(powers[:half], weights[:half])
+    rest, w_rest = _flat_law(powers[half:], weights[half:])
     q_step = max(1, min(base.size, _CHUNK // rest.size))
     b_step = max(1, _CHUNK // (q_step * rest.size))
-    sums = [np.zeros(base.size) for _ in funcs]
+    sums = np.zeros((3 if moments else 1, base.size))
     for lo in range(0, lead.size, b_step):
-        block = lead[lo:lo + b_step, None]
-        w = np.multiply.outer(w_lead[lo:lo + b_step], w_rest).ravel()
+        block, w_block = lead[lo:lo + b_step], w_lead[lo:lo + b_step]
         for q0 in range(0, base.size, q_step):
-            args = base[q0:q0 + q_step, None, None] + block + rest
-            for total, f in zip(sums, funcs):
-                total[q0:q0 + q_step] += f(args).reshape(len(args), -1) @ w
+            offsets = np.add.outer(base[q0:q0 + q_step], block)
+            args = (offsets[..., None] + rest).reshape(-1, rest.size)
+            out = sums[:, q0:q0 + q_step]
+            out[0] += (np.log1p(args) @ w_rest).reshape(offsets.shape) @ w_block
+            if moments:
+                args += 1.0
+                np.reciprocal(args, out=args)
+                out[1] += (args @ w_rest).reshape(offsets.shape) @ w_block
+                np.square(args, out=args)
+                out[2] += (args @ w_rest).reshape(offsets.shape) @ w_block
+    scale = 0.5 / _LN2
+    sums[0] *= scale
+    if moments:
+        sums[1] *= scale / n0
+        sums[2] *= -scale / (n0 * n0)
     return sums
 
 
@@ -136,9 +171,7 @@ def sum_throughput(state: SystemState) -> float:
     ``NODE_CAP`` nodes.
     """
     powers, weights = _node_laws(state)
-    rf = state.rate
-    (val,) = _tensor_sums((lambda a: rate(rf, a),), powers, weights, 0.0)
-    return float(val[0])
+    return float(_tensor_sums(state.rate.n0, powers, weights, 0.0)[0, 0])
 
 
 @dataclass
@@ -177,7 +210,10 @@ class PhiMoments:
         return self.provider is not None
 
     def extended(self, new_qmax: float) -> "PhiMoments":
-        """Re-tabulate with knots continued geometrically up to ``new_qmax``."""
+        """Continue the knots geometrically up to ``new_qmax``.
+
+        Only the new knots are tabulated; the old ones keep their values.
+        """
         if self.provider is None:
             raise UsageError("this tabulation has no provider to extend with")
         new_qmax = min(new_qmax, QMAX_CAP)
@@ -186,9 +222,12 @@ class PhiMoments:
         anchor = max(self.qmax, 1e-6)
         extra = int(np.ceil(np.log(new_qmax / anchor) / np.log(1.25))) + 2
         tail = np.geomspace(anchor, new_qmax, max(extra, 8))[1:]
-        knots = np.unique(np.concatenate([self.q, tail]))
-        phi, dphi, d2phi = self.provider(knots)
-        return PhiMoments(q=knots, phi=phi, dphi=dphi, d2phi=d2phi,
+        tail = np.unique(tail[tail > self.qmax])
+        phi, dphi, d2phi = self.provider(tail)
+        return PhiMoments(q=np.concatenate((self.q, tail)),
+                          phi=np.concatenate((self.phi, phi)),
+                          dphi=np.concatenate((self.dphi, dphi)),
+                          d2phi=np.concatenate((self.d2phi, d2phi)),
                           provider=self.provider)
 
     def _build_evaluator(self):
@@ -278,16 +317,11 @@ def phi_moments(state: SystemState, j: int, q_grid) -> PhiMoments:
     if not 0 <= j < m:
         raise UsageError(f"node index {j} out of range for {m} nodes")
     q = np.unique(np.asarray(q_grid, dtype=float))
-    if np.any(q < 0.0):
-        raise DomainError("power knots must be nonnegative")
     powers, weights = _node_laws(state, skip=j)
-    rf = state.rate
-    funcs = (lambda a: rate(rf, a),
-             lambda a: rate_deriv(rf, a, 1),
-             lambda a: rate_deriv(rf, a, 2))
+    n0 = state.rate.n0
 
     def tabulate(knots):
-        return _tensor_sums(funcs, powers, weights, knots)
+        return _tensor_sums(n0, powers, weights, knots, moments=True)
 
     phi, dphi, d2phi = tabulate(q)
     return PhiMoments(q=q, phi=phi, dphi=dphi, d2phi=d2phi, provider=tabulate)

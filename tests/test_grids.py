@@ -44,18 +44,17 @@ def located_grids(draw):
 
 class TestLocate:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(located_grids(), st.lists(st.floats(-0.5, 1.5), max_size=64))
+    @given(located_grids(), st.lists(st.floats(0.0, 1.5), max_size=64))
     def test_cell_equals_binary_search(self, policy, fracs):
         interp = policy.interp(extend=True)
         x = interp.x
         levels = np.concatenate((
             x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
-            np.asarray(fracs) * x[-1], [-1.0, 2.0 * x[-1], np.inf, -np.inf]))
-        with np.errstate(invalid="ignore"):  # -inf - -inf in the excess
-            cells = interp.locate(levels)[0]
-            np.testing.assert_array_equal(cells, search_cell(x, levels))
-            for level in levels[::97]:
-                assert interp.locate(level)[0] == search_cell(x, level)
+            np.asarray(fracs) * x[-1], [-1e-12 * x[-1], 2.0 * x[-1], np.inf]))
+        cells = interp.locate(levels)[0]
+        np.testing.assert_array_equal(cells, search_cell(x, levels))
+        for level in levels[::97]:
+            assert interp.locate(level)[0] == search_cell(x, level)
 
     @pytest.mark.parametrize("extend", [False, True])
     def test_nan_level_raises(self, extend):
@@ -64,6 +63,16 @@ class TestLocate:
             for reader in (interp.locate, interp.value, interp.tau, interp.power_integral):
                 with pytest.raises(DomainError, match="NaN"):
                     reader(levels)
+
+    @pytest.mark.parametrize("extend", [False, True])
+    def test_level_below_empty_raises(self, extend):
+        interp = eh.policy_from_function(lambda v: 0.3 + v, 2.0, 64).interp(extend=extend)
+        for reader in (interp.value, interp.tau, interp.power_integral):
+            for levels in (-1.0, -np.inf, np.array([0.5, -1.0]), np.array([-np.inf, 1.0])):
+                with pytest.raises(DomainError, match="below empty"):
+                    reader(levels)
+            # roundoff below empty is read in the first cell
+            assert reader(-1e-12 * interp.x[-1]) == pytest.approx(reader(0.0), abs=1e-11)
 
 
 class TestGridSpacing:

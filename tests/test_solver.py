@@ -323,7 +323,10 @@ def _short_table_phi(rf):
 # one right-hand side on plain floats; its arithmetic must not change by a bit.
 # The two extend cases were re-recorded when the moment sums took each node's
 # atom as a zero-power point of its law: their tables moved by at most 1e-15
-# relative, and the samples by at most 7e-15.
+# relative, and the samples by at most 7e-15.  They were re-recorded again
+# when the moment sums moved to arguments in units of n0 with the constants
+# applied after the reduction: the samples moved by at most 4.3e-15 (extend)
+# and 4.3e-14 (extend_log_p) relative.
 # Each case: (moments, capacity, K, p(0+)) and the samples at ODE_PIN_SAMPLES.
 ODE_PIN_SAMPLES = (1, 2, 16, 64, 100, -1)
 ODE_PINS = {
@@ -334,11 +337,11 @@ ODE_PINS = {
         "0x1.6270a372c3141p-2", "0x1.0140738588a3fp-1", "0x1.2e183f91c4313p+1",
         "0x1.90bd864e7f6a5p+8", "0x1.3e2ba93dc6e65p+35", "0x1.307bcc0d3ebf9p+114"]),
     "extend": (_short_table_phi, 2.0, 0.0, 0.1, [
-        "0x1.474b401585cb5p-2", "0x1.daa7a93988d54p-2", "0x1.f976ae32f1d9dp+0",
-        "0x1.c60a0f364dbb1p+3", "0x1.2adbe2ac000aep+6", "0x1.f12316365e118p+8"]),
+        "0x1.474b401585cb5p-2", "0x1.daa7a93988d54p-2", "0x1.f976ae32f1d9ap+0",
+        "0x1.c60a0f364dbbdp+3", "0x1.2adbe2ac000bap+6", "0x1.f12316365e13ep+8"]),
     "extend_log_p": (_short_table_phi, 4.0, 0.0, 0.1, [
-        "0x1.daa19acd8229fp-2", "0x1.67a3ef7b48710p-1", "0x1.0995a1880ef51p+2",
-        "0x1.f12124a925f89p+8", "0x1.8b48cf67d738ep+24", "0x1.0a90bd75330c8p+57"]),
+        "0x1.daa19acd822a0p-2", "0x1.67a3ef7b4870ep-1", "0x1.0995a1880ef50p+2",
+        "0x1.f12124a925f94p+8", "0x1.8b48cf67d73a7p+24", "0x1.0a90bd7533190p+57"]),
 }
 
 

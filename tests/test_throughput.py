@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -98,6 +99,26 @@ class TestSumThroughput:
                        * eh.rate(rf, 2.0 * k) for k in range(1, 5))
         assert eh.sum_throughput(state) == pytest.approx(expected, rel=1e-9)
 
+    def test_four_node_blocks_stay_small(self, rf):
+        # blocks slice the leading half (two laws flattened), so none holds
+        # the 130^3 tensor of three laws: 1.3 MiB measured, against 84 MiB
+        # when one law led
+        hp = eh.HarvestParams(1.0, 1.0, 2.0)
+        pol = eh.constant_policy(1.5, 2.0, 128)
+        meas = eh.measure_closed_form(pol, hp)
+        state = eh.SystemState(nodes=((hp, pol, meas),) * 4, rate=rf)
+        tracemalloc.start()
+        try:
+            total = eh.sum_throughput(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        a = meas.atom
+        expected = sum(math.comb(4, k) * a**(4 - k) * (1.0 - a)**k
+                       * eh.rate(rf, 1.5 * k) for k in range(1, 5))
+        assert total == pytest.approx(expected, rel=1e-9)
+
     def test_node_cap(self, rf):
         nodes = tuple(constant_node(n=64) for _ in range(5))
         state = eh.SystemState(nodes=nodes, rate=rf)
@@ -187,6 +208,37 @@ class TestPhiMoments:
             assert d2 == pytest.approx(eh.rate_deriv(rf, p, 2), rel=1e-12)
 
 
+class TestTailExtension:
+    """``extended`` tabulates only the knots beyond the old range."""
+
+    @pytest.mark.parametrize("others", [1, 2], ids=["two_nodes", "three_nodes"])
+    def test_only_the_tail_is_tabulated(self, rf, others):
+        nodes = (constant_node(n=64),) + tuple(
+            constant_node(level=1.5 + k, n=32 + 16 * k) for k in range(others))
+        state = eh.SystemState(nodes=nodes, rate=rf)
+        phi = eh.phi_moments(state, 0, np.linspace(0.0, 5.0, 41))
+        seen = []
+        tabulate = phi.provider
+
+        def spy(knots):
+            seen.append(np.array(knots))
+            return tabulate(knots)
+
+        phi.provider = spy
+        ext = phi.extended(80.0)
+        assert len(seen) == 1 and seen[0].min() > phi.qmax
+        assert ext.qmax == 80.0
+        n = phi.q.size
+        np.testing.assert_array_equal(ext.q, np.concatenate((phi.q, seen[0])))
+        for name in ("q", "phi", "dphi", "d2phi"):
+            assert np.array_equal(getattr(ext, name)[:n], getattr(phi, name)), name
+        fresh = eh.phi_moments(state, 0, ext.q)
+        np.testing.assert_array_equal(fresh.q, ext.q)
+        for name in ("phi", "dphi", "d2phi"):
+            np.testing.assert_allclose(getattr(ext, name), getattr(fresh, name),
+                                       rtol=1e-12, atol=0.0, err_msg=name)
+
+
 def sloped_node(lam, zeta, capacity, fn, n):
     hp = eh.HarvestParams(lam, zeta, capacity)
     pol = eh.policy_from_function(fn, capacity, n)
@@ -257,6 +309,10 @@ FOLD_CASES = [
     (sloped_node(1.0, 1.0, 1.0, lambda x: 0.4 + x * x, 5),
      sloped_node(0.7, 1.3, 2.0, lambda x: 0.2 + 0.5 * x, 6),
      sloped_node(1.2, 0.8, 3.0, lambda x: 0.3 + math.sqrt(x), 7)),
+    (sloped_node(1.0, 1.0, 1.0, lambda x: 0.4 + x * x, 3),
+     sloped_node(0.7, 1.3, 2.0, lambda x: 0.2 + 0.5 * x, 4),
+     sloped_node(1.2, 0.8, 3.0, lambda x: 0.3 + math.sqrt(x), 3),
+     sloped_node(0.9, 1.1, 1.5, lambda x: 0.6 + 0.3 * x, 4)),
 ]
 
 
@@ -265,7 +321,8 @@ class TestFoldedLawOracle:
     expansion, summed term by term."""
 
     @pytest.mark.parametrize("chunk", [th._CHUNK, 7], ids=["one_block", "blocked"])
-    @pytest.mark.parametrize("nodes", FOLD_CASES, ids=["two_nodes", "three_nodes"])
+    @pytest.mark.parametrize("nodes", FOLD_CASES,
+                             ids=["two_nodes", "three_nodes", "four_nodes"])
     def test_throughput_and_moments(self, nodes, chunk):
         atoms = [meas.atom for _, _, meas in nodes]
         assert len(set(atoms)) == len(atoms) and min(atoms) > 0.01
@@ -285,25 +342,27 @@ class TestFoldedLawOracle:
 
 @st.composite
 def tensor_cases(draw):
-    """Active-node powers and weights, a scalar or array base, a block size."""
-    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    """Active-node powers and weights, a noise level, a scalar or array base,
+    a block size."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
     values = [st.lists(st.floats(lo, hi), min_size=k, max_size=k)
               for k in sizes for lo, hi in ((0.0, 50.0), (0.0, 2.0))]
     drawn = [np.array(draw(v)) for v in values]
     powers, weights = drawn[0::2], drawn[1::2]
+    n0 = draw(st.sampled_from([0.5, 1.0, 3.0]))
     if draw(st.booleans()):
         base = draw(st.floats(0.0, 50.0))
     else:
         base = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=9)))
     elems = np.size(base) * math.prod(sizes)
-    return powers, weights, base, draw(st.integers(1, elems))
+    return powers, weights, n0, base, draw(st.integers(1, elems))
 
 
-def ragged_case(lead, rest, bases, chunk):
+def ragged_case(sizes, bases, chunk, n0=1.0):
     """Evenly spaced powers and weights for the blocking examples below."""
-    powers = [np.linspace(0.0, 3.0, lead), np.linspace(0.1, 0.5, rest)]
-    weights = [np.linspace(0.2, 1.0, lead), np.linspace(1.0, 0.5, rest)]
-    return powers, weights, np.linspace(0.0, 2.0, bases), chunk
+    powers = [np.linspace(0.1 * k, 3.0 - k, n) for k, n in enumerate(sizes)]
+    weights = [np.linspace(1.0 - 0.2 * k, 0.2 + 0.1 * k, n) for k, n in enumerate(sizes)]
+    return powers, weights, n0, np.linspace(0.0, 2.0, bases), chunk
 
 
 class TestTensorSums:
@@ -312,24 +371,42 @@ class TestTensorSums:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(tensor_cases())
     # knot axis split 2 + 2 + 1 (one leading power per block); leading axis
-    # split 2 + 2 + 1 (all knots per block); three nodes at a scalar base
-    @example(ragged_case(3, 3, 5, 7))
-    @example(ragged_case(5, 3, 2, 13))
+    # split 2 + 2 + 1 (all knots per block); three nodes at a scalar base;
+    # four nodes, whose leading half (two laws, 6 points) splits 1 x 6 and
+    # whose knots split 2 + 1
+    @example(ragged_case((3, 3), 5, 7))
+    @example(ragged_case((5, 3), 2, 13, n0=3.0))
     @example(([np.linspace(0.0, 1.0, 4), np.full(3, 0.5), np.arange(5.0)],
-              [np.full(4, 0.25), np.ones(3), np.linspace(0.1, 0.9, 5)], 0.7, 10))
+              [np.full(4, 0.25), np.ones(3), np.linspace(0.1, 0.9, 5)], 0.5, 0.7, 10))
+    @example(ragged_case((3, 2, 2, 3), 3, 13, n0=0.5))
     def test_matches_full_tensor(self, case):
-        powers, weights, base, chunk = case
+        powers, weights, n0, base, chunk = case
         with mock.patch.object(th, "_CHUNK", chunk):
-            got = th._tensor_sums(FUNCS, powers, weights, base)
+            got = th._tensor_sums(n0, powers, weights, base, moments=True)
+        rf = eh.RateFunction(n0)
+        funcs = (lambda a: eh.rate(rf, a),
+                 lambda a: eh.rate_deriv(rf, a, 1),
+                 lambda a: eh.rate_deriv(rf, a, 2))
         base = np.atleast_1d(np.asarray(base, dtype=float))
         args = sum(np.meshgrid(*powers, indexing="ij"))
         w = np.prod(np.meshgrid(*weights, indexing="ij"), axis=0)
-        assert len(got) == len(FUNCS)
-        for f, sums in zip(FUNCS, got):
-            want = np.array([np.sum(f(b + args) * w) for b in base])
+        assert got.shape == (len(funcs), base.size)
+        for f, sums in zip(funcs, got):
+            terms = [f(b + args) * w for b in base]
+            want = np.array([np.sum(t) for t in terms])
             np.testing.assert_allclose(sums, want, rtol=1e-12, atol=0.0)
-            if len(powers) == 1:
-                assert np.array_equal(sums, f(base[:, None] + powers[0]) @ weights[0])
+            exact = np.array([math.fsum(t.ravel().tolist()) for t in terms])
+            np.testing.assert_allclose(sums, exact, rtol=1e-13, atol=0.0)
+        with mock.patch.object(th, "_CHUNK", chunk):
+            (rate_only,) = th._tensor_sums(n0, powers, weights, base)
+        assert np.array_equal(rate_only, got[0])
+
+    def test_negative_power_rejected(self):
+        one = [np.array([0.0, 1.0])], [np.array([0.5, 0.5])]
+        with pytest.raises(DomainError, match="nonnegative"):
+            th._tensor_sums(1.0, *one, np.array([0.5, -1e-3]), moments=True)
+        with pytest.raises(DomainError, match="nonnegative"):
+            th._tensor_sums(1.0, [np.array([0.0, -1.0])], one[1], 0.0)
 
 
 @st.composite
