@@ -31,7 +31,11 @@ class UsageError(EhmacError, ValueError):
 
 
 class CapacityError(EhmacError):
-    """A combinatorial expansion would exceed the configured size cap."""
+    """A combinatorial expansion would exceed the configured size cap.
+
+    Nothing in the library raises it since the rate sums lost their node cap;
+    it stays exported for callers that catch it.
+    """
 
     code = "E_CAPACITY"
 

@@ -148,6 +148,8 @@ class StationaryMeasure:
             raise DomainError(f"atom must lie in [0, 1], got {self.atom}")
         if np.any(np.asarray(self.density) < 0.0):
             raise DomainError("density must be nonnegative")
+        if not np.all((np.asarray(self.cell_masses) >= 0.0) & np.isfinite(self.cell_masses)):
+            raise DomainError("cell masses must be finite and nonnegative")
 
     @property
     def n(self) -> int:

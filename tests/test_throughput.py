@@ -11,7 +11,7 @@ from scipy.interpolate import CubicSpline
 
 import ehmac as eh
 import ehmac.throughput as th
-from ehmac.errors import CapacityError, DomainError, MomentRangeError, UsageError
+from ehmac.errors import DomainError, MomentRangeError, UsageError
 
 
 def constant_node(level=2.0, lam=1.0, zeta=1.0, span=12.0, n=256):
@@ -100,9 +100,8 @@ class TestSumThroughput:
         assert eh.sum_throughput(state) == pytest.approx(expected, rel=1e-9)
 
     def test_four_node_blocks_stay_small(self, rf):
-        # blocks slice the leading half (two laws flattened), so none holds
-        # the 130^3 tensor of three laws: 1.3 MiB measured, against 84 MiB
-        # when one law led
+        # one transform per law, in blocks of t nodes: no block holds a
+        # tensor of the laws (84 MiB for 130^3 points)
         hp = eh.HarvestParams(1.0, 1.0, 2.0)
         pol = eh.constant_policy(1.5, 2.0, 128)
         meas = eh.measure_closed_form(pol, hp)
@@ -119,11 +118,16 @@ class TestSumThroughput:
                        * eh.rate(rf, 1.5 * k) for k in range(1, 5))
         assert total == pytest.approx(expected, rel=1e-9)
 
-    def test_node_cap(self, rf):
-        nodes = tuple(constant_node(n=64) for _ in range(5))
-        state = eh.SystemState(nodes=nodes, rate=rf)
-        with pytest.raises(CapacityError):
-            eh.sum_throughput(state)
+    def test_eight_finite_nodes_analytic(self, rf):
+        # beyond the four nodes a tensor could hold: one transform per node
+        hp = eh.HarvestParams(1.0, 1.0, 6.0)
+        pol = eh.constant_policy(2.0, 6.0, 48)
+        meas = eh.measure_closed_form(pol, hp)
+        a = meas.atom
+        state = eh.SystemState(nodes=((hp, pol, meas),) * 8, rate=rf)
+        expected = sum(math.comb(8, k) * a**(8 - k) * (1.0 - a)**k
+                       * eh.rate(rf, 2.0 * k) for k in range(1, 9))
+        assert eh.sum_throughput(state) == pytest.approx(expected, rel=1e-9)
 
     def test_unnormalized_measure_rejected(self, rf):
         hp, pol, meas = constant_node()
@@ -132,6 +136,24 @@ class TestSumThroughput:
                                    cell_masses=meas.cell_masses)
         with pytest.raises(DomainError):
             eh.SystemState(nodes=((hp, pol, bad),), rate=rf)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, 0.25],
+                             ids=["nan", "inf", "negative"])
+    def test_bad_cell_mass_rejected(self, shift):
+        # the negative case moves mass between two cells: the total stays 1
+        _, _, meas = constant_node()
+        masses = meas.cell_masses.copy()
+        masses[3] -= shift
+        masses[4] += shift
+        with pytest.raises(DomainError, match="cell masses"):
+            eh.StationaryMeasure(grid=meas.grid, atom=meas.atom,
+                                 density=meas.density, cell_masses=masses)
+
+    def test_nan_mass_written_later_rejected(self, rf):
+        hp, pol, meas = constant_node()
+        meas.cell_masses[3] = math.nan
+        with pytest.raises(DomainError, match="not normalized"):
+            eh.SystemState(nodes=((hp, pol, meas),), rate=rf)
 
 
 class TestPhiMoments:
@@ -186,7 +208,7 @@ class TestPhiMoments:
 
     def test_three_node_moments_analytic(self, rf):
         # two identical constant others: binomial mixture of shifted rates;
-        # exercises the chunked tensor path
+        # exercises the product of two transforms
         hp = eh.HarvestParams(1.0, 1.0, 6.0)
         pol = eh.constant_policy(2.0, 6.0, 96)
         meas = eh.measure_closed_form(pol, hp)
@@ -198,6 +220,21 @@ class TestPhiMoments:
                     + 2.0 * a * (1.0 - a) * eh.rate(rf, q + 2.0)
                     + (1.0 - a)**2 * eh.rate(rf, q + 4.0))
         assert np.max(np.abs(phi.phi - expected)) < 1e-9
+
+    def test_six_node_moments_analytic(self, rf):
+        # five identical constant others: binomial mixture of shifted rates
+        hp = eh.HarvestParams(1.0, 1.0, 6.0)
+        pol = eh.constant_policy(2.0, 6.0, 48)
+        meas = eh.measure_closed_form(pol, hp)
+        a = meas.atom
+        state = eh.SystemState(nodes=((hp, pol, meas),) * 6, rate=rf)
+        phi = eh.phi_moments(state, 2, np.linspace(0.0, 8.0, 41))
+        mix = [math.comb(5, k) * a**(5 - k) * (1.0 - a)**k for k in range(6)]
+        funcs = (lambda x: eh.rate(rf, x), lambda x: eh.rate_deriv(rf, x, 1),
+                 lambda x: eh.rate_deriv(rf, x, 2))
+        for got, f in zip((phi.phi, phi.dphi, phi.d2phi), funcs):
+            want = sum(c * f(phi.q + 2.0 * k) for k, c in enumerate(mix))
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
     def test_exact_moments_match_rate(self, rf):
         exact = eh.ExactRateMoments(rf)
@@ -267,7 +304,12 @@ class TestMomentOracle:
         (sloped_node(1.0, 1.0, 1.0, lambda x: 0.4 + x * x, 24),
          sloped_node(0.7, 1.3, 2.0, lambda x: 0.2 + 0.5 * x, 32),
          sloped_node(1.2, 0.8, 3.0, lambda x: 0.3 + math.sqrt(x), 28)),
-    ], ids=["two_nodes", "three_asymmetric"])
+        (sloped_node(1.0, 1.0, 1.0, lambda x: 0.4 + x * x, 24),
+         sloped_node(0.7, 1.3, 2.0, lambda x: 0.2 + 0.5 * x, 32),
+         sloped_node(1.2, 0.8, 3.0, lambda x: 0.3 + math.sqrt(x), 28),
+         sloped_node(0.9, 1.1, 1.5, lambda x: 0.6 + 0.3 * x, 20),
+         sloped_node(1.5, 1.0, 2.5, lambda x: 1.0 + 0.2 * x * x, 36)),
+    ], ids=["two_nodes", "three_asymmetric", "five_asymmetric"])
     def test_throughput_is_mean_moment_of_every_node(self, rf, nodes):
         state = eh.SystemState(nodes=nodes, rate=rf)
         total = eh.sum_throughput(state)
@@ -320,7 +362,7 @@ class TestFoldedLawOracle:
     """The kernel's folded per-node laws against the atom/density subset
     expansion, summed term by term."""
 
-    @pytest.mark.parametrize("chunk", [th._CHUNK, 7], ids=["one_block", "blocked"])
+    @pytest.mark.parametrize("chunk", [th._BLOCK, 7], ids=["one_block", "blocked"])
     @pytest.mark.parametrize("nodes", FOLD_CASES,
                              ids=["two_nodes", "three_nodes", "four_nodes"])
     def test_throughput_and_moments(self, nodes, chunk):
@@ -328,7 +370,7 @@ class TestFoldedLawOracle:
         assert len(set(atoms)) == len(atoms) and min(atoms) > 0.01
         state = eh.SystemState(nodes=nodes, rate=RF)
         knots = np.array([0.0, 0.3, 1.1, 2.5, 6.0])
-        with mock.patch.object(th, "_CHUNK", chunk):
+        with mock.patch.object(th, "_BLOCK", chunk):
             total = eh.sum_throughput(state)
             tables = [eh.phi_moments(state, j, knots) for j in range(len(nodes))]
         (want,) = brute_force_means(FUNCS[:1], state.nodes, 0.0)
@@ -366,22 +408,31 @@ def ragged_case(sizes, bases, chunk, n0=1.0):
 
 
 class TestTensorSums:
-    """The blocked kernel against a direct evaluation on the full tensor."""
+    """The transform kernel against a direct evaluation on the full tensor."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(tensor_cases())
-    # knot axis split 2 + 2 + 1 (one leading power per block); leading axis
-    # split 2 + 2 + 1 (all knots per block); three nodes at a scalar base;
-    # four nodes, whose leading half (two laws, 6 points) splits 1 x 6 and
-    # whose knots split 2 + 1
+    # blocks of one t node; of two t nodes (13 // 5 points) with a ragged
+    # last block; three nodes at a scalar base; four nodes
     @example(ragged_case((3, 3), 5, 7))
     @example(ragged_case((5, 3), 2, 13, n0=3.0))
     @example(([np.linspace(0.0, 1.0, 4), np.full(3, 0.5), np.arange(5.0)],
               [np.full(4, 0.25), np.ones(3), np.linspace(0.1, 0.9, 5)], 0.5, 0.7, 10))
     @example(ragged_case((3, 2, 2, 3), 3, 13, n0=0.5))
+    # a law whose whole mass is one subnormal weight; a law of zero mass;
+    # knots up to QMAX_CAP; two laws whose transforms are 1e-12 of their
+    # mass at large t, where a transform taken as 1 + (L - 1) would cancel
+    @example(([np.array([0.0, 2.0, 7.5])], [np.array([0.0, 0.0, 5e-324])], 1.0, 0.0, 1))
+    @example(([np.array([0.5, 2.0]), np.array([1.0, 3.0])],
+              [np.array([0.3, 0.7]), np.zeros(2)], 1.0, np.array([0.0, 1.0]), 4))
+    @example(([np.linspace(0.0, 5.0, 4), np.array([0.0, 1.0, 30.0])],
+              [np.full(4, 0.25), np.array([0.2, 0.5, 0.3])], 0.5,
+              np.array([0.0, 1e3, 1e60, th.QMAX_CAP]), 64))
+    @example(([np.array([0.0, 1e3])] * 2, [np.array([1e-6, 1.0])] * 2, 1.0,
+              np.array([0.0, 2.0]), 1 << 14))
     def test_matches_full_tensor(self, case):
         powers, weights, n0, base, chunk = case
-        with mock.patch.object(th, "_CHUNK", chunk):
+        with mock.patch.object(th, "_BLOCK", chunk):
             got = th._tensor_sums(n0, powers, weights, base, moments=True)
         rf = eh.RateFunction(n0)
         funcs = (lambda a: eh.rate(rf, a),
@@ -389,15 +440,19 @@ class TestTensorSums:
                  lambda a: eh.rate_deriv(rf, a, 2))
         base = np.atleast_1d(np.asarray(base, dtype=float))
         args = sum(np.meshgrid(*powers, indexing="ij"))
-        w = np.prod(np.meshgrid(*weights, indexing="ij"), axis=0)
+        # each law's weights scaled by a power of two to a largest weight in
+        # [0.5, 1), so that no term of a subnormal sum is rounded on its own
+        shifts = [int(np.frexp(np.max(wk))[1]) for wk in weights]
+        scaled = [np.ldexp(wk, -s) for wk, s in zip(weights, shifts)]
+        w = np.prod(np.meshgrid(*scaled, indexing="ij"), axis=0)
         assert got.shape == (len(funcs), base.size)
         for f, sums in zip(funcs, got):
             terms = [f(b + args) * w for b in base]
-            want = np.array([np.sum(t) for t in terms])
+            want = np.ldexp([np.sum(t) for t in terms], sum(shifts))
             np.testing.assert_allclose(sums, want, rtol=1e-12, atol=0.0)
-            exact = np.array([math.fsum(t.ravel().tolist()) for t in terms])
+            exact = np.ldexp([math.fsum(t.ravel().tolist()) for t in terms], sum(shifts))
             np.testing.assert_allclose(sums, exact, rtol=1e-13, atol=0.0)
-        with mock.patch.object(th, "_CHUNK", chunk):
+        with mock.patch.object(th, "_BLOCK", chunk):
             (rate_only,) = th._tensor_sums(n0, powers, weights, base)
         assert np.array_equal(rate_only, got[0])
 
@@ -407,6 +462,11 @@ class TestTensorSums:
             th._tensor_sums(1.0, *one, np.array([0.5, -1e-3]), moments=True)
         with pytest.raises(DomainError, match="nonnegative"):
             th._tensor_sums(1.0, [np.array([0.0, -1.0])], one[1], 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                th._tensor_sums(1.0, [np.array([0.0, bad])], one[1], 0.0)
+            with pytest.raises(DomainError, match="finite"):
+                th._tensor_sums(1.0, *one, np.array([0.5, bad]), moments=True)
 
 
 @st.composite
