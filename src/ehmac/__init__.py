@@ -4,10 +4,10 @@ battery dynamics."""
 
 from .arrivals import HarvestParams, PacketDistribution, sample_arrivals, survival
 from .bounds import upper_bound_finite, upper_bound_infinite
-from .errors import (CapacityError, ConfigError, DomainError, EhmacError,
-                     MomentRangeError, NonAdmissibleTrajectoryError,
-                     NumericOverflowError, SolverDivergenceError, UsageError)
-from .measures import (PolicyGrid, StationaryMeasure, constant_policy,
+from .errors import (ConfigError, DomainError, EhmacError, MomentRangeError,
+                     NonAdmissibleTrajectoryError, NumericOverflowError,
+                     SolverDivergenceError, UsageError)
+from .measures import (PolicyGrid, StationaryMeasure, constant_policy, crossing_rates,
                        level_crossing_residual, mean_power, measure_closed_form,
                        measure_volterra, policy_from_function)
 from .rates import RateFunction, mixture_rate_inequality_check, rate, rate_deriv
@@ -23,12 +23,12 @@ __version__ = "0.1.0"
 __all__ = [
     "HarvestParams", "PacketDistribution", "sample_arrivals", "survival",
     "upper_bound_finite", "upper_bound_infinite",
-    "EhmacError", "DomainError", "UsageError", "CapacityError",
+    "EhmacError", "DomainError", "UsageError",
     "NumericOverflowError", "NonAdmissibleTrajectoryError", "MomentRangeError",
     "SolverDivergenceError", "ConfigError",
     "PolicyGrid", "StationaryMeasure", "constant_policy", "policy_from_function",
     "measure_closed_form", "measure_volterra", "mean_power",
-    "level_crossing_residual",
+    "crossing_rates", "level_crossing_residual",
     "RateFunction", "rate", "rate_deriv", "mixture_rate_inequality_check",
     "SimConfig", "TrajectoryStats", "simulate", "crossing_balance",
     "SolverConfig", "SolveReport", "el_ode_solve", "el_residual", "solve_symmetric_mac",

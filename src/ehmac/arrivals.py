@@ -1,8 +1,7 @@
 """Energy-arrival statistics: Poisson arrival times and packet-size laws.
 
 Packets default to the exponential family; arbitrary laws enter through a
-tabulated CDF with linear interpolation between knots, loadable from
-two-column text.
+tabulated CDF with linear interpolation between knots.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "PacketDistribution",
     "survival",
     "sample_arrivals",
-    "load_tabulated_cdf",
 ]
 
 
@@ -156,10 +154,3 @@ def sample_arrivals(params: HarvestParams, dist: PacketDistribution, horizon: fl
     energies = dist.sample(rng, times.size)
     return times, energies
 
-
-def load_tabulated_cdf(path) -> PacketDistribution:
-    """Read a tabulated packet CDF from two-column text (x, B(x))."""
-    data = np.loadtxt(path, ndmin=2)
-    if data.shape[1] != 2:
-        raise DomainError(f"expected two columns in {path}, got {data.shape[1]}")
-    return PacketDistribution.tabulated(data[:, 0], data[:, 1])

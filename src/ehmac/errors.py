@@ -30,16 +30,6 @@ class UsageError(EhmacError, ValueError):
     code = "E_USAGE"
 
 
-class CapacityError(EhmacError):
-    """A combinatorial expansion would exceed the configured size cap.
-
-    Nothing in the library raises it since the rate sums lost their node cap;
-    it stays exported for callers that catch it.
-    """
-
-    code = "E_CAPACITY"
-
-
 class NumericOverflowError(EhmacError, FloatingPointError):
     """A quantity left the representable floating-point range.
 

@@ -7,12 +7,16 @@ in the battery level, and this interpretation stays exact through the steep
 layer next to an almost-empty battery (where p itself can rise a hundredfold
 across one cell).  All drain integrals below have closed forms under it:
 
-    integral of 1/p over a cell  ->  2*h / (p0 + p1)
-    integral of p   over a cell  ->  (2*h/3) * (p1^2 + p1*p0 + p0^2) / (p1 + p0)
-    drain map                    ->  release rate falls linearly in time
+    integral of 1/p over a cell     ->  2*h / (p0 + p1)
+    integral of p   over a cell     ->  (2*h/3) * (p1^2 + p1*p0 + p0^2) / (p1 + p0)
+    integral of r(p)/p over a cell  ->  2 * (R(p1) - R(p0)) / b, with R' = r and
+                                        b = (p1^2 - p0^2) / h the slope of p^2
+    drain map                       ->  release rate falls linearly in time
 
 For slowly varying policies these reduce to the usual trapezoid-level rules
-to second order.
+to second order.  ``PolicyInterp.drain_integral`` turns any such cell rule
+into the integral from empty up to a level: the sum over the whole cells
+below it plus the rule on the partial cell.
 
 Every level map of ``PolicyInterp`` reads its cell through one method,
 ``locate``.  It finds the cell by arithmetic, floor(level / h), and one
@@ -73,10 +77,8 @@ def inv_power_cells(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return 2.0 * dx / (p[:-1] + p[1:])
 
 
-def power_cells(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per-cell integral of p(v)."""
-    dx = np.diff(x)
-    p0, p1 = p[:-1], p[1:]
+def power_cells(p0, p1, dx):
+    """Integral of p(v) over a cell of width dx from rate p0 to rate p1."""
     return (2.0 * dx / 3.0) * (p1 * p1 + p1 * p0 + p0 * p0) / (p1 + p0)
 
 
@@ -105,8 +107,6 @@ class PolicyInterp:
         self._low = np.arange(x.size - 1) + (p[1:] < p[:-1])
         # time to drain from each node to empty
         self.tau_nodes = np.concatenate(([0.0], np.cumsum(inv_power_cells(x, p))))
-        # energy-weighted cumulative: integral of p over (0, x_i]
-        self.pint_nodes = np.concatenate(([0.0], np.cumsum(power_cells(x, p))))
 
     def locate(self, levels):
         """Cell index, offset into the cell, in-cell rate and excess over the top.
@@ -165,10 +165,21 @@ class PolicyInterp:
                                   self.x[i + 1]))
         return float(out) if np.ndim(tau_values) == 0 else out
 
+    def drain_integral(self, levels, cells, top):
+        """Integral of g(p(v)) dv over (0, levels] for a cell rule of g.
+
+        ``cells(p0, p1, dx)`` integrates g(p) over a cell of width dx whose
+        rate runs from p0 to p1 with p**2 linear between them; it sums the
+        whole cells below each level and takes the partial one from the
+        cell's lower node up to the level (dx = 0 at a node).  ``top`` is
+        g at the top rate, which carries the excess over the top node.
+        """
+        i, dv, pv, over = self.locate(levels)
+        p = self.p
+        nodes = np.concatenate(([0.0], np.cumsum(cells(p[:-1], p[1:], np.diff(self.x)))))
+        return nodes[i] + cells(p[i], pv, dv) + over * top
+
     def power_integral(self, levels):
         """Integral of p(v) dv over (0, levels]; equals energy radiated per sweep."""
-        i, dv, pv, over = self.locate(levels)
-        p0 = self.p[i]
-        partial = (2.0 * dv / 3.0) * (pv * pv + pv * p0 + p0 * p0) / (pv + p0)
-        out = self.pint_nodes[i] + partial + over * self.p[-1]
+        out = self.drain_integral(levels, power_cells, self.p[-1])
         return float(out) if np.ndim(levels) == 0 else out

@@ -32,6 +32,7 @@ __all__ = [
     "measure_closed_form",
     "measure_volterra",
     "mean_power",
+    "crossing_rates",
     "level_crossing_residual",
     "constant_policy",
     "policy_from_function",
@@ -293,6 +294,37 @@ def mean_power(measure: StationaryMeasure, policy: PolicyGrid) -> float:
     return measure.expectation(policy.density_side_on(measure.grid))
 
 
+def crossing_rates(measure: StationaryMeasure, policy: PolicyGrid, params: HarvestParams,
+                   dist: PacketDistribution, levels):
+    """Down- and up-crossing rates of the stationary law at ``levels``.
+
+    Down is f(x) p(x).  Up is lam [atom (1 - B(x)) + integral over (0, x] of
+    (1 - B(x - v)) f(v) dv], the integral by the trapezoid rule on the
+    measure's own nodes below x plus the partial cell up to x, where f is
+    read linearly; at a grid node the partial cell is empty.
+    """
+    x, f = measure.grid, measure.density
+    lv = np.asarray(levels, dtype=float)
+    if not np.all((lv >= 0.0) & (lv <= x[-1])):
+        raise DomainError("crossing levels must lie on the measure's span")
+    f_lv = measure.density_at(lv)
+    down = f_lv * policy.interp(extend=True).value(lv)
+    h = grid_spacing(x)
+    s0 = survival(dist, 0.0)
+    up = []
+    # j is the last node at or below the level q
+    last = np.searchsorted(x, lv.ravel(), side="right") - 1
+    for q, j, fq in zip(lv.ravel().tolist(), last.tolist(), f_lv.ravel().tolist()):
+        w = np.full(j + 1, h)
+        w[0] = 0.5 * h
+        w[-1] = 0.5 * h if j > 0 else 0.0
+        kern = survival(dist, q - x[: j + 1])
+        conv = (float(np.dot(kern * w, f[: j + 1]))
+                + 0.5 * (q - x[j]) * (kern[-1] * f[j] + s0 * fq))
+        up.append(params.lam * (measure.atom * survival(dist, q) + conv))
+    return down, np.reshape(up, lv.shape)
+
+
 def level_crossing_residual(measure: StationaryMeasure, policy: PolicyGrid,
                             params: HarvestParams, dist: PacketDistribution) -> np.ndarray:
     """Pointwise gap between down- and up-crossing rates at every grid node.
@@ -300,19 +332,7 @@ def level_crossing_residual(measure: StationaryMeasure, policy: PolicyGrid,
     Zero for the exact stationary law; discretization leaves O(h^2).
     """
     _require_normalized(measure)
-    x = measure.grid
-    f = measure.density
-    h = grid_spacing(x)
-    down = f * policy.density_side_on(x)
-    lam = params.lam
-    up = np.empty_like(down)
-    weights = np.full(x.size, h)
-    weights[0] = weights[-1] = 0.5 * h
-    for i in range(x.size):
-        w = weights[: i + 1].copy()
-        w[-1] = 0.5 * h if i > 0 else 0.0
-        kern = survival(dist, x[i] - x[: i + 1])
-        up[i] = lam * (measure.atom * survival(dist, x[i]) + float(np.dot(kern * w, f[: i + 1])))
+    down, up = crossing_rates(measure, policy, params, dist, measure.grid)
     return down - up
 
 

@@ -30,12 +30,6 @@ class RateFunction:
         if not self.n0 > 0.0:
             raise DomainError(f"noise level must be positive, got {self.n0}", field="n0")
 
-    def __call__(self, x):
-        return rate(self, x)
-
-    def deriv(self, x, order=1):
-        return rate_deriv(self, x, order)
-
 
 def _check_nonnegative(x):
     arr = np.asarray(x, dtype=float)

@@ -267,7 +267,7 @@ def el_ode_solve(phi, params: HarvestParams, config: SolverConfig,
                                 config.ode_substeps, config.p0plus)
             break
         except MomentRangeError as err:
-            if attempt == 1 or not getattr(attempt_phi, "can_extend", False):
+            if attempt == 1 or not attempt_phi.can_extend:
                 raise
             # project the remaining doubly-exponential growth to size the
             # extension; one retry per the contract

@@ -305,7 +305,6 @@ class ExactRateMoments:
         self._n0 = rf.n0
         self._ln2 = math.log(2.0)
 
-    qmax = math.inf
     can_extend = False
 
     def eval3(self, p: float):

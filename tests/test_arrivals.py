@@ -112,17 +112,3 @@ class TestSampleArrivals:
         assert draws.min() >= 0.0 and draws.max() <= 2.0
         assert float(np.mean(draws)) == pytest.approx(1.0, abs=0.02)
 
-
-class TestTabulatedLoader:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "cdf.txt"
-        path.write_text("0.0 0.0\n1.0 0.25\n4.0 1.0\n", encoding="utf-8")
-        dist = eh.arrivals.load_tabulated_cdf(path)
-        assert eh.survival(dist, 1.0) == pytest.approx(0.75)
-        assert eh.survival(dist, 2.5) == pytest.approx(1.0 - 0.625)
-
-    def test_wrong_shape(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0.0 0.0 1.0\n1.0 1.0 2.0\n", encoding="utf-8")
-        with pytest.raises(DomainError):
-            eh.arrivals.load_tabulated_cdf(path)

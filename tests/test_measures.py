@@ -154,6 +154,58 @@ class TestVolterra:
         assert np.max(np.abs(resid)) < 1e-4
 
 
+def fine_up_rate(measure, params, dist, level, refine=64):
+    """Up-crossing rate with the density re-gridded onto a 64x finer grid."""
+    vv = np.linspace(0.0, level, refine * math.ceil(level / measure.grid[1]) + 1)
+    conv = np.trapezoid(eh.survival(dist, level - vv) * measure.density_at(vv), vv)
+    return params.lam * (measure.atom * eh.survival(dist, level) + conv)
+
+
+class TestCrossingRates:
+    HP = eh.HarvestParams(1.0, 1.0, 3.0)
+    DISTS = {"exponential": exp_dist(),
+             "uniform": eh.PacketDistribution.tabulated([0.0, 2.0], [0.0, 1.0])}
+
+    def _law(self, dist, n):
+        pol = eh.policy_from_function(lambda x: 0.6 + 0.5 * x * x, 3.0, n)
+        return pol, eh.measure_volterra(pol, self.HP, dist)
+
+    @pytest.mark.parametrize("dist", sorted(DISTS))
+    def test_off_grid_up_rate_is_second_order(self, dist):
+        # the node trapezoid plus the partial cell against a fine convolution
+        # of the same interpolated density: err / h**2 read 0.010-0.030 from
+        # 32 to 512 cells; an empty partial cell would leave O(h)
+        dist = self.DISTS[dist]
+        probes = np.array([0.1234, 0.77, 1.501, 2.345, 2.99])
+        for n in (64, 128, 256):
+            pol, meas = self._law(dist, n)
+            _, up = eh.crossing_rates(meas, pol, self.HP, dist, probes)
+            want = [fine_up_rate(meas, self.HP, dist, q) for q in probes]
+            h = 3.0 / n
+            np.testing.assert_allclose(up, want, rtol=0.0, atol=0.05 * h * h)
+
+    def test_grid_nodes_take_the_node_trapezoid(self):
+        dist = self.DISTS["uniform"]
+        pol, meas = self._law(dist, 64)
+        x, f, h = meas.grid, meas.density, pol.h
+        down, up = eh.crossing_rates(meas, pol, self.HP, dist, x)
+        for i in range(x.size):
+            w = np.full(i + 1, h)
+            w[0] = 0.5 * h
+            w[-1] = 0.5 * h if i > 0 else 0.0
+            conv = float(np.dot(eh.survival(dist, x[i] - x[: i + 1]) * w, f[: i + 1]))
+            assert up[i] == self.HP.lam * (meas.atom * eh.survival(dist, x[i]) + conv)
+        np.testing.assert_allclose(down, f * pol.density_side_values(), rtol=1e-14, atol=0.0)
+        assert np.array_equal(down - up,
+                              eh.level_crossing_residual(meas, pol, self.HP, dist))
+
+    @pytest.mark.parametrize("level", [-1e-9, 3.0 + 1e-9, math.nan])
+    def test_level_off_the_span_rejected(self, level):
+        pol, meas = self._law(exp_dist(), 32)
+        with pytest.raises(DomainError):
+            eh.crossing_rates(meas, pol, self.HP, exp_dist(), [1.0, level])
+
+
 class TestMeanPower:
     def test_unbounded_constant_policy(self):
         hp = eh.HarvestParams(1.0, 1.0)

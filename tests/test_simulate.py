@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ehmac as eh
 from ehmac.arrivals import sample_arrivals
 from ehmac.errors import DomainError
-from ehmac.grids import uniform_grid
+from ehmac.grids import power_cells, uniform_grid
 from ehmac.rates import rate
 
 sim = importlib.import_module("ehmac.simulate")
@@ -174,6 +174,57 @@ class TestDrainTimeIdentity:
         # every map is monotone exactly, not just up to roundoff
         assert np.all(np.diff(interp.tau(levels)) >= 0.0)
         assert np.all(np.diff(interp.tau_inverse(tau)) >= 0.0)
+
+
+# Gauss-Legendre panels on [0, 1] whose breaks crowd geometrically toward both
+# ends, where the rate of a p**2-linear cell can grow like sqrt(v - v0)
+_GL_S, _GL_W = np.polynomial.legendre.leggauss(16)
+_BREAKS = np.concatenate(([0.0], np.geomspace(1e-12, 0.1, 12), [0.5],
+                          1.0 - np.geomspace(0.1, 1e-12, 12), [1.0]))
+_HALF = 0.5 * np.diff(_BREAKS)
+_PANEL_U = (_BREAKS[:-1, None] + _HALF[:, None] * (_GL_S + 1.0)).ravel()
+_PANEL_W = (_HALF[:, None] * _GL_W).ravel()
+
+
+def quadrature_drain_integral(interp, g, levels):
+    """Brute-force integral of g(value(v)) over (0, level]: panels per cell."""
+    def pieces(a, c):
+        v = a[:, None] + (c - a)[:, None] * _PANEL_U
+        return (g(interp.value(v)) @ _PANEL_W) * (c - a)
+
+    x = interp.x
+    k = np.searchsorted(x, levels, side="right") - 1
+    whole = np.concatenate(([0.0], np.cumsum(pieces(x[:-1], x[1:]))))
+    return whole[k] + pieces(x[k], levels)
+
+
+class TestDrainIntegral:
+    """Both cell rules integrate g(p(v)) in closed form up to any level."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(interp=st.one_of(admissible_interps(),
+                            steep_policies().map(lambda pol: pol.interp())),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_matches_quadrature(self, interp, fracs, rf):
+        # levels on every node (an empty partial cell) and, when extended,
+        # half the span above the top node; atol only covers subnormal
+        # levels, where the quadrature's panel products underflow
+        top = interp.x[-1]
+        levels = np.concatenate((np.asarray(fracs) * top, interp.x,
+                                 [1.5 * top] if interp.extend else []))
+        p = interp.p
+        power = interp.drain_integral(levels, power_cells, p[-1])
+        assert np.array_equal(power, interp.power_integral(levels))
+        np.testing.assert_allclose(
+            power, quadrature_drain_integral(interp, lambda q: q, levels),
+            rtol=1e-12, atol=1e-300)
+        # the rate rule differences its antiderivative, which cancels on a
+        # cell whose edge rates differ by just over its 1e-6 midpoint
+        # threshold: up to 2.5e-7 relative at p = 1e-3 (mpmath reference)
+        bits = interp.drain_integral(levels, sim._rate_cells(rf), rate(rf, p[-1]) / p[-1])
+        np.testing.assert_allclose(
+            bits, quadrature_drain_integral(interp, lambda q: rate(rf, q) / q, levels),
+            rtol=1e-6, atol=1e-300)
 
 
 # Seeded runs recorded with the level-space joint-rate kernel (value of
@@ -658,9 +709,7 @@ def every_interval_integral(interps, runs, rf, burn_in, horizon, substeps):
     """Reference joint-rate integral that samples every merged interval."""
     exact = 0.0
     for interp, run in zip(interps, runs):
-        clock = sim._RateClock(interp, rf)
-        exact += float(np.sum(clock.integral(run.seg_level)
-                              - clock.integral(run.seg_end_level)))
+        exact += sim._own_bits(interp, rf, run)
     cuts = [np.asarray([burn_in, horizon])]
     for run in runs:
         cuts.append(run.seg_start)
