@@ -40,9 +40,8 @@ class HarvestParams:
         if not self.zeta > 0.0:
             raise DomainError(f"inverse mean packet energy must be > 0, got {self.zeta}",
                               field="zeta")
-        if not self.capacity >= 0.0:
-            # zero is admitted as the degenerate bound case (no storage at all)
-            raise DomainError(f"capacity must be nonnegative or infinite, got {self.capacity}",
+        if not self.capacity > 0.0:
+            raise DomainError(f"capacity must be positive or infinite, got {self.capacity}",
                               field="capacity")
 
     @property

@@ -192,12 +192,12 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
     if not cfg.capacities:
         raise UsageError("simulate needs one capacity")
     cap = cfg.capacities[0]
-    if not cfg.policy_file and not cfg.policy_level > 0.0:  # a policy is solved below
+    solved = not cfg.policy_file and not cfg.policy_level > 0.0
+    if solved:
         if math.isinf(cap):
             raise UsageError("simulate solves a policy only for a finite capacity; "
                              "set policy_file or policy_level")
         _require_first(cfg, "k_values", "p0plus_values", "init_policies")
-    outdir.mkdir(parents=True, exist_ok=True)
     hp = cfg.harvest(cap)
     if cfg.policy_file:
         policy = load_policy(cfg.policy_file)
@@ -205,13 +205,15 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
         span = cap if math.isfinite(cap) else 12.0 / cfg.zeta
         policy = constant_policy(cfg.policy_level, span, cfg.grid_n)
     else:
-        report = _solve_cell((cfg, cap, cfg.k_values[0], cfg.p0plus_values[0],
-                              cfg.init_policies[0]))
-        policy = report.policies[0]
-        export_policy(policy, outdir / "policy_solved.csv")
+        policy = _solve_cell((cfg, cap, cfg.k_values[0], cfg.p0plus_values[0],
+                              cfg.init_policies[0])).policies[0]
     dist = PacketDistribution.exponential(cfg.zeta)
+    # simulate checks the policy before it walks, so a rejected one writes nothing
     stats = simulate([(hp, policy, dist)] * cfg.node_count, cfg.rate_function(),
                      cfg.sim_config())
+    outdir.mkdir(parents=True, exist_ok=True)
+    if solved:
+        export_policy(policy, outdir / "policy_solved.csv")
     (outdir / "stats.txt").write_text(stats.to_text(), encoding="utf-8")
     np.savetxt(outdir / "cdf_node0.csv",
                np.column_stack([stats.cdf_levels[0], stats.cdf[0]]),

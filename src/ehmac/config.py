@@ -46,7 +46,8 @@ def _parse_str_list(text: str):
 
 
 # the typed field a rejected value came from, where its config key differs
-_CONFIG_KEYS = {"p0plus": "p0plus_values", "init_policy": "init_policies"}
+_CONFIG_KEYS = {"capacity": "capacities", "p0plus": "p0plus_values",
+                "init_policy": "init_policies"}
 
 
 @dataclass
@@ -109,8 +110,6 @@ class ExperimentConfig:
                               f"this build reads version {SCHEMA_VERSION}",
                               field="schema_version")
         checks = [("node_count", self.node_count >= 1), ("workers", self.workers >= 1),
-                  # HarvestParams admits 0, the no-storage case of the bound
-                  ("capacities", all(c > 0.0 for c in self.capacities)),
                   ("policy_level", self.policy_level >= 0.0),
                   ("k_step", self.k_step > 0.0), ("k_max", self.k_max > self.k_min)]
         for name, ok in checks:

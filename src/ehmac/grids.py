@@ -40,7 +40,7 @@ __all__ = ["uniform_grid", "grid_spacing", "inv_power_cells", "power_cells",
 
 # Without ``extend``, a level at most SPAN_TOL * max(L, 1) beyond a policy grid
 # of span L still reads the top node, and a battery whose capacity is that
-# close to the span may use the grid (``measures.check_span``).
+# close to the span may use the grid (``measures.check_admissible``).
 SPAN_TOL = 1e-9
 
 

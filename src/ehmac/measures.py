@@ -1,18 +1,28 @@
 """Stationary battery-charge measures for admissible release policies.
 
 The storage level under an admissible policy has a unique stationary law
-made of an atom at zero (battery empty) plus a density on (0, L].  Two
-independent routes compute it:
+made of an atom at zero (battery empty) plus a density on (0, L].  It obeys
+one level-crossing balance, down-crossings equal up-crossings at every level
+x (P. H. Brill and M. J. M. Posner, Operations Research 25(4), 1977):
+
+    f(x) p(x) = lam [atom S(x) + integral over (0, x] of S(x - v) f(v) dv],
+
+with S = 1 - B the packet survival.  Two independent routes compute the law:
 
 * ``measure_closed_form`` -- exponential packets only; integrating factor of
   the balance equation gives the density directly from the cumulative
   1/p integral, evaluated with shifted exponentials so steep policies with
   tiny p(0+) cannot overflow.
-* ``measure_volterra`` -- any packet law; marches the level-crossing balance
-  as a second-kind Volterra equation with a trial atom, then rescales.
+* ``measure_volterra`` -- any packet law, an atom at zero energy included;
+  marches the balance as a second-kind Volterra equation with a trial atom,
+  then rescales.  It solves node by node the very trapezoid sum that
+  ``crossing_rates`` evaluates (one private kernel, ``_up_rate``), so its
+  crossing residual is roundoff at every node.
 
 Both return the same object; tests cross-check them against each other and
-against the Monte Carlo occupancy of the simulator.
+against the Monte Carlo occupancy of the simulator.  ``check_admissible`` is
+the one rule both routes and the simulator apply to a policy: its grid spans a
+finite battery, and on an unbounded one its top rate exceeds the mean input.
 """
 
 from __future__ import annotations
@@ -207,11 +217,43 @@ def _closed_form_on_grid(x: np.ndarray, pd: np.ndarray, lam: float, zeta: float)
     return atom, density, masses
 
 
-def check_span(policy: PolicyGrid, params: HarvestParams) -> None:
-    """Raise DomainError unless a finite battery's policy grid spans its capacity."""
-    if not params.is_infinite and (abs(policy.capacity - params.capacity)
-                                   > SPAN_TOL * max(params.capacity, 1.0)):
+def check_admissible(policy: PolicyGrid, params: HarvestParams,
+                     dist: PacketDistribution | None = None) -> None:
+    """Raise DomainError unless the policy admits a stationary law for the battery.
+
+    A finite battery's policy grid must span its capacity.  An unbounded
+    battery's tail release rate must exceed the mean energy input rate: lam
+    times the mean of ``dist``, or lam / zeta without one.
+    """
+    if params.is_infinite:
+        mean_input = params.mean_input_rate if dist is None else params.lam * dist.mean()
+        if not policy.values[-1] > mean_input:
+            raise DomainError("no stationary law: tail release rate must exceed the mean "
+                              f"energy input rate {mean_input:.6g}")
+    elif abs(policy.capacity - params.capacity) > SPAN_TOL * max(params.capacity, 1.0):
         raise DomainError("policy grid span must equal the battery capacity")
+
+
+def check_probes(probes, policy: PolicyGrid) -> None:
+    """Raise DomainError unless every crossing probe lies strictly inside (0, L)."""
+    if not np.all((probes > 0.0) & (probes < policy.capacity)):
+        raise DomainError("crossing probes must lie strictly inside (0, L)")
+
+
+def _up_rate(lam, atom, h, kern, f, dq=0.0, top=0.0):
+    """Up-crossing rate lam [atom S(q) + integral over (0, q] of S(q - v) f(v) dv].
+
+    S = 1 - B is the packet survival.  ``kern[k]`` = S(q - x_k) and ``f[k]``
+    are taken on the nodes x_0..x_j at or below the level q, so ``kern[0]`` is
+    S(q).  The integral is the trapezoid rule on those nodes (weight h, h/2 at
+    both ends, none when j = 0) plus the partial cell of width ``dq`` = q - x_j,
+    whose top value is ``top`` = S(0) f(q).
+    """
+    w = np.full(kern.size, h)
+    w[0] = 0.5 * h
+    w[-1] = 0.5 * h if kern.size > 1 else 0.0
+    conv = float(np.dot(kern * w, f)) + 0.5 * dq * (kern[-1] * f[-1] + top)
+    return lam * (atom * kern[0] + conv)
 
 
 def measure_closed_form(policy: PolicyGrid, params: HarvestParams) -> StationaryMeasure:
@@ -222,18 +264,16 @@ def measure_closed_form(policy: PolicyGrid, params: HarvestParams) -> Stationary
     the policy continues at its last sampled value beyond its own grid.
     """
     lam, zeta = params.lam, params.zeta
+    check_admissible(policy, params)
     if not params.is_infinite:
-        check_span(policy, params)
         x = policy.grid
         pd = policy.density_side_values()
         atom, density, masses = _closed_form_on_grid(x, pd, lam, zeta)
         return StationaryMeasure(grid=x, atom=atom, density=density, cell_masses=masses)
 
-    tail_rate = float(policy.values[-1])
-    if lam > 0.0 and tail_rate <= params.mean_input_rate:
-        raise DomainError(
-            "no stationary law: tail release rate must exceed the mean energy "
-            f"input rate {params.mean_input_rate:.6g}")
+    # beyond the truncation the density decays at least at rate zeta - lam/p,
+    # which the stationarity rule makes positive up to roundoff
+    decay = zeta - lam / float(policy.values[-1])
     interp = policy.interp(extend=True)
     span = policy.capacity
     n = policy.n
@@ -241,10 +281,7 @@ def measure_closed_form(policy: PolicyGrid, params: HarvestParams) -> Stationary
         x = uniform_grid(span, n)
         pd = np.concatenate(([policy.p0plus], interp.value(x[1:])))
         atom, density, masses = _closed_form_on_grid(x, pd, lam, zeta)
-        # beyond the truncation the density decays at least at rate zeta - lam/p
-        decay = zeta - lam / tail_rate
-        tail = density[-1] / decay if decay > 0 else math.inf
-        if tail < _TAIL_TOL:
+        if decay > 0.0 and density[-1] / decay < _TAIL_TOL:
             return StationaryMeasure(grid=x, atom=atom, density=density,
                                      cell_masses=masses)
         span *= 2.0
@@ -257,31 +294,32 @@ def measure_volterra(policy: PolicyGrid, params: HarvestParams,
                      dist: PacketDistribution) -> StationaryMeasure:
     """Stationary measure from marching the level-crossing balance equation.
 
-    Works for any packet law; requires a finite battery.  The equation is
-    linear in the atom, so it is solved with a trial atom of 1 and rescaled
-    to unit total mass.
+    Works for any packet law, zero-energy packets included; requires a
+    finite battery.  The balance is the one ``crossing_rates`` evaluates, f(x)
+    p(x) = up-crossing rate at x, solved node by node: the trapezoid weight of
+    the unknown f_i is h/2 with kernel S(0), so f_i = up_i(f_i = 0) /
+    (p_i - lam h S(0) / 2), and f_0 = lam S(0) / p(0+).  It is linear in the
+    atom, so it is solved with a trial atom of 1 and rescaled to unit total
+    mass.
     """
     if params.is_infinite:
         raise DomainError("the marching solver needs a finite battery capacity")
-    check_span(policy, params)
+    check_admissible(policy, params, dist)
     lam = params.lam
     x = policy.grid
     h = policy.h
     pd = policy.density_side_values()
-    n = policy.n
-    f = np.zeros(n + 1)
-    f[0] = lam / policy.p0plus  # trial atom 1
-    surv_grid = survival(dist, x)
-    for i in range(1, n + 1):
-        # trapezoid over [0, x_i] with the unknown endpoint moved to the left side
-        tail = surv_grid[i]
-        conv = h * (0.5 * tail * f[0] + float(np.dot(survival(dist, x[i] - x[1:i]), f[1:i])))
-        denom = 1.0 - lam * h / (2.0 * pd[i])
+    # S(x_i - x_k) read as S(x_(i-k)) on the uniform grid
+    surv = survival(dist, x)
+    f = np.zeros(x.size)
+    f[0] = lam * surv[0] / pd[0]
+    for i in range(1, x.size):
+        denom = pd[i] - 0.5 * lam * h * surv[0]
         if denom <= 0.0:
             raise DomainError(
                 f"marching step unstable at level {x[i]:.6g}: grid too coarse for "
                 f"release rate {pd[i]:.3g}")
-        f[i] = (lam / pd[i]) * (tail + conv) / denom
+        f[i] = _up_rate(lam, 1.0, h, surv[i::-1], f[: i + 1]) / denom
     masses = 0.5 * h * (f[:-1] + f[1:])
     total = 1.0 + float(np.sum(masses))
     return StationaryMeasure(grid=x, atom=1.0 / total, density=f / total,
@@ -301,7 +339,8 @@ def crossing_rates(measure: StationaryMeasure, policy: PolicyGrid, params: Harve
     Down is f(x) p(x).  Up is lam [atom (1 - B(x)) + integral over (0, x] of
     (1 - B(x - v)) f(v) dv], the integral by the trapezoid rule on the
     measure's own nodes below x plus the partial cell up to x, where f is
-    read linearly; at a grid node the partial cell is empty.
+    read linearly; at a grid node the partial cell is empty.  This is the
+    balance ``measure_volterra`` solves.
     """
     x, f = measure.grid, measure.density
     lv = np.asarray(levels, dtype=float)
@@ -311,17 +350,11 @@ def crossing_rates(measure: StationaryMeasure, policy: PolicyGrid, params: Harve
     down = f_lv * policy.interp(extend=True).value(lv)
     h = grid_spacing(x)
     s0 = survival(dist, 0.0)
-    up = []
     # j is the last node at or below the level q
     last = np.searchsorted(x, lv.ravel(), side="right") - 1
-    for q, j, fq in zip(lv.ravel().tolist(), last.tolist(), f_lv.ravel().tolist()):
-        w = np.full(j + 1, h)
-        w[0] = 0.5 * h
-        w[-1] = 0.5 * h if j > 0 else 0.0
-        kern = survival(dist, q - x[: j + 1])
-        conv = (float(np.dot(kern * w, f[: j + 1]))
-                + 0.5 * (q - x[j]) * (kern[-1] * f[j] + s0 * fq))
-        up.append(params.lam * (measure.atom * survival(dist, q) + conv))
+    up = [_up_rate(params.lam, measure.atom, h, survival(dist, q - x[: j + 1]), f[: j + 1],
+                   q - x[j], s0 * fq)
+          for q, j, fq in zip(lv.ravel().tolist(), last.tolist(), f_lv.ravel().tolist())]
     return down, np.reshape(up, lv.shape)
 
 
@@ -329,7 +362,8 @@ def level_crossing_residual(measure: StationaryMeasure, policy: PolicyGrid,
                             params: HarvestParams, dist: PacketDistribution) -> np.ndarray:
     """Pointwise gap between down- and up-crossing rates at every grid node.
 
-    Zero for the exact stationary law; discretization leaves O(h^2).
+    Zero for the exact stationary law.  The marching law solves this very
+    sum, so it leaves roundoff; the closed form leaves O(h^2).
     """
     _require_normalized(measure)
     down, up = crossing_rates(measure, policy, params, dist, measure.grid)

@@ -25,6 +25,8 @@ class TestHarvestParams:
             eh.HarvestParams(1.0, 0.0)
         with pytest.raises(DomainError):
             eh.HarvestParams(1.0, 1.0, -3.0)
+        with pytest.raises(DomainError):
+            eh.HarvestParams(1.0, 1.0, 0.0)
 
 
 class TestSurvival:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import ehmac as eh
-from ehmac.errors import UsageError
+from ehmac.errors import DomainError, UsageError
 
 
 def two_nodes(capacity):
@@ -18,8 +18,10 @@ class TestFiniteBound:
         assert eh.upper_bound_finite(two_nodes(capacity), rf) == pytest.approx(
             expected, abs=5e-5)
 
-    def test_zero_capacity(self, rf):
-        assert eh.upper_bound_finite([eh.HarvestParams(1.0, 1.0, 0.0)], rf) == 0.0
+    def test_zero_capacity(self):
+        # a battery that stores nothing is no battery: rejected where it is made
+        with pytest.raises(DomainError, match="capacity must be positive"):
+            eh.HarvestParams(1.0, 1.0, 0.0)
 
     def test_infinite_capacity_rejected(self, rf):
         with pytest.raises(UsageError):

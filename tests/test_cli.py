@@ -81,6 +81,8 @@ class TestConfigParsing:
         pytest.param("divergence_tol", -1.0, id="divergence_tol"),
         pytest.param("divergence_tol", math.nan, id="divergence_tol_nan"),
         pytest.param("policy_level", -2.0, id="policy_level"),
+        pytest.param("capacities", (1.0, 0.0), id="capacities_zero"),
+        pytest.param("capacities", (-1.0,), id="capacities_negative"),
     ])
     def test_validation_catches_bad_fields(self, key, value):
         with pytest.raises(ConfigError) as err:
@@ -347,6 +349,19 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", str(cfg), "--out",
                     str(tmp_path / "o")]) == 1
         assert "error[E_IO]" in capsys.readouterr().err
+
+    def test_nonstationary_policy_writes_nothing(self, tmp_path, capsys):
+        # a release rate of 0.5 against a mean input rate of 1: the battery
+        # grows without bound, so there is no law to compare with
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = inf\nnode_count = 1\n"
+                       "policy_level = 0.5\nhorizon = 2000\nburn_in = 10\n",
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_DOMAIN]") and "no stationary law" in err
+        assert not out.exists()
 
     def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

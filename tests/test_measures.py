@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ehmac as eh
 from ehmac.errors import DomainError, NumericOverflowError
@@ -106,6 +108,8 @@ class TestClosedForm:
         pol = eh.constant_policy(0.9, 10.0, 128)  # below the mean input rate
         with pytest.raises(DomainError):
             eh.measure_closed_form(pol, hp)
+        with pytest.raises(DomainError):  # equal to it
+            eh.measure_closed_form(eh.constant_policy(1.0, 10.0, 128), hp)
 
     def test_atom_refinement_is_second_order(self):
         hp = eh.HarvestParams(1.0, 1.0, 2.0)
@@ -152,6 +156,88 @@ class TestVolterra:
         meas = eh.measure_closed_form(pol, hp)
         resid = eh.level_crossing_residual(meas, pol, hp, exp_dist())
         assert np.max(np.abs(resid)) < 1e-4
+
+
+class TestZeroEnergyPackets:
+    """Packets of zero energy never cross a level: the law is the thinned one."""
+
+    HP = eh.HarvestParams(1.0, 1.0, 3.0)
+    DIST = eh.PacketDistribution.tabulated([0.0, 2.0], [0.5, 1.0])
+    # half the arrivals, packets conditioned on being positive
+    THINNED = (eh.HarvestParams(0.5, 1.0, 3.0),
+               eh.PacketDistribution.tabulated([0.0, 2.0], [0.0, 1.0]))
+
+    def _laws(self, n):
+        pol = eh.policy_from_function(lambda x: 0.5 + 0.8 * x, 3.0, n)
+        return (pol, eh.measure_volterra(pol, self.HP, self.DIST),
+                eh.measure_volterra(pol, *self.THINNED))
+
+    def test_marching_law_is_the_thinned_law(self):
+        atoms = []
+        for n in (128, 256, 512, 1024):
+            _, meas, thinned = self._laws(n)
+            assert meas.atom == pytest.approx(thinned.atom, rel=1e-12)
+            np.testing.assert_allclose(meas.density, thinned.density, rtol=1e-12)
+            atoms.append(meas.atom)
+        # second order: each halving of h quarters the step in the atom
+        steps = np.diff(atoms)
+        np.testing.assert_allclose(steps[:-1] / steps[1:], 4.0, rtol=0.05)
+
+    def test_residual_at_roundoff_at_every_node(self):
+        pol, meas, _ = self._laws(256)
+        resid = eh.level_crossing_residual(meas, pol, self.HP, self.DIST)
+        assert np.max(np.abs(resid)) < 1e-14
+
+
+def smooth_policies(capacity, n):
+    """Rising quadratic policies p(x) = a + b x + c x**2 with p >= 0.3."""
+    return st.builds(lambda a, b, c: eh.policy_from_function(
+                         lambda x: a + b * x + c * x * x, capacity, n),
+                     st.floats(0.3, 2.0), st.floats(0.0, 1.5), st.floats(0.0, 1.0))
+
+
+@st.composite
+def tabulated_laws(draw):
+    """A tabulated packet law of 2-6 knots, half of them with an atom at zero."""
+    k = draw(st.integers(2, 6))
+    xs = np.cumsum([0.0] + draw(st.lists(st.floats(0.05, 2.0), min_size=k - 1,
+                                         max_size=k - 1)))
+    cdf = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    cdf[-1] = 1.0
+    if draw(st.booleans()):
+        cdf[0] = 0.0
+    return eh.PacketDistribution.tabulated(xs, cdf)
+
+
+class TestLawProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), capacity=st.floats(0.5, 4.0), lam=st.floats(0.5, 2.0),
+           zeta=st.floats(0.5, 2.0))
+    def test_closed_form_matches_marching(self, data, capacity, lam, zeta):
+        # both routes are second order; over 300 random draws the gaps read
+        # at most 0.49 h**2 in the atom and 1.2 h**2 max(f) in the density
+        n = 256
+        pol = data.draw(smooth_policies(capacity, n))
+        hp = eh.HarvestParams(lam, zeta, capacity)
+        closed = eh.measure_closed_form(pol, hp)
+        marched = eh.measure_volterra(pol, hp, exp_dist(zeta))
+        h2 = (capacity / n) ** 2
+        assert abs(closed.atom - marched.atom) <= 2.0 * h2
+        assert np.max(np.abs(closed.density - marched.density)) <= 5.0 * h2 * np.max(
+            closed.density)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), dist=tabulated_laws(), capacity=st.floats(0.5, 4.0),
+           lam=st.floats(0.1, 2.0))
+    def test_marching_mass_and_residual(self, data, dist, capacity, lam):
+        # the march solves the very balance the residual evaluates, so only
+        # roundoff is left at every node, level 0 included
+        pol = data.draw(smooth_policies(capacity, 128))
+        hp = eh.HarvestParams(lam, 1.0, capacity)
+        meas = eh.measure_volterra(pol, hp, dist)
+        assert meas.total_mass() == pytest.approx(1.0, abs=1e-12)
+        down, up = eh.crossing_rates(meas, pol, hp, dist, meas.grid)
+        assert np.max(np.abs(down - up)) <= 1e-13 * np.max(down)
 
 
 def fine_up_rate(measure, params, dist, level, refine=64):

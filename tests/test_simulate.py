@@ -103,7 +103,7 @@ class TestPolicyValue:
         np.testing.assert_allclose(interp.value(levels), want, rtol=1e-14, atol=0.0)
 
     def test_span_tolerance(self):
-        # check_span admits a capacity 5e-10 * L beyond the grid, so a full
+        # check_admissible admits a capacity 5e-10 * L beyond the grid, so a full
         # battery reads tau's top branch; the rows are those recorded when
         # the walk had its own copy of that branch
         span = 2.0
@@ -218,13 +218,33 @@ class TestDrainIntegral:
         np.testing.assert_allclose(
             power, quadrature_drain_integral(interp, lambda q: q, levels),
             rtol=1e-12, atol=1e-300)
-        # the rate rule differences its antiderivative, which cancels on a
-        # cell whose edge rates differ by just over its 1e-6 midpoint
-        # threshold: up to 2.5e-7 relative at p = 1e-3 (mpmath reference)
+        # the rate rule is within a few 1e-16 of mpmath on a cell from p = 1e-3
+        # to 1e3, where the panel quadrature itself is off by 1.2e-11
         bits = interp.drain_integral(levels, sim._rate_cells(rf), rate(rf, p[-1]) / p[-1])
         np.testing.assert_allclose(
             bits, quadrature_drain_integral(interp, lambda q: rate(rf, q) / q, levels),
-            rtol=1e-6, atol=1e-300)
+            rtol=2e-11, atol=1e-300)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p0=st.floats(1e-6, 1e3), ratio=st.one_of(st.floats(1e-6, 1e6),
+                                                     st.floats(1.0 - 1e-3, 1.0 + 1e-3)),
+           dx=st.floats(1e-3, 10.0), n0=st.sampled_from([0.1, 1.0, 10.0]))
+    def test_rate_cells_match_exact_reference(self, p0, ratio, dx, n0):
+        # the cell integral 2 (R(p1) - R(p0)) / b at 50 digits; differencing
+        # R in floats was off by up to 2.5e-7 relative at p = 1e-3
+        mpmath = pytest.importorskip("mpmath")
+        p1 = p0 * ratio
+        with mpmath.workdps(50):
+            a, b, w, n = (mpmath.mpf(v) for v in (p0, p1, dx, n0))
+            if a == b:
+                want = w * mpmath.log(1 + a / n) / (2 * mpmath.log(2) * a)
+            else:
+                big_r = lambda q: ((n + q) * mpmath.log(1 + q / n) - q) / (2 * mpmath.log(2))
+                want = 2 * (big_r(b) - big_r(a)) * w / (b * b - a * a)
+            want = float(want)
+        got = float(sim._rate_cells(eh.RateFunction(n0))(np.array([p0]), np.array([p1]),
+                                                         np.array([dx]))[0])
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 # Seeded runs recorded with the level-space joint-rate kernel (value of
@@ -418,15 +438,40 @@ class TestSimulate:
     def test_bad_probe_rejected(self, rf):
         hp = eh.HarvestParams(1.0, 1.0, 2.0)
         pol = eh.constant_policy(1.0, 2.0, 64)
-        cfg = eh.SimConfig(horizon=100.0, seed=0, level_probes=(2.5,))
-        with pytest.raises(DomainError):
-            eh.simulate([(hp, pol, exp_dist())], rf, cfg)
+        for probe in (2.5, 2.0, 0.0, math.nan):
+            cfg = eh.SimConfig(horizon=100.0, seed=0, level_probes=(1.0, probe))
+            with pytest.raises(DomainError, match="strictly inside"):
+                eh.simulate([(hp, pol, exp_dist())], rf, cfg)
 
-    @pytest.mark.parametrize("capacity", [3.0, 0.0], ids=["short_grid", "long_grid"])
+    @pytest.mark.parametrize("level, dist", [
+        (0.5, exp_dist()), (1.0, exp_dist()),
+        # above lam / zeta = 1, but not above lam times the sampled mean 2
+        (1.5, eh.PacketDistribution.tabulated([0.0, 4.0], [0.0, 1.0])),
+    ], ids=["below", "equal", "packet_mean"])
+    def test_nonstationary_unbounded_rejected(self, rf, level, dist, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("arrivals sampled before the stationarity check")
+
+        monkeypatch.setattr(sim, "sample_arrivals", no_sampling)
+        hp, pol = constant_setup(level=level)
+        with pytest.raises(DomainError, match="no stationary law"):
+            eh.simulate([(hp, pol, dist)], rf, eh.SimConfig(horizon=100.0))
+
+    def test_zero_energy_packets_atom(self, rf):
+        # a quarter of the packets carry no energy; the marching law holds
+        # them as the thinned law does, and the simulated atom agrees
+        hp = eh.HarvestParams(1.0, 1.0, 3.0)
+        pol = eh.policy_from_function(lambda x: 0.5 + 0.8 * x, 3.0, 1024)
+        dist = eh.PacketDistribution.tabulated([0.0, 2.0], [0.25, 1.0])
+        law = eh.measure_volterra(pol, hp, dist)
+        cfg = eh.SimConfig(horizon=1.25e4, replications=16, seed=3, burn_in=100.0)
+        stats = eh.simulate([(hp, pol, dist)], rf, cfg)
+        assert abs(stats.atom[0] - law.atom) <= 3.0 * stats.atom_se[0]
+
+    @pytest.mark.parametrize("capacity", [3.0, 0.5], ids=["short_grid", "long_grid"])
     def test_policy_span_must_match_capacity(self, rf, capacity, monkeypatch):
         # a unit grid on a larger battery used to walk the whole horizon and
-        # fail in the drain-time map; on an empty battery it returned a CDF
-        # running to level 1
+        # fail in the drain-time map; on a smaller one the CDF ran to level 1
         def no_sampling(*args, **kwargs):
             raise AssertionError("arrivals sampled before the span check")
 
