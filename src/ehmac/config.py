@@ -47,7 +47,7 @@ def _parse_str_list(text: str):
 
 # the typed field a rejected value came from, where its config key differs
 _CONFIG_KEYS = {"capacity": "capacities", "p0plus": "p0plus_values",
-                "init_policy": "init_policies"}
+                "init_policy": "init_policies", "k_const": "k_values"}
 
 
 @dataclass
@@ -124,7 +124,8 @@ class ExperimentConfig:
                 self.harvest(cap)
             for p0 in self.p0plus_values or (SolverConfig.p0plus,):
                 for init in self.init_policies or (SolverConfig.init_policy,):
-                    self.solver_config(p0, init)
+                    for k in self.k_values or (SolverConfig.k_const,):
+                        self.solver_config(p0, init, k)
         except (DomainError, UsageError) as err:
             key = _CONFIG_KEYS.get(err.field, err.field)
             raise ConfigError(f"invalid value for {key}: {err}", field=key) from err

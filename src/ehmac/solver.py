@@ -46,6 +46,7 @@ is set, and stop when the relative utility improvement drops below
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -104,6 +105,12 @@ class SolverConfig:
     k_candidates: tuple = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.k_const):
+            raise DomainError(f"k_const must be finite, got {self.k_const}", field="k_const")
+        for name in ("grid_n", "ode_substeps", "max_outer"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}",
+                                  field=name)
         if not self.p0plus > 0.0:
             raise DomainError(f"p(0+) must be positive, got {self.p0plus}", field="p0plus")
         if not self.theta_tol > 0.0:
@@ -181,35 +188,24 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
                substeps: int, p0plus: float) -> np.ndarray:
     """Fixed-step RK4 along the level grid; returns p at the grid nodes.
 
-    The state is y = p**2 while ``in_y`` holds and log(p) after the hand-over;
-    the loop runs on plain floats, as the step is a few scalar operations
-    around one moment evaluation.
+    The state is y = p**2 while ``in_y`` holds and log(p) after the hand-over.
+    The loop runs on plain floats and in the common case makes no Python
+    call: it holds the moments' live spline segment (``phi.live_segment()``)
+    in locals and evaluates its three cubics inline while t = log1p(p) stays
+    inside it.  Any other query goes to ``phi.eval3``, which keeps the range
+    checks and the segment search, and the segment that call used becomes
+    the live one.  The inline cubics are eval3's arithmetic, so either route
+    gives the same bits; a lone node's exact moments have no segment.
     """
-    eval3 = phi.eval3
+    eval3, live_segment = phi.eval3, phi.live_segment
+    log1p, exp, sqrt = math.log1p, math.exp, math.sqrt
     switch_hi = _SWITCH_FACTOR * max(1.0, lam / zeta, p0plus)
     switch_lo = 0.5 * switch_hi
     y_to_s = switch_hi * switch_hi
     s_to_y = math.log(switch_lo)
     xs = x.tolist()
-    pos = xs[0]
     in_y = True
-
-    def rhs(state):
-        if in_y:
-            if state <= 0.0:
-                raise NonAdmissibleTrajectoryError(
-                    f"release rate driven to zero near level {pos:.6g}", where=pos)
-            p = math.sqrt(state)
-            val, d1, d2 = eval3(p)
-            return -2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / d2
-        if state > _LOG_P_CAP:
-            raise NumericOverflowError(
-                f"release rate exceeded the floating range near level {pos:.6g}",
-                where=pos)
-        p = math.exp(state)
-        val, d1, d2 = eval3(p)
-        return -((lam - zeta * p) * d1 + zeta * val + k_const) / (p * p * d2)
-
+    t_lo = t_hi = math.nan  # no live segment: the first query goes to eval3
     out = [p0plus]
     state = p0plus * p0plus
     for i in range(len(xs) - 1):
@@ -217,15 +213,44 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
         hsub = (xs[i + 1] - x0) / substeps
         half = 0.5 * hsub
         sixth = hsub / 6.0
+        # (offset, weight) per stage: k1 + 2 k2 + 2 k3 + k4, summed left to right
+        stages = ((0.0, 1.0), (half, 2.0), (half, 2.0), (hsub, 1.0))
         for j in range(substeps):
-            pos = x0 + j * hsub
-            k1 = rhs(state)
-            k2 = rhs(state + half * k1)
-            k3 = rhs(state + half * k2)
-            k4 = rhs(state + hsub * k3)
-            state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k = 0.0
+            acc = -0.0  # the exact additive identity, so acc = k1 after stage 1
+            for off, weight in stages:
+                arg = state + off * k
+                if in_y:
+                    if arg <= 0.0:
+                        pos = x0 + j * hsub
+                        raise NonAdmissibleTrajectoryError(
+                            f"release rate driven to zero near level {pos:.6g}",
+                            where=pos)
+                    p = sqrt(arg)
+                elif arg > _LOG_P_CAP:
+                    pos = x0 + j * hsub
+                    raise NumericOverflowError(
+                        f"release rate exceeded the floating range near level "
+                        f"{pos:.6g}", where=pos)
+                else:
+                    p = exp(arg)
+                t = log1p(p)
+                if t_lo <= t < t_hi:
+                    u = t - t0
+                    val = ((a0 * u + a1) * u + a2) * u + a3
+                    d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                    d2 = -exp(((c0 * u + c1) * u + c2) * u + c3)
+                else:
+                    val, d1, d2 = eval3(p)
+                    (t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3,
+                     c0, c1, c2, c3) = live_segment()
+                num = (lam - zeta * p) * d1 + zeta * val + k_const
+                k = -2.0 * num / d2 if in_y else -num / (p * p * d2)
+                acc = acc + weight * k
+            state = state + sixth * acc
             if in_y:
                 if state <= 0.0:
+                    pos = x0 + j * hsub
                     raise NonAdmissibleTrajectoryError(
                         f"release rate driven to zero near level {pos:.6g}",
                         where=pos)
@@ -234,6 +259,7 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
                     state = 0.5 * math.log(state)
             else:
                 if state > _LOG_P_CAP:
+                    pos = x0 + j * hsub
                     raise NumericOverflowError(
                         f"release rate exceeded the floating range near level "
                         f"{pos:.6g}", where=pos)

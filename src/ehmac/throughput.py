@@ -74,6 +74,8 @@ _T_FLOOR = 1e-18
 # peak memory: about 1 MiB in a solve_asym3 benchmark run at 64k, 5 MiB at 1M.
 _BLOCK = 1 << 14
 _LN2 = math.log(2.0)
+# a live segment (see PhiMoments.live_segment) whose NaN bounds hold no t
+_EMPTY_SEGMENT = (math.nan,) * 15
 
 
 class Node(NamedTuple):
@@ -243,9 +245,10 @@ class PhiMoments:
         # Interpolation runs in t = log1p(q) so knots spanning many decades
         # stay well conditioned; derivative moments are interpolated through
         # their logarithms, which pins their signs and keeps relative accuracy
-        # where they decay over hundreds of orders of magnitude.  The table is
-        # held as plain floats: the ODE evaluates it millions of times per
-        # solve, one scalar at a time.
+        # where they decay over hundreds of orders of magnitude.  Each curve
+        # gets its own fit: a single fit of the three stacked gives other last
+        # bits on some tables.  The table is held as plain floats: the ODE
+        # evaluates it millions of times per solve, one scalar at a time.
         t = np.log1p(self.q)
         sp = [CubicSpline(t, y) for y in
               (self.phi, np.log(self.dphi), np.log(-self.d2phi))]
@@ -254,9 +257,14 @@ class PhiMoments:
         q_lo, q_hi = float(self.q[0]), float(self.q[-1])
         last = len(packs) - 1
         # segment j serves lo[j] <= t < hi[j]; the open ends are the clamps of
-        # the bisection below
+        # the bisection below.  Its live bounds (see ``live_segment``) also
+        # stop at the range ends, so that t for a power outside [q_lo, q_hi],
+        # or at either end, is never inside them.
         lo = [-math.inf] + knots[1:last + 1]
         hi = knots[1:last + 1] + [math.inf]
+        t_min, t_max = math.nextafter(math.log1p(q_lo), math.inf), math.log1p(q_hi)
+        segs = [(max(a, t_min), min(b, t_max), t0, *c)
+                for a, b, t0, c in zip(lo, hi, knots, packs)]
         log1p, exp = math.log1p, math.exp
         # the last segment used: 99 % of the table2 preset's queries and 94 % of
         # a three-node Gauss-Seidel solve's fall in it again
@@ -281,21 +289,32 @@ class PhiMoments:
                 elif j < 0:
                     j = 0
                 seg = j
-            u = t - knots[j]
-            c = packs[j]
-            val = ((c[0] * u + c[1]) * u + c[2]) * u + c[3]
-            d1 = ((c[4] * u + c[5]) * u + c[6]) * u + c[7]
-            d2 = ((c[8] * u + c[9]) * u + c[10]) * u + c[11]
+            c = segs[j]
+            u = t - c[2]
+            val = ((c[3] * u + c[4]) * u + c[5]) * u + c[6]
+            d1 = ((c[7] * u + c[8]) * u + c[9]) * u + c[10]
+            d2 = ((c[11] * u + c[12]) * u + c[13]) * u + c[14]
             return val, exp(d1), -exp(d2)
 
-        return eval3
+        return eval3, lambda: segs[seg]
 
     def eval3(self, p: float):
         """(phi, phi', phi'') at scalar power p; raises beyond the knot range."""
-        evaluate = self._evaluator
-        if evaluate is None:
-            evaluate = self._evaluator = self._build_evaluator()
-        return evaluate(p)
+        if self._evaluator is None:
+            self._evaluator = self._build_evaluator()
+        return self._evaluator[0](p)
+
+    def live_segment(self):
+        """The spline segment the last ``eval3`` used, as 15 floats.
+
+        (t_lo, t_hi, t0, a0..a3, b0..b3, c0..c3): for t = math.log1p(p) with
+        t_lo <= t < t_hi, ``eval3(p)`` is (A, exp(B), -exp(C)), where A, B and
+        C are the cubics ((x0 u + x1) u + x2) u + x3 at u = t - t0, evaluated
+        in that order.  A power outside the knot range, or at either end of
+        it, never has t in [t_lo, t_hi).  Before the first ``eval3`` the
+        segment is empty.
+        """
+        return _EMPTY_SEGMENT if self._evaluator is None else self._evaluator[1]()
 
 
 class ExactRateMoments:
@@ -313,6 +332,10 @@ class ExactRateMoments:
         n0p = self._n0 + p
         d1 = 1.0 / (2.0 * self._ln2 * n0p)
         return 0.5 * math.log1p(p / self._n0) / self._ln2, d1, -d1 / n0p
+
+    def live_segment(self):
+        """No table, so no segment: every query goes through ``eval3``."""
+        return _EMPTY_SEGMENT
 
 
 def phi_moments(state: SystemState, j: int, q_grid) -> PhiMoments:

@@ -72,6 +72,12 @@ class TestConfigParsing:
         pytest.param("theta_tol", 0.0, id="theta_tol"),
         pytest.param("max_outer", 0, id="max_outer"),
         pytest.param("ode_substeps", 0, id="ode_substeps"),
+        pytest.param("grid_n", 64.5, id="grid_n_fraction"),
+        pytest.param("max_outer", 3.5, id="max_outer_fraction"),
+        pytest.param("ode_substeps", 2.5, id="ode_substeps_fraction"),
+        pytest.param("k_values", (0.0, math.inf), id="k_values_inf"),
+        pytest.param("k_values", (-math.inf,), id="k_values_minus_inf"),
+        pytest.param("k_values", (math.nan,), id="k_values_nan"),
         pytest.param("init_policies", ("linear", "cubic"), id="init_policies"),
         pytest.param("horizon", 50.0, id="horizon_within_burn_in"),
         pytest.param("horizon", math.inf, id="horizon_inf"),
@@ -280,6 +286,15 @@ class TestLoadErrors:
         err = capsys.readouterr().err
         assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
         assert "grid_n" in err
+        assert not out.exists()
+
+    def test_non_finite_k_exits_at_load(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EHMAC_K_VALUES", "inf")
+        out = tmp_path / "out"
+        assert run(["solve", "--preset", "table2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
+        assert "k_values" in err
         assert not out.exists()
 
     def test_env_override_names_the_key(self, tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +23,27 @@ class TestSolverConfig:
             eh.SolverConfig(grid_n=32)
         with pytest.raises(UsageError):
             eh.SolverConfig(init_policy="cubic")
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("k_const", math.inf, id="k_inf"),
+        pytest.param("k_const", -math.inf, id="k_minus_inf"),
+        pytest.param("k_const", math.nan, id="k_nan"),
+        pytest.param("grid_n", 64.5, id="grid_n_fraction"),
+        pytest.param("grid_n", 128.0, id="grid_n_float"),
+        pytest.param("ode_substeps", 2.5, id="ode_substeps"),
+        pytest.param("max_outer", 3.0, id="max_outer"),
+    ])
+    def test_rejects_before_any_work(self, field, value):
+        # each of these once failed only inside a solve: a ZeroDivisionError,
+        # an E_RANGE, or a TypeError from linspace or range
+        with pytest.raises(DomainError) as err:
+            eh.SolverConfig(**{field: value})
+        assert err.value.field == field
+
+    def test_integral_fields_take_numpy_integers(self):
+        cfg = eh.SolverConfig(grid_n=np.int64(128), ode_substeps=np.int32(2),
+                              max_outer=np.int64(3), k_const=-1e300)
+        assert (cfg.grid_n, cfg.ode_substeps, cfg.max_outer) == (128, 2, 3)
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_divergence_tol_must_be_nonnegative(self, tol):

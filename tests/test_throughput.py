@@ -11,7 +11,9 @@ from scipy.interpolate import CubicSpline
 
 import ehmac as eh
 import ehmac.throughput as th
-from ehmac.errors import DomainError, MomentRangeError, UsageError
+from ehmac.errors import (DomainError, MomentRangeError, NonAdmissibleTrajectoryError,
+                          NumericOverflowError, UsageError)
+from ehmac.solver import _LOG_P_CAP, _SWITCH_FACTOR, _integrate
 
 
 def constant_node(level=2.0, lam=1.0, zeta=1.0, span=12.0, n=256):
@@ -518,6 +520,166 @@ class TestPhiEvaluator:
             with pytest.raises(MomentRangeError) as err:
                 phi.eval3(p)
             assert err.value.argument == p
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(moment_tables())
+    def test_live_segments_are_three_scipy_fits(self, phi):
+        # the RK4 kernel evaluates these coefficients inline, so they must be
+        # the three separate fits' bit for bit
+        assert all(map(math.isnan, phi.live_segment()))  # nothing evaluated yet
+        t = np.log1p(phi.q)
+        fits = [CubicSpline(t, y).c for y in
+                (phi.phi, np.log(phi.dphi), np.log(-phi.d2phi))]
+        q = phi.q.tolist()
+        for j in range(len(q) - 1):
+            mid = 0.5 * (q[j] + q[j + 1])
+            phi.eval3(mid)
+            seg = phi.live_segment()
+            assert seg[0] <= math.log1p(mid) < seg[1] and seg[2] == t[j]
+            assert list(seg[3:]) == [c for fit in fits for c in fit[:, j].tolist()]
+
+
+def _reference_integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
+                         substeps: int, p0plus: float) -> np.ndarray:
+    """The RK4 loop before it kept the live spline segment in locals: one
+    right-hand side and one ``eval3`` call per stage.  Kept verbatim as the
+    oracle of ``solver._integrate``."""
+    eval3 = phi.eval3
+    switch_hi = _SWITCH_FACTOR * max(1.0, lam / zeta, p0plus)
+    switch_lo = 0.5 * switch_hi
+    y_to_s = switch_hi * switch_hi
+    s_to_y = math.log(switch_lo)
+    xs = x.tolist()
+    pos = xs[0]
+    in_y = True
+
+    def rhs(state):
+        if in_y:
+            if state <= 0.0:
+                raise NonAdmissibleTrajectoryError(
+                    f"release rate driven to zero near level {pos:.6g}", where=pos)
+            p = math.sqrt(state)
+            val, d1, d2 = eval3(p)
+            return -2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / d2
+        if state > _LOG_P_CAP:
+            raise NumericOverflowError(
+                f"release rate exceeded the floating range near level {pos:.6g}",
+                where=pos)
+        p = math.exp(state)
+        val, d1, d2 = eval3(p)
+        return -((lam - zeta * p) * d1 + zeta * val + k_const) / (p * p * d2)
+
+    out = [p0plus]
+    state = p0plus * p0plus
+    for i in range(len(xs) - 1):
+        x0 = xs[i]
+        hsub = (xs[i + 1] - x0) / substeps
+        half = 0.5 * hsub
+        sixth = hsub / 6.0
+        for j in range(substeps):
+            pos = x0 + j * hsub
+            k1 = rhs(state)
+            k2 = rhs(state + half * k1)
+            k3 = rhs(state + half * k2)
+            k4 = rhs(state + hsub * k3)
+            state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if in_y:
+                if state <= 0.0:
+                    raise NonAdmissibleTrajectoryError(
+                        f"release rate driven to zero near level {pos:.6g}",
+                        where=pos)
+                if state > y_to_s:
+                    in_y = False
+                    state = 0.5 * math.log(state)
+            else:
+                if state > _LOG_P_CAP:
+                    raise NumericOverflowError(
+                        f"release rate exceeded the floating range near level "
+                        f"{pos:.6g}", where=pos)
+                if state < s_to_y:
+                    in_y = True
+                    state = math.exp(2.0 * state)
+        out.append(math.sqrt(state) if in_y else math.exp(state))
+    return np.array(out)
+
+
+def _outcome(integrate, *args):
+    """Every node as float.hex, or the error's type, message and location."""
+    try:
+        return [float(v).hex() for v in integrate(*args)]
+    except (MomentRangeError, NonAdmissibleTrajectoryError, NumericOverflowError) as err:
+        return (type(err), str(err), getattr(err, "where", None),
+                getattr(err, "argument", None))
+
+
+def _same_as_reference(phi, *args):
+    want = _outcome(_reference_integrate, phi, *args)
+    assert _outcome(_integrate, phi, *args) == want
+    return want
+
+
+class TestIntegratorOracle:
+    """The kernel's inline cubics give eval3's bits, and its errors."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(moment_tables(), st.floats(0.3, 3.0), st.floats(0.5, 2.0),
+           st.floats(-1.5, 1.0), st.floats(-4.0, 1.0), st.floats(0.2, 4.0),
+           st.integers(2, 40), st.integers(1, 4))
+    def test_tabulated_moments(self, phi, lam, zeta, k, log_p0, cap, n, substeps):
+        x = np.linspace(0.0, cap, n)
+        _same_as_reference(phi, lam, zeta, k, x, substeps, 10.0 ** log_p0)
+
+    # trajectories in y = p^2 only, handing over to log p, and overflowing
+    @example(1.0, 1.0, 1.0, -0.3, 0.05, 2.0, 129, 4)
+    @example(1.0, 1.0, 1.0, 0.0, 0.1, 5.5, 129, 4)
+    @example(1.0, 1.0, 1.0, 0.0, 0.1, 8.0, 129, 4)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.5, 2.0), st.floats(0.3, 3.0), st.floats(0.5, 2.0),
+           st.floats(-2.0, 2.0), st.floats(1e-4, 2.0), st.floats(0.2, 8.0),
+           st.integers(2, 130), st.integers(1, 4))
+    def test_exact_moments(self, n0, lam, zeta, k, p0, cap, n, substeps):
+        phi = eh.ExactRateMoments(eh.RateFunction(n0))
+        _same_as_reference(phi, lam, zeta, k, np.linspace(0.0, cap, n), substeps, p0)
+
+    @pytest.mark.parametrize("end", ["top", "bottom"])
+    def test_range_ends_are_exact(self, rf, end):
+        # knots where log1p is flat: one ulp beyond either end has the end's t
+        q = np.geomspace(1e5, 1e7, 40)
+        state = eh.SystemState(nodes=(constant_node(), constant_node()), rate=rf)
+        phi = eh.phi_moments(state, 0, q)
+        q = q.tolist()
+        edge, inner, k = (q[-1], q[-2], 20.0) if end == "top" else (q[0], q[1], -20.0)
+        beyond = math.nextafter(edge, math.copysign(math.inf, k))
+        assert math.log1p(beyond) == math.log1p(edge)
+        # the first stage queries inside the end segment, so that segment is
+        # live; the step is tuned so that the second stage queries the end
+        # knot itself, which evaluates, or one ulp beyond it, which raises
+        p0 = 0.5 * (edge + inner)
+        val, d1, d2 = phi.eval3(p0)
+        k1 = -2.0 * ((1.0 - p0) * d1 + val + k) / d2
+        queries = []
+
+        class Recorder:
+            def eval3(self, p):
+                queries.append(p)
+                return phi.eval3(p)
+
+        for target in (edge, beyond):
+            half = (target * target - p0 * p0) / k1
+            for _ in range(1000):
+                p = math.sqrt(p0 * p0 + half * k1)
+                if p == target:
+                    break
+                half = math.nextafter(half, math.copysign(math.inf, k1 * (target - p)))
+            x = np.array([0.0, 2.0 * half])
+            queries.clear()
+            _outcome(_reference_integrate, Recorder(), 1.0, 1.0, k, x, 1, p0)
+            assert queries[:2] == [p0, target]
+            got = _same_as_reference(phi, 1.0, 1.0, k, x, 1, p0)
+            if target == edge:
+                assert isinstance(got, list) or got[3] != edge
+            else:
+                assert got[0] is MomentRangeError and got[3] == beyond
 
 
 class TestCoordinateConcavity:
