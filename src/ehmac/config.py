@@ -109,9 +109,12 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported schema_version {self.schema_version}; "
                               f"this build reads version {SCHEMA_VERSION}",
                               field="schema_version")
+        finite = math.isfinite
         checks = [("node_count", self.node_count >= 1), ("workers", self.workers >= 1),
                   ("policy_level", self.policy_level >= 0.0),
-                  ("k_step", self.k_step > 0.0), ("k_max", self.k_max > self.k_min)]
+                  ("k_min", finite(self.k_min)), ("k_max", finite(self.k_max)),
+                  ("k_step", finite(self.k_step) and self.k_step > 0.0),
+                  ("k_coarse", finite(self.k_coarse)), ("k_max", self.k_max > self.k_min)]
         for name, ok in checks:
             if not ok:
                 raise ConfigError(f"invalid value for {name}: {getattr(self, name)!r}",

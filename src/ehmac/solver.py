@@ -500,10 +500,14 @@ def best_k_search(m: int, params: HarvestParams, rf: RateFunction,
     (k_best, utility_best, table) where table rows are (k, utility) for every
     solve attempted; failed solves score as -inf.
     """
+    if not (math.isfinite(k_min) and math.isfinite(k_max)):
+        raise DomainError("search interval must be finite")
     if not k_max > k_min:
         raise DomainError("empty search interval")
-    if step <= 0.0:
-        raise DomainError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise DomainError("step must be positive and finite")
+    if coarse_step is not None and not math.isfinite(coarse_step):
+        raise DomainError("coarse step must be finite")
 
     def evaluate(ks):
         rows = []

@@ -27,6 +27,11 @@ here the sums agree with ``math.fsum`` over the full tensor to about 5e-15
 relative.  The t nodes are walked in blocks that hold a bounded number of
 elements.  The rate functions of ``rates`` stay the scalar and array API;
 the sums do not call them.
+
+``PhiMoments`` hands the tabulated moments to the ODE as not-a-knot cubic
+splines in t = log1p(q).  ``_not_a_knot`` fits them on plain floats with
+the arithmetic of ``scipy.interpolate.CubicSpline``, to the bit, so the
+package needs numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .arrivals import HarvestParams
 from .errors import DomainError, MomentRangeError, UsageError
@@ -185,6 +189,70 @@ def sum_throughput(state: SystemState) -> float:
     return float(_tensor_sums(state.rate.n0, powers, weights, 0.0)[0, 0])
 
 
+def _not_a_knot(x, ys):
+    """Coefficients of the not-a-knot cubic spline through each row of ``ys``.
+
+    Bit for bit ``scipy.interpolate.CubicSpline(x, y).c`` for each row y, in
+    an array of shape (rows, 4, len(x) - 1).  The knot slopes solve scipy's
+    banded system by LAPACK dgtsv's elimination on plain floats, with its
+    rule for swapping adjacent rows; the elimination reads only the knots,
+    so one serves every row.  The coefficients are CubicHermiteSpline's.
+    Every operation rounds as theirs does, in the same order.
+    """
+    x = np.asarray(x, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if x.ndim != 1 or x.size < 4 or ys.ndim != 2 or ys.shape[1] != x.size:
+        raise DomainError("a spline fit needs at least 4 knots and one value per knot")
+    if not (np.isfinite(x).all() and np.isfinite(ys).all()):
+        raise DomainError("spline knots and values must be finite")
+    dx = np.diff(x)
+    if not (dx > 0.0).all():
+        raise DomainError("spline knots must be strictly increasing")
+    slope = np.diff(ys) / dx
+    e0, e1 = x[2] - x[0], x[-1] - x[-3]
+    rhs = np.empty_like(ys)
+    # dx[k] ** 2 is numpy's scalar pow, as in scipy: it differs from
+    # dx[k] * dx[k] in the last bit for about one value in a thousand
+    rhs[:, 0] = ((dx[0] + 2 * e0) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / e0
+    rhs[:, 1:-1] = 3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
+    rhs[:, -1] = (dx[-1] ** 2 * slope[:, -2] + (2 * e1 + dx[-1]) * dx[-2] * slope[:, -1]) / e1
+    # the tridiagonal system: diagonal d, super- and subdiagonals du and dl
+    d = [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])]
+    du = [float(e0)] + dx[:-1].tolist()
+    dl = dx[1:].tolist() + [float(e1)]
+    n = len(d)
+    fill = [0.0] * (n - 2)  # second superdiagonal, nonzero after a swap
+    rows = rhs.tolist()
+    for i in range(n - 1):
+        piv, low = d[i], dl[i]
+        if abs(piv) >= abs(low):
+            f = low / piv
+            d[i + 1] -= f * du[i]
+            for r in rows:
+                r[i + 1] -= f * r[i]
+        else:
+            f = piv / low
+            nxt = d[i + 1]
+            d[i], d[i + 1] = low, du[i] - f * nxt
+            if i < n - 2:
+                fill[i] = du[i + 1]
+                du[i + 1] = -f * fill[i]
+            du[i] = nxt
+            for r in rows:
+                r[i], r[i + 1] = r[i + 1], r[i] - f * r[i + 1]
+    if d[-1] == 0.0:
+        raise DomainError("singular spline system")
+    for r in rows:
+        x2 = r[-1] = r[-1] / d[-1]
+        x1 = r[-2] = (r[-2] - du[-1] * x2) / d[-2]
+        for i in range(n - 3, -1, -1):
+            x2, x1 = x1, (r[i] - du[i] * x1 - fill[i] * x2) / d[i]
+            r[i] = x1
+    s = np.array(rows)
+    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], ys[:, :-1]), axis=1)
+
+
 @dataclass
 class PhiMoments:
     """Tabulated coordinate moments of the rate under the other nodes' laws.
@@ -202,14 +270,26 @@ class PhiMoments:
                                        compare=False)
 
     def __post_init__(self):
+        # everything the spline fit of ``_build_evaluator`` needs, checked
+        # here so that a bad table fails where it is made, not mid-solve
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 1 or q.size < 4:
             raise DomainError("moment tabulation needs at least 4 scalar power knots")
-        if np.any(np.diff(q) <= 0.0):
-            raise DomainError("moment knots must be strictly increasing")
-        if np.any(np.diff(self.phi) <= 0.0):
+        moments = [np.asarray(m, dtype=float) for m in (self.phi, self.dphi, self.d2phi)]
+        if any(m.shape != q.shape for m in moments):
+            raise DomainError("moment tabulation needs one phi, phi' and phi'' per knot")
+        if not all(np.isfinite(a).all() for a in (q, *moments)):
+            raise DomainError("moment knots and values must be finite")
+        if np.any(q < 0.0):
+            raise DomainError("moment knots must be nonnegative powers")
+        if np.any(np.diff(np.log1p(q)) <= 0.0):
+            raise DomainError("moment knots must be strictly increasing in t = log1p(q)")
+        phi, dphi, d2phi = moments
+        if np.any(np.diff(phi) <= 0.0):
             raise DomainError("phi must be strictly increasing")
-        if np.any(np.asarray(self.d2phi) >= 0.0):
+        if np.any(dphi <= 0.0):
+            raise DomainError("phi' must be positive")
+        if np.any(d2phi >= 0.0):
             raise DomainError("phi must be strictly concave")
 
     @property
@@ -245,14 +325,13 @@ class PhiMoments:
         # Interpolation runs in t = log1p(q) so knots spanning many decades
         # stay well conditioned; derivative moments are interpolated through
         # their logarithms, which pins their signs and keeps relative accuracy
-        # where they decay over hundreds of orders of magnitude.  Each curve
-        # gets its own fit: a single fit of the three stacked gives other last
-        # bits on some tables.  The table is held as plain floats: the ODE
-        # evaluates it millions of times per solve, one scalar at a time.
+        # where they decay over hundreds of orders of magnitude.  The three
+        # curves share one elimination (``_not_a_knot``), and each gets the
+        # bits of its own scipy fit.  The table is held as plain floats: the
+        # ODE evaluates it millions of times per solve, one scalar at a time.
         t = np.log1p(self.q)
-        sp = [CubicSpline(t, y) for y in
-              (self.phi, np.log(self.dphi), np.log(-self.d2phi))]
-        packs = np.concatenate([s.c for s in sp]).T.tolist()
+        coefs = _not_a_knot(t, (self.phi, np.log(self.dphi), np.log(-self.d2phi)))
+        packs = coefs.reshape(-1, t.size - 1).T.tolist()
         knots = t.tolist()
         q_lo, q_hi = float(self.q[0]), float(self.q[-1])
         last = len(packs) - 1

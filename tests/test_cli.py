@@ -1,12 +1,17 @@
 import csv
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ehmac
 from ehmac import cli
 from ehmac.config import (ExperimentConfig, PRESETS, apply_env_overrides,
                           load_config, parse_config_text)
@@ -266,6 +271,23 @@ class TestSolveCommand:
         assert len(list(tmp_path.glob("scan_*"))) < len(caps) // 2
 
 
+def test_runtime_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: importing the package and solving
+    # one cell must not load it
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("schema_version = 1\ncapacities = 1.0\nk_values = 0\ngrid_n = 64\n",
+                   encoding="utf-8")
+    script = ("import sys, ehmac.cli\n"
+              f"code = ehmac.cli.main(['solve', '--config', {str(cfg)!r},"
+              f" '--out', {str(tmp_path / 'out')!r}])\n"
+              "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    src = str(Path(ehmac.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 []", done.stderr
+    assert (tmp_path / "out" / "summary.csv").exists()
+
+
 class TestFig3Preset:
     def test_three_initializer_files(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EHMAC_GRID_N", "128")
@@ -295,6 +317,19 @@ class TestLoadErrors:
         err = capsys.readouterr().err
         assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
         assert "k_values" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("K_STEP", "inf"), ("K_STEP", "nan"),
+                                            ("K_MIN", "-inf"), ("K_MAX", "inf"),
+                                            ("K_COARSE", "nan"), ("K_COARSE", "-inf")])
+    def test_non_finite_k_range_exits_at_load(self, tmp_path, capsys, monkeypatch,
+                                              key, value):
+        monkeypatch.setenv(f"EHMAC_{key}", value)
+        out = tmp_path / "out"
+        assert run(["solve", "--preset", "table2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
+        assert key.lower() in err
         assert not out.exists()
 
     def test_env_override_names_the_key(self, tmp_path, capsys, monkeypatch):

@@ -441,3 +441,12 @@ class TestBestKSearch:
     def test_bad_interval(self, rf):
         with pytest.raises(DomainError):
             eh.best_k_search(2, hp_of(1.0), rf, eh.SolverConfig(), 0.5, -0.5)
+
+    @pytest.mark.parametrize("bounds, steps", [
+        ((-math.inf, 0.0), (0.01, 0.05)), ((-1.0, math.inf), (0.01, 0.05)),
+        ((-1.0, 0.0), (math.inf, 0.05)), ((-1.0, 0.0), (math.nan, 0.05)),
+        ((-1.0, 0.0), (0.01, math.nan)), ((-1.0, 0.0), (0.01, math.inf))])
+    def test_non_finite_range_rejected(self, rf, bounds, steps):
+        with pytest.raises(DomainError, match="finite"):
+            eh.best_k_search(2, hp_of(1.0), rf, eh.SolverConfig(), *bounds,
+                             step=steps[0], coarse_step=steps[1])

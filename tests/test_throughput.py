@@ -208,6 +208,27 @@ class TestPhiMoments:
         with pytest.raises(UsageError):
             eh.phi_moments(state, 3, np.linspace(0.0, 5.0, 41))
 
+    @pytest.mark.parametrize("field, edit, match", [
+        # powers that differ in q but not in t = log1p(q)
+        ("q", lambda a: np.r_[a[:3], 1e17, 1e17 + 16, 1e17 + 32], "log1p"),
+        ("q", lambda a: np.r_[-0.5, a[1:]], "nonnegative"),
+        ("q", lambda a: np.r_[a[:5], math.inf], "finite"),
+        ("phi", lambda a: np.r_[a[:2], math.nan, a[3:]], "finite"),
+        ("dphi", lambda a: np.r_[a[:4], math.inf, a[5:]], "finite"),
+        ("d2phi", lambda a: np.r_[a[:1], -math.inf, a[2:]], "finite"),
+        ("dphi", lambda a: np.r_[a[:3], 0.0, a[4:]], "positive"),
+        ("d2phi", lambda a: np.r_[a[:5], 0.0], "concave"),
+        ("dphi", lambda a: a[:5], "per knot"),
+    ])
+    def test_degenerate_table_rejected(self, field, edit, match):
+        q = np.arange(6.0)
+        table = {"q": q, "phi": np.log1p(q), "dphi": 1.0 / (1.0 + q),
+                 "d2phi": -1.0 / (1.0 + q) ** 2}
+        eh.PhiMoments(**table).eval3(2.5)
+        table[field] = edit(table[field])
+        with pytest.raises(DomainError, match=match):
+            eh.PhiMoments(**table)
+
     def test_three_node_moments_analytic(self, rf):
         # two identical constant others: binomial mixture of shifted rates;
         # exercises the product of two transforms
@@ -537,6 +558,77 @@ class TestPhiEvaluator:
             seg = phi.live_segment()
             assert seg[0] <= math.log1p(mid) < seg[1] and seg[2] == t[j]
             assert list(seg[3:]) == [c for fit in fits for c in fit[:, j].tolist()]
+
+
+def _spline_table(x):
+    x = np.array(x)
+    return x, np.array([np.sin(x), np.exp(-x), np.square(x)])
+
+
+# knots whose last dgtsv elimination step swaps rows (see
+# test_examples_swap_rows_in_the_last_step)
+_LAST_STEP_SWAPS = [_spline_table(x) for x in (
+    [0.0, 1.0, 2.0, 12.0], [0.0, 1.0, 2.0, 3.0, 4.0, 14.0],
+    np.log1p([0.0, 0.6, 1.2, 1.8, 2.4, 3.0, 100.0]))]
+
+
+@st.composite
+def spline_tables(draw):
+    """Strictly increasing knots with gaps over six decades, three value rows."""
+    n = draw(st.integers(4, 40))
+    gaps = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 2.0), min_size=n - 1,
+                                          max_size=n - 1)))
+    x = draw(st.floats(-50.0, 50.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    values = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+    return x, np.array([draw(values) for _ in range(3)])
+
+
+class TestSplineFit:
+    """The in-house not-a-knot fit against scipy's CubicSpline, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @example(_LAST_STEP_SWAPS[0])
+    @example(_LAST_STEP_SWAPS[1])
+    @example(_LAST_STEP_SWAPS[2])
+    @given(spline_tables())
+    def test_matches_scipy_bit_for_bit(self, table):
+        x, ys = table
+        got = th._not_a_knot(x, ys)
+        assert got.shape == (3, 4, x.size - 1)
+        for row, y in zip(got, ys):
+            want = CubicSpline(x, y).c
+            assert row.tobytes() == want.tobytes()
+
+    def test_examples_swap_rows_in_the_last_step(self):
+        # LAPACK's own dgtsv on scipy's not-a-knot system: after a swap in the
+        # last step, the next-to-last pivot is the last subdiagonal entry
+        from scipy.linalg import lapack
+        for x, _ in _LAST_STEP_SWAPS:
+            dx = np.diff(x)
+            diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
+            upper = np.concatenate(([x[2] - x[0]], dx[:-1]))
+            lower = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+            _, pivots, *_ = lapack.dgtsv(lower, diag, upper, np.zeros(x.size))
+            assert pivots[-2] == lower[-1]
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 1.0, math.nan, 3.0], [0.0, 1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0, math.inf], [0.0, 1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, math.inf, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, math.nan, 3.0]),
+        ([0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]),
+        ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0]),
+    ])
+    def test_rejects_what_scipy_rejects(self, x, y):
+        with pytest.raises(ValueError):
+            CubicSpline(x, y)
+        with pytest.raises(DomainError):
+            th._not_a_knot(x, [y])
+
+    def test_needs_four_knots(self):
+        with pytest.raises(DomainError, match="4 knots"):
+            th._not_a_knot([0.0, 1.0, 2.0], [[0.0, 1.0, 0.0]])
 
 
 def _reference_integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
