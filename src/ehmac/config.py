@@ -14,7 +14,7 @@ from .arrivals import HarvestParams
 from .errors import ConfigError, DomainError, UsageError
 from .rates import RateFunction
 from .simulate import SimConfig
-from .solver import SolverConfig
+from .solver import SolverConfig, check_k_scan
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "EHMAC_"
@@ -47,7 +47,8 @@ def _parse_str_list(text: str):
 
 # the typed field a rejected value came from, where its config key differs
 _CONFIG_KEYS = {"capacity": "capacities", "p0plus": "p0plus_values",
-                "init_policy": "init_policies", "k_const": "k_values"}
+                "init_policy": "init_policies", "k_const": "k_values",
+                "step": "k_step", "coarse_step": "k_coarse"}
 
 
 @dataclass
@@ -109,17 +110,14 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported schema_version {self.schema_version}; "
                               f"this build reads version {SCHEMA_VERSION}",
                               field="schema_version")
-        finite = math.isfinite
         checks = [("node_count", self.node_count >= 1), ("workers", self.workers >= 1),
-                  ("policy_level", self.policy_level >= 0.0),
-                  ("k_min", finite(self.k_min)), ("k_max", finite(self.k_max)),
-                  ("k_step", finite(self.k_step) and self.k_step > 0.0),
-                  ("k_coarse", finite(self.k_coarse)), ("k_max", self.k_max > self.k_min)]
+                  ("policy_level", self.policy_level >= 0.0)]
         for name, ok in checks:
             if not ok:
                 raise ConfigError(f"invalid value for {name}: {getattr(self, name)!r}",
                                   field=name)
         try:
+            check_k_scan(self.k_min, self.k_max, self.k_step, self.k_coarse)
             self.rate_function()
             self.sim_config()
             # an empty list still has its shared fields checked

@@ -77,6 +77,7 @@ INIT_POLICIES = ("linear", "constant", "sqrt")
 _LOG_P_CAP = 0.5 * math.log(QMAX_CAP)  # log(p) ceiling before overflow abort
 _SWITCH_FACTOR = 1e3  # hand over from y = p^2 to log(p) at this multiple
 _MAX_LOG_STEP = 0.15  # el_residual skips nodes whose log p steps exceed this
+K_SCAN_CAP = 10_000  # solves a best-K scan may plan; a table2 scan plans 32 (runs 29)
 
 
 @dataclass(frozen=True)
@@ -490,6 +491,41 @@ def constant_policy_stats(params: HarvestParams, rho: float):
     return atom, mean_in, mean_in * rho
 
 
+def check_k_scan(k_min: float, k_max: float, step: float = 0.01,
+                 coarse_step: float | None = 0.05) -> int:
+    """Check a ``best_k_search`` range and return the solves it plans.
+
+    The count is the coarse grid's points plus those of a whole refined
+    bracket (a flat scan: the grid's points), each np.arange's length
+    ceil((stop - start) / step), taken without building the grid.  Raises
+    DomainError, naming the rejected argument, on a non-finite or empty
+    range, a bad step, or a plan above ``K_SCAN_CAP`` solves.
+    """
+    for name, value in (("k_min", k_min), ("k_max", k_max)):
+        if not math.isfinite(value):
+            raise DomainError("search interval must be finite", field=name)
+    if not k_max > k_min:
+        raise DomainError("empty search interval", field="k_max")
+    if not 0.0 < step < math.inf:
+        raise DomainError("step must be positive and finite", field="step")
+    if coarse_step is not None and not math.isfinite(coarse_step):
+        raise DomainError("coarse step must be finite", field="coarse_step")
+
+    def points(lo, hi, h):  # of np.arange(lo, hi + h / 2, h)
+        n = (hi + 0.5 * h - lo) / h
+        return math.ceil(n) if n < math.inf else math.inf
+
+    if coarse_step is None or coarse_step <= step:
+        count = points(k_min, k_max, step)
+    else:
+        count = (points(k_min, k_max, coarse_step)
+                 + points(0.0, min(k_max - k_min, 2.0 * coarse_step), step))
+    if count > K_SCAN_CAP:
+        raise DomainError(f"a scan of [{k_min:g}, {k_max:g}] plans {count:g} solves, "
+                          f"above the cap of {K_SCAN_CAP}", field="step")
+    return count
+
+
 def best_k_search(m: int, params: HarvestParams, rf: RateFunction,
                   config: SolverConfig, k_min: float, k_max: float,
                   step: float = 0.01, coarse_step: float | None = 0.05):
@@ -500,14 +536,7 @@ def best_k_search(m: int, params: HarvestParams, rf: RateFunction,
     (k_best, utility_best, table) where table rows are (k, utility) for every
     solve attempted; failed solves score as -inf.
     """
-    if not (math.isfinite(k_min) and math.isfinite(k_max)):
-        raise DomainError("search interval must be finite")
-    if not k_max > k_min:
-        raise DomainError("empty search interval")
-    if not 0.0 < step < math.inf:
-        raise DomainError("step must be positive and finite")
-    if coarse_step is not None and not math.isfinite(coarse_step):
-        raise DomainError("coarse step must be finite")
+    check_k_scan(k_min, k_max, step, coarse_step)
 
     def evaluate(ks):
         rows = []

@@ -20,11 +20,14 @@ units of the noise level n0, the rate and its derivatives are log1p(x),
 The nodes are independent, so the mean of e^(-tx) over their product law
 is the product of one transform per law, L_k(t) = sum_a w_a e^(-t p_a).  A
 sum over (n + 2)^(m - 1) points becomes m - 1 transforms on a few hundred t
-nodes, for any node count.  The trapezoid rule in ln t converges
-geometrically (L. N. Trefethen and J. A. C. Weideman, "The exponentially
-convergent trapezoidal rule", SIAM Review 56(3), 2014); at the step used
-here the sums agree with ``math.fsum`` over the full tensor to about 5e-15
-relative.  The t nodes are walked in blocks that hold a bounded number of
+nodes, for any node count.  Nodes that hold the same policy and measure
+objects, as all nodes of a tied (symmetric) state do, have one law: the
+kernel takes one transform per distinct law, applied in node order, so
+the sums round as with one transform per node.  The trapezoid rule in
+ln t converges geometrically (L. N. Trefethen and J. A. C. Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014); at
+the step used here the sums agree with ``math.fsum`` over the full tensor
+to about 5e-15 relative.  The t nodes are walked in blocks that hold a bounded number of
 elements.  The rate functions of ``rates`` stay the scalar and array API;
 the sums do not call them.
 
@@ -110,50 +113,64 @@ class SystemState:
 
 
 def _node_laws(state: SystemState, skip: int | None = None):
-    """Powers and weights of each node's law (but ``skip``'s) on its measure grid.
+    """Each distinct law of the nodes (but ``skip``) on its measure grid.
 
-    A node's powers are [0, p(x_0+), p(x_1), ...] and its weights [pi_0, node
-    weights...]: the atom is the zero-power point.
+    A law's powers are [0, p(x_0+), p(x_1), ...] and its weights [pi_0, node
+    weights...]: the atom is the zero-power point.  Nodes that hold the same
+    policy and measure objects, as every node of a tied state does, share
+    one law.  Returns the laws' powers and weights and, per node in node
+    order, the index of its law.
     """
-    powers, weights = [], []
+    powers, weights, order, seen = [], [], [], {}
     for k, nd in enumerate(state.nodes):
         if k != skip:
-            meas = nd.measure
-            powers.append(np.concatenate(([0.0], nd.policy.density_side_on(meas.grid))))
-            weights.append(np.concatenate(([meas.atom], meas.node_weights())))
-    return powers, weights
+            key = (id(nd.policy), id(nd.measure))
+            if key not in seen:
+                seen[key] = len(powers)
+                meas = nd.measure
+                powers.append(np.concatenate(([0.0], nd.policy.density_side_on(meas.grid))))
+                weights.append(np.concatenate(([meas.atom], meas.node_weights())))
+            order.append(seen[key])
+    return powers, weights, order
 
 
-def _tensor_sums(n0, powers, weights, base, moments=False):
+def _tensor_sums(n0, powers, weights, base, moments=False, order=None):
     """Sum of r(base + sum powers) * prod weights, and of r' and r'' with ``moments``.
 
-    ``base`` is a scalar or a 1-d array of scalar power offsets; each sum has
-    one entry per offset, and the sums come as the rows of one array.  Each
-    sum is one of the Laplace integrals of the module docstring, over
-    u = ln t by the trapezoid rule, with E e^(-tx) = e^(-tq) prod_k L_k(t)
-    for q = base / n0.  Each law is normalized by its mass; the masses'
-    product and the constants 0.5 / ln 2, 0.5 / (ln 2 n0) and
-    -0.5 / (ln 2 n0^2) multiply the finished sums.  The rate sum never
-    cancels: D_k = L_k - 1 = sum_a w_a expm1(-t p_a) <= 0 is accumulated as
+    ``powers`` and ``weights`` give the distinct laws and ``order`` the law
+    of each node, in node order (by default one node per law).  ``base`` is
+    a scalar or a 1-d array of scalar power offsets; each sum has one entry
+    per offset, and the sums come as the rows of one array.  Each sum is one
+    of the Laplace integrals of the module docstring, over u = ln t by the
+    trapezoid rule, with E e^(-tx) = e^(-tq) prod_k L_k(t) for q = base / n0.
+    Each law is normalized by its mass; the nodes' masses' product and the
+    constants 0.5 / ln 2, 0.5 / (ln 2 n0) and -0.5 / (ln 2 n0^2) multiply
+    the finished sums.  The rate sum never cancels: D_k = L_k - 1 =
+    sum_a w_a expm1(-t p_a) <= 0 is accumulated as
     delta <- delta (1 + D_k) + D_k, so that delta = prod_k L_k - 1, and
     1 - E e^(-tx) = -(delta + (1 + delta) expm1(-tq)).  The derivative sums
-    take the plain product of the L_k, whose terms are all positive.  The t
-    nodes are walked in blocks of at most ``_BLOCK`` elements per law.  A
-    total power below the smallest normal float (2.2e-308 n0) makes t x
-    subnormal, and its rate sum is then accurate only to a few subnormal
-    units, not relatively.
+    take the plain product of the L_k, whose terms are all positive.  Each
+    law's transforms are taken once per block of t nodes and applied once
+    per node, in node order, so the sums round as they would with one law
+    per node.  The t nodes are walked in blocks of at most ``_BLOCK``
+    elements per law.  A total power below the smallest normal float
+    (2.2e-308 n0) makes t x subnormal, and its rate sum is then accurate
+    only to a few subnormal units, not relatively.
     """
+    if order is None:
+        order = range(len(powers))
     base = np.atleast_1d(np.asarray(base, dtype=float)) / n0
     powers = [np.asarray(p, dtype=float) / n0 for p in powers]
     if not all(((0.0 <= a) & (a < np.inf)).all() for a in [base, *powers]):
         raise DomainError("total power must be finite and nonnegative")
     sums = np.zeros((3 if moments else 1, base.size))
-    masses = [float(np.sum(w)) for w in weights]
+    law_masses = [float(np.sum(w)) for w in weights]
+    masses = [law_masses[i] for i in order]
     if not all(masses):
         return sums
     laws = [(p, np.asarray(w, dtype=float) / mass)
-            for p, w, mass in zip(powers, weights, masses)]
-    x_max = float(base.max(initial=0.0)) + sum(float(p.max()) for p in powers)
+            for p, w, mass in zip(powers, weights, law_masses)]
+    x_max = float(base.max(initial=0.0)) + sum(float(powers[i].max()) for i in order)
     count = math.ceil(math.log(_T_TOP * max(x_max, 1.0) / _T_FLOOR) / _H) + 1
     width = max([base.size] + [p.size for p in powers])
     step = max(1, _BLOCK // width)
@@ -161,11 +178,15 @@ def _tensor_sums(n0, powers, weights, base, moments=False):
         t = _T_TOP * np.exp(-_H * np.arange(lo, min(lo + step, count)))
         delta = np.zeros(t.size)
         prod = np.ones(t.size)
+        transforms = []
         for p, w in laws:
             args = np.multiply.outer(t, -p)
+            e = np.exp(args) @ w if moments else None
+            transforms.append((e, np.expm1(args, out=args) @ w))
+        for i in order:
+            e, d = transforms[i]
             if moments:
-                prod *= np.exp(args) @ w
-            d = np.expm1(args, out=args) @ w
+                prod *= e
             delta = delta * (1.0 + d) + d
         c = _H * np.exp(-t)
         args = np.multiply.outer(-t, base)
@@ -183,10 +204,11 @@ def _tensor_sums(n0, powers, weights, base, moments=False):
 def sum_throughput(state: SystemState) -> float:
     """Mean of r(total transmitted power) under the product stationary law.
 
-    One transform per node's law, for any node count.
+    One transform per distinct law, applied in node order, for any node
+    count: the nodes of a tied state share one.
     """
-    powers, weights = _node_laws(state)
-    return float(_tensor_sums(state.rate.n0, powers, weights, 0.0)[0, 0])
+    powers, weights, order = _node_laws(state)
+    return float(_tensor_sums(state.rate.n0, powers, weights, 0.0, order=order)[0, 0])
 
 
 def _not_a_knot(x, ys):
@@ -427,11 +449,11 @@ def phi_moments(state: SystemState, j: int, q_grid) -> PhiMoments:
     if not 0 <= j < m:
         raise UsageError(f"node index {j} out of range for {m} nodes")
     q = np.unique(np.asarray(q_grid, dtype=float))
-    powers, weights = _node_laws(state, skip=j)
+    powers, weights, order = _node_laws(state, skip=j)
     n0 = state.rate.n0
 
     def tabulate(knots):
-        return _tensor_sums(n0, powers, weights, knots, moments=True)
+        return _tensor_sums(n0, powers, weights, knots, moments=True, order=order)
 
     phi, dphi, d2phi = tabulate(q)
     return PhiMoments(q=q, phi=phi, dphi=dphi, d2phi=d2phi, provider=tabulate)

@@ -31,6 +31,10 @@ def _failing_cell(args):
     raise NonAdmissibleTrajectoryError("release rate reached zero")
 
 
+def _no_scan(*args, **kwargs):
+    raise AssertionError("a best-K scan started")
+
+
 def _slow_scan(marks, args):
     cfg, cap = args
     time.sleep(0.3)
@@ -331,6 +335,21 @@ class TestLoadErrors:
         assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
         assert key.lower() in err
         assert not out.exists()
+
+    def test_long_k_scan_exits_at_load(self, tmp_path, capsys, monkeypatch):
+        # 2e13 planned solves; rejected by the load, before --out or any scan
+        monkeypatch.setattr(cli, "best_k_search", _no_scan)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 1.0\nk_values = 0\n"
+                       "grid_n = 64\nbest_k = true\nk_min = -1e12\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
+        assert "k_step" in err and "cap" in err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="k_step"):
+            ExperimentConfig(k_min=-1e12).validate()
 
     def test_env_override_names_the_key(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EHMAC_THETA_TOL", "-1")

@@ -1,10 +1,12 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import ehmac as eh
+import ehmac.solver as solver
 from ehmac.errors import (DomainError, NonAdmissibleTrajectoryError,
                           SolverDivergenceError, UsageError)
 
@@ -441,6 +443,38 @@ class TestBestKSearch:
     def test_bad_interval(self, rf):
         with pytest.raises(DomainError):
             eh.best_k_search(2, hp_of(1.0), rf, eh.SolverConfig(), 0.5, -0.5)
+
+    def test_long_scan_rejected_before_any_grid(self):
+        # 2e13 planned solves: the coarse np.arange alone would need 146 TiB
+        with mock.patch.object(np, "arange", side_effect=AssertionError("grid built")), \
+                mock.patch.object(solver, "solve_symmetric_mac",
+                                  side_effect=AssertionError("solve started")):
+            with pytest.raises(DomainError, match="cap") as err:
+                eh.best_k_search(2, eh.HarvestParams(1, 1, 1), eh.RateFunction(1),
+                                 eh.SolverConfig(grid_n=64), -1e12, 0.0)
+        assert err.value.field == "step"
+
+    @pytest.mark.parametrize("k_min, k_max, step, coarse", [
+        (-1.0, 0.0, 0.01, 0.05), (-0.6, -0.2, 0.02, 0.1), (-0.2, 0.0, 0.1, None),
+        (-3.0, 0.5, 0.07, 0.01), (0.0, 99.9, 0.01, None)])
+    def test_planned_solves_are_the_grid_lengths(self, k_min, k_max, step, coarse):
+        # the coarse grid plus a whole refined bracket: an upper bound on
+        # the solves, since the refinement skips K values already solved
+        if coarse is None or coarse <= step:
+            want = len(np.arange(k_min, k_max + 0.5 * step, step))
+        else:
+            span = min(k_max - k_min, 2 * coarse)
+            want = (len(np.arange(k_min, k_max + 0.5 * coarse, coarse))
+                    + len(np.arange(0.0, span + 0.5 * step, step)))
+        assert solver.check_k_scan(k_min, k_max, step, coarse) == want
+
+    def test_scan_cap(self):
+        assert solver.K_SCAN_CAP == 10_000
+        assert solver.check_k_scan(0.0, 0.9999, 1e-4, None) == 10_000
+        with pytest.raises(DomainError, match="10001 solves"):
+            solver.check_k_scan(0.0, 1.0, 1e-4, None)
+        with pytest.raises(DomainError, match="inf solves"):
+            solver.check_k_scan(-1e308, 1e308, 1e-300, None)
 
     @pytest.mark.parametrize("bounds, steps", [
         ((-math.inf, 0.0), (0.01, 0.05)), ((-1.0, math.inf), (0.01, 0.05)),

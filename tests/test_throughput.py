@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import tracemalloc
@@ -334,6 +335,19 @@ class TestMomentOracle:
          sloped_node(1.5, 1.0, 2.5, lambda x: 1.0 + 0.2 * x * x, 36)),
     ], ids=["two_nodes", "three_asymmetric", "five_asymmetric"])
     def test_throughput_is_mean_moment_of_every_node(self, rf, nodes):
+        self.check_every_node(rf, nodes)
+
+    # tied states share one law among their nodes (see ``_node_laws``)
+    @pytest.mark.parametrize("pattern", ["AA", "AAA", "AAAAA", "AAB", "ABA", "ABAAB"])
+    def test_shared_laws(self, rf, pattern):
+        laws = {"A": sloped_node(1.0, 1.0, 1.5, lambda x: 0.3 + 0.9 * x, 40),
+                "B": sloped_node(0.7, 1.3, 2.0, lambda x: 0.2 + 0.5 * x, 32)}
+        nodes = tuple(laws[c] for c in pattern)
+        state = eh.SystemState(nodes=nodes, rate=rf)
+        assert len(th._node_laws(state)[0]) == len(set(pattern))
+        self.check_every_node(rf, nodes)
+
+    def check_every_node(self, rf, nodes):
         state = eh.SystemState(nodes=nodes, rate=rf)
         total = eh.sum_throughput(state)
         for j in range(len(nodes)):
@@ -403,6 +417,60 @@ class TestFoldedLawOracle:
             want = np.array([brute_force_means(FUNCS, others, q) for q in knots])
             got = np.column_stack([phi.phi, phi.dphi, phi.d2phi])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def law_spec():
+    """(lam, zeta, capacity, p(0+), slope, grid intervals) of a sloped node."""
+    return st.tuples(st.floats(0.5, 1.5), st.floats(0.7, 1.3), st.floats(1.0, 3.0),
+                     st.floats(0.1, 1.0), st.floats(0.0, 1.0), st.integers(6, 40))
+
+
+@st.composite
+def shared_patterns(draw):
+    """Up to three law specs and, for one to five nodes, the law of each node,
+    each law first used in law order."""
+    pattern = []
+    for _ in range(draw(st.integers(1, 5))):
+        pattern.append(draw(st.integers(0, min(max(pattern, default=-1) + 1, 2))))
+    return [draw(law_spec()) for _ in range(max(pattern) + 1)], pattern
+
+
+SPEC_A, SPEC_B = (1.0, 1.0, 1.5, 0.3, 0.9, 40), (0.7, 1.3, 2.0, 0.2, 0.5, 32)
+
+
+class TestSharedLaws:
+    """Nodes holding one policy and one measure share one law's transforms,
+    which round exactly as the same laws held by each node apart."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(shared_patterns())
+    @example(([SPEC_A], [0, 0]))
+    @example(([SPEC_A, SPEC_B], [0, 0, 1]))
+    @example(([SPEC_A, SPEC_B], [0, 1, 0]))
+    # grouping the repeated laws (A, A, B, B) rounds differently here
+    @example(([SPEC_A, SPEC_B], [0, 1, 0, 1]))
+    @example(([SPEC_A], [0] * 5))
+    def test_shared_equals_copies(self, case):
+        specs, pattern = case
+        laws = [sloped_node(lam, zeta, cap, lambda x, a=a, b=b: a + b * x, n)
+                for lam, zeta, cap, a, b, n in specs]
+        shared = eh.SystemState(nodes=tuple(laws[i] for i in pattern), rate=RF)
+        copies = eh.SystemState(nodes=tuple(copy.deepcopy(laws[i]) for i in pattern),
+                                rate=RF)
+        m = len(pattern)
+        assert th._node_laws(shared)[2] == pattern
+        assert th._node_laws(copies)[2] == list(range(m))
+        assert eh.sum_throughput(shared) == eh.sum_throughput(copies)
+        knots = np.linspace(0.0, 4.0, 9)
+        for j in range(m):
+            others = [i for k, i in enumerate(pattern) if k != j]
+            # the laws are numbered in order of first use
+            assert th._node_laws(shared, skip=j)[2] == [sorted(set(others), key=others.index)
+                                                         .index(i) for i in others]
+            got, want = (eh.phi_moments(state, j, knots).extended(300.0)
+                         for state in (shared, copies))
+            for name in ("q", "phi", "dphi", "d2phi"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (j, name)
 
 
 @st.composite
