@@ -29,7 +29,9 @@ steeply falling cell and loses digits.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -45,11 +47,23 @@ SPAN_TOL = 1e-9
 
 
 def uniform_grid(capacity: float, n: int) -> np.ndarray:
+    """The n + 1 levels 0, L/n, ..., L, as one shared read-only array.
+
+    Every call with the same (capacity, n) returns the same array object, so
+    the policies and measures of one battery hold one grid between them.
+    """
     if not capacity > 0.0 or not math.isfinite(capacity):
         raise DomainError(f"grid span must be positive and finite, got {capacity}")
     if n < 1:
         raise DomainError(f"grid needs at least one cell, got n={n}")
-    return np.linspace(0.0, capacity, n + 1)
+    return _shared_grid(float(capacity), operator.index(n))
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_grid(capacity: float, n: int) -> np.ndarray:
+    x = np.linspace(0.0, capacity, n + 1)
+    x.setflags(write=False)
+    return x
 
 
 def grid_spacing(x: np.ndarray) -> float:

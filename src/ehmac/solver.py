@@ -41,10 +41,19 @@ statistically identical nodes and updates it once per sweep, which is the
 fixed-point iteration.  Both hold (p(0+), K) fixed unless ``optimize_start``
 is set, and stop when the relative utility improvement drops below
 ``theta_tol`` (the smallest of the per-node values).
+
+Both begin from the same start: the initial policies, their closed-form
+measures, the utility of that state and node 0's first moment table,
+tabulated against it.  None of it depends on K, so K is not in the start's
+key (the nodes, the rate curve and each free node's grid size, p(0+) and
+initial policy); the start is built once per distinct key and shared, with
+read-only arrays, by consecutive solves at that key, such as the solves of
+a best-K scan.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -166,23 +175,17 @@ class SolveReport:
             fh.write("trace = " + ", ".join(repr(u) for u in self.utilities) + "\n")
 
 
-def _init_policy_values(config: SolverConfig, x: np.ndarray) -> np.ndarray:
-    p0 = config.p0plus
-    if config.init_policy == "linear":
-        vals = x + p0
-    elif config.init_policy == "constant":
-        vals = np.full_like(x, p0)
+def initial_policy(capacity: float, grid_n: int, p0plus: float,
+                   init_policy: str) -> PolicyGrid:
+    x = uniform_grid(capacity, grid_n)
+    if init_policy == "linear":
+        vals = x + p0plus
+    elif init_policy == "constant":
+        vals = np.full_like(x, p0plus)
     else:
-        vals = p0 + np.sqrt(x)
-    vals = vals.copy()
+        vals = p0plus + np.sqrt(x)
     vals[0] = 0.0
-    return vals
-
-
-def initial_policy(config: SolverConfig, capacity: float) -> PolicyGrid:
-    x = uniform_grid(capacity, config.grid_n)
-    return PolicyGrid(grid=x, values=_init_policy_values(config, x),
-                      p0plus=config.p0plus)
+    return PolicyGrid(grid=x, values=vals, p0plus=p0plus)
 
 
 def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
@@ -311,10 +314,10 @@ def el_ode_solve(phi, params: HarvestParams, config: SolverConfig,
     return PolicyGrid(grid=x, values=full, p0plus=config.p0plus)
 
 
-def _moment_knots(params: HarvestParams, rf: RateFunction, config: SolverConfig,
+def _moment_knots(params: HarvestParams, rf: RateFunction, p0plus: float,
                   p_hint: float) -> np.ndarray:
     """Power knots: dense where the rate curves, geometric into the tail."""
-    qc = max(4.0 * (params.mean_input_rate + rf.n0), 8.0 * config.p0plus, 2.0)
+    qc = max(4.0 * (params.mean_input_rate + rf.n0), 8.0 * p0plus, 2.0)
     lin = np.linspace(0.0, qc, 81)
     qmax = min(max(50.0, 4.0 * p_hint, 2.0 * qc), QMAX_CAP)
     n_geo = max(24, int(np.ceil(np.log(qmax / qc) / np.log(1.12))))
@@ -332,6 +335,44 @@ def _start_candidates(config: SolverConfig):
     return [(p0, k) for p0 in p0s for k in ks]
 
 
+def _system_state(nodes, rf: RateFunction, policies, measures) -> SystemState:
+    """Node k runs free policy k % len(policies) and holds its measure."""
+    free = len(policies)
+    return SystemState(nodes=tuple(
+        (hp, policies[k % free], measures[k % free]) for k, hp in enumerate(nodes)),
+        rate=rf)
+
+
+@functools.lru_cache(maxsize=1)
+def _start(nodes: tuple, rf: RateFunction, starts: tuple):
+    """The start of a coordinate ascent, which does not depend on K.
+
+    ``starts`` holds each free node's (grid_n, p(0+), init_policy): one
+    entry for a tied ascent, one per node otherwise.  Returns the initial
+    policies, their closed-form measures, the utility of that state, and
+    node 0's sweep-1 moments, tabulated against the state (a lone node's
+    exact moments).  The arguments are the whole key, so the start is built
+    once per distinct key and the last one is kept.  Its arrays are
+    read-only, so no caller can change a later solve; the moments keep only
+    a segment hint, which no result depends on.
+    """
+    policies = tuple(initial_policy(hp.capacity, *start) for hp, start in zip(nodes, starts))
+    measures = tuple(measure_closed_form(pol, hp) for pol, hp in zip(policies, nodes))
+    state = _system_state(nodes, rf, policies, measures)
+    utility = sum_throughput(state)
+    frozen = [arr for pol, meas in zip(policies, measures)
+              for arr in (pol.values, meas.density, meas.cell_masses)]
+    if len(nodes) == 1:
+        phi = ExactRateMoments(rf)
+    else:
+        knots = _moment_knots(nodes[0], rf, starts[0][1], float(np.max(policies[0].values)))
+        phi = phi_moments(state, 0, knots)
+        frozen += [phi.q, phi.phi, phi.dphi, phi.d2phi]
+    for arr in frozen:
+        arr.setflags(write=False)
+    return policies, measures, utility, phi
+
+
 def _ascend(nodes, rf: RateFunction, configs, tied: bool,
             keep_history: bool = False) -> SolveReport:
     """Coordinate ascent on the necessary-condition ODE.
@@ -343,6 +384,11 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
     the current state, integrates the ODE and refreshes the measure.  With
     ``optimize_start`` the update also grid-searches (p(0+), K) and keeps the
     best candidate, never doing worse than the incumbent policy.
+
+    The initial policies and measures, the initial utility and node 0's
+    sweep-1 moments come from ``_start``, whose key leaves K out: a run of
+    solves that differ only in K (or in the stopping settings) builds them
+    once.  Everything after them is computed per solve.
     """
     m = len(nodes)
     if m < 1:
@@ -350,16 +396,13 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
     if any(hp.is_infinite for hp in nodes):
         raise UsageError("coordinate ascent needs finite batteries")
     free = 1 if tied else m  # node k runs policy k % free
-    policies = [initial_policy(cfg, hp.capacity)
-                for hp, cfg in zip(nodes[:free], configs)]
-    measures = [measure_closed_form(pol, hp) for pol, hp in zip(policies, nodes)]
+    starts = tuple((cfg.grid_n, cfg.p0plus, cfg.init_policy) for cfg in configs[:free])
+    policies, measures, utility, start_phi = _start(tuple(nodes), rf, starts)
+    policies, measures = list(policies), list(measures)
 
     def state_of():
-        return SystemState(nodes=tuple(
-            (hp, policies[k % free], measures[k % free]) for k, hp in enumerate(nodes)),
-            rate=rf)
+        return _system_state(nodes, rf, policies, measures)
 
-    utility = sum_throughput(state_of())
     utilities = [utility]
     history = list(policies) if keep_history else []
     termination = "max_outer"
@@ -369,10 +412,10 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
     for sweep in range(1, max_outer + 1):
         for j in range(free):
             cfg = configs[j]
-            if m == 1:
-                phi = ExactRateMoments(rf)
+            if j == 0 and (sweep == 1 or m == 1):
+                phi = start_phi  # a lone node's exact moments never change
             else:
-                knots = _moment_knots(nodes[j], rf, cfg,
+                knots = _moment_knots(nodes[j], rf, cfg.p0plus,
                                       float(np.max(policies[j].values)))
                 phi = phi_moments(state_of(), j, knots)
             best = None

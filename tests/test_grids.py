@@ -94,3 +94,20 @@ class TestGridSpacing:
         assert np.allclose(np.diff(x), h, rtol=1e-9, atol=1e-12)
         with pytest.raises(DomainError, match="uniform"):
             grid_spacing(x)
+
+
+class TestUniformGrid:
+    def test_one_shared_read_only_array(self):
+        x = uniform_grid(2.0, 64)
+        assert uniform_grid(np.float64(2.0), np.int64(64)) is x
+        assert uniform_grid(2.0, 65) is not x
+        np.testing.assert_array_equal(x, np.linspace(0.0, 2.0, 65))
+        with pytest.raises(ValueError):
+            x[1] = 0.5
+        policy = eh.constant_policy(1.0, 2.0, 64)
+        assert policy.grid is x
+
+    @pytest.mark.parametrize("capacity, n", [(0.0, 8), (np.inf, 8), (1.0, 0)])
+    def test_bad_span_or_count_rejected(self, capacity, n):
+        with pytest.raises(DomainError):
+            uniform_grid(capacity, n)

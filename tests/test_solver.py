@@ -7,7 +7,7 @@ import pytest
 
 import ehmac as eh
 import ehmac.solver as solver
-from ehmac.errors import (DomainError, NonAdmissibleTrajectoryError,
+from ehmac.errors import (DomainError, EhmacError, NonAdmissibleTrajectoryError,
                           SolverDivergenceError, UsageError)
 
 
@@ -484,3 +484,111 @@ class TestBestKSearch:
         with pytest.raises(DomainError, match="finite"):
             eh.best_k_search(2, hp_of(1.0), rf, eh.SolverConfig(), *bounds,
                              step=steps[0], coarse_step=steps[1])
+
+
+def _report_digest(solve):
+    """Everything a solve reports, floats by ``float.hex``; or its error type."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = solve()
+    except EhmacError as err:  # the error type is part of the output
+        return type(err).__name__
+
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    return (hexes(rep.utilities), rep.sweeps, rep.termination,
+            [hexes(pol.values) for pol in rep.policies],
+            [hexes([meas.atom, *meas.density]) for meas in rep.measures],
+            [hexes(pol.values) for pol in rep.policy_history])
+
+
+def _sym_history(rf, k):
+    return eh.solve_symmetric_mac(2, hp_of(2.0), rf, _pin_cfg(k_const=k, p0plus=0.001),
+                                  keep_history=True)
+
+
+def _gs_optimize_start(rf, k):
+    """The ``gs_optimize_start`` pin's solve with the constant set to k."""
+    return eh.solve_mac_gauss_seidel(
+        [hp_of(2.0), hp_of(2.0)], rf,
+        _pin_cfg(k_const=k, grid_n=128, theta_tol=1e-3, max_outer=4, init_policy="constant",
+                 divergence_tol=0.05, optimize_start=True,
+                 p0plus_candidates=(0.005, 0.05), k_candidates=(-0.4, -0.2, 0.0)))
+
+
+def _gs_three_nodes(rf, k):
+    nodes = [hp_of(1.0), hp_of(1.7, lam=1.5), hp_of(2.5, zeta=1.5)]
+    return eh.solve_mac_gauss_seidel(nodes, rf, _pin_cfg(k_const=k, grid_n=128,
+                                                         theta_tol=1e-3))
+
+
+# One capacity's K list per case; the symmetric one meets both error types.
+SHARED_START_CASES = {
+    "sym_history": (_sym_history, (0.5, 0.0, -0.5, -0.7, -0.8)),
+    "gs_optimize_start": (_gs_optimize_start, (0.0, -0.2, 0.3)),
+    "gs_three_nodes": (_gs_three_nodes, (0.0, -0.3, -0.5)),
+}
+
+
+class TestSharedStart:
+    """The start a K list shares changes no output of any of its solves."""
+
+    @pytest.mark.parametrize("case", sorted(SHARED_START_CASES))
+    def test_cold_and_warm_starts_agree(self, case, rf):
+        solve_at, ks = SHARED_START_CASES[case]
+        solves = [lambda k=k: solve_at(rf, k) for k in ks]
+        cold = []
+        for solve in solves:
+            solver._start.cache_clear()
+            cold.append(_report_digest(solve))
+        solver._start.cache_clear()
+        warm = [_report_digest(solve) for solve in reversed(solves)][::-1]
+        assert solver._start.cache_info().hits == len(solves) - 1
+        assert warm == cold
+
+    def test_scan_tabulates_the_start_once(self, rf):
+        # 29 solves that differ only in K: every sweep of every solve
+        # tabulates the moments once, except sweep 1 of the 28 that share
+        # the first solve's start
+        reports, calls = [], []
+        solve, tabulate = solver.solve_symmetric_mac, solver.phi_moments
+
+        def keep(*args, **kwargs):
+            reports.append(solve(*args, **kwargs))
+            return reports[-1]
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return tabulate(*args, **kwargs)
+
+        cfg = eh.SolverConfig(p0plus=0.001, grid_n=128)
+        solver._start.cache_clear()
+        with mock.patch.object(solver, "solve_symmetric_mac", keep), \
+                mock.patch.object(solver, "phi_moments", count):
+            _, _, table = eh.best_k_search(2, hp_of(1.0), rf, cfg, -0.7, 0.0,
+                                           step=0.025, coarse_step=None)
+        assert len(table) == len(reports) == 29
+        assert len(calls) == sum(rep.sweeps for rep in reports) - 28
+
+    def test_shared_arrays_are_read_only(self, rf):
+        hp = hp_of(1.0)
+        cfg = _pin_cfg(grid_n=128, max_outer=3)
+
+        def run():
+            return eh.solve_symmetric_mac(2, hp, rf, cfg, keep_history=True)
+
+        solver._start.cache_clear()
+        first = run()
+        policies, measures, _, phi = solver._start((hp, hp), rf, ((128, 0.01, "linear"),))
+        assert first.policy_history[0] is policies[0]
+        targets = [first.policy_history[0].values, first.policies[0].grid,
+                   measures[0].density, measures[0].cell_masses, phi.phi, phi.q]
+        for arr in targets:
+            with pytest.raises(ValueError):
+                arr[1] = 1.0
+        second = run()
+        assert second.policies[0].grid is first.policies[0].grid
+        assert second.measures[0].grid is first.policies[0].grid
+        assert _report_digest(run) == _report_digest(lambda: first)
