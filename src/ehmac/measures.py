@@ -116,7 +116,7 @@ class PolicyGrid:
         The policy's own samples when the grids match; otherwise p(0+)
         followed by the interpolant, continued past the top, at grid[1:].
         """
-        if grid.size == self.grid.size and np.allclose(grid, self.grid):
+        if np.array_equal(grid, self.grid):
             return self.density_side_values()
         return np.concatenate(([self.p0plus], self.interp(extend=True).value(grid[1:])))
 
@@ -178,9 +178,9 @@ class StationaryMeasure:
         w[1:-1] = 0.5 * (m[:-1] + m[1:])
         return w
 
-    def expectation(self, node_values, at_zero: float = 0.0) -> float:
-        """Mean of a level function; ``at_zero`` is its value on the atom."""
-        return float(self.atom * at_zero + np.dot(self.node_weights(), node_values))
+    def expectation(self, node_values) -> float:
+        """Mean of a level function that is 0 on the atom."""
+        return float(np.dot(self.node_weights(), node_values))
 
     def cdf(self) -> np.ndarray:
         """P(level <= x_i) on the grid nodes."""

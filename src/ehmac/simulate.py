@@ -65,7 +65,6 @@ class SimConfig:
     burn_in: float = 0.0
     level_probes: tuple = ()
     cdf_probes: int = 257
-    joint_substeps: int = 2
     track_events: bool = False
 
     def __post_init__(self):
@@ -80,8 +79,6 @@ class SimConfig:
             raise DomainError("at least one replication is required", field="replications")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}", field="seed")
-        if self.joint_substeps < 1:
-            raise DomainError("joint_substeps must be at least 1", field="joint_substeps")
         if self.cdf_probes < 0:
             raise DomainError(f"cdf_probes must be nonnegative, got {self.cdf_probes}",
                               field="cdf_probes")
@@ -376,6 +373,9 @@ def _own_bits(interp, rf: RateFunction, run: NodeRun) -> float:
 # fewer than two draining nodes took that to 0.13-0.20 s, and the traced peak
 # memory fell from 190 to 10 MiB.
 _JOINT_CHUNK = 4096
+# uniform trapezoid substeps per sampled interval; the log-spaced samples that
+# crowd toward the interval start number 4 * this + 9
+_JOINT_SUBSTEPS = 2
 
 
 def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
@@ -520,7 +520,7 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
                 down[rep, k] = d / window
                 up[rep, k] = u / window
         bits, n_merged, n_sampled = _joint_rate_integral(
-            interps, runs, rf, config.burn_in, config.horizon, config.joint_substeps)
+            interps, runs, rf, config.burn_in, config.horizon, _JOINT_SUBSTEPS)
         thr[rep] = bits / window
         merged += n_merged
         sampled += n_sampled

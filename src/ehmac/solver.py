@@ -38,9 +38,9 @@ Both outer iterations are one coordinate ascent on that ODE, run by one
 driver.  ``solve_mac_gauss_seidel`` gives every node its own policy and
 updates the nodes in order; ``solve_symmetric_mac`` ties one policy across
 statistically identical nodes and updates it once per sweep, which is the
-fixed-point iteration.  Both hold (p(0+), K) fixed unless ``optimize_start``
-is set, and stop when the relative utility improvement drops below
-``theta_tol`` (the smallest of the per-node values).
+fixed-point iteration.  Both hold (p(0+), K) fixed unless the config lists
+start candidates to search, and stop when the relative utility improvement
+drops below ``theta_tol`` (the smallest of the per-node values).
 
 Both begin from the same start: the initial policies, their closed-form
 measures, the utility of that state and node 0's first moment table,
@@ -94,12 +94,14 @@ class SolverConfig:
     """Settings shared by the ODE integrator and the outer iterations.
 
     k_const is the free equation constant (one per node); p0plus the policy
-    right limit at an empty battery.  ``theta_tol`` stops the outer loop on
-    relative utility improvement.  ``divergence_tol`` is the utility drop
-    between successive updates treated as divergence: with the start values
-    held fixed the iteration approaches its fixed point through a damped
-    oscillation, so the default leaves room for the early swings while still
-    catching a collapsing run.
+    right limit at an empty battery.  A non-empty ``p0plus_candidates`` or
+    ``k_candidates`` makes every update search the (p(0+), K) pairs they
+    span; an empty one stands for ``p0plus`` or ``k_const``.  ``theta_tol``
+    stops the outer loop on relative utility improvement.
+    ``divergence_tol`` is the utility drop between successive updates
+    treated as divergence: with the start values held fixed the iteration
+    approaches its fixed point through a damped oscillation, so the default
+    leaves room for the early swings while still catching a collapsing run.
     """
 
     k_const: float = 0.0
@@ -110,7 +112,6 @@ class SolverConfig:
     ode_substeps: int = 4
     init_policy: str = "linear"
     divergence_tol: float = 0.15
-    optimize_start: bool = False
     p0plus_candidates: tuple = ()
     k_candidates: tuple = ()
 
@@ -138,6 +139,12 @@ class SolverConfig:
         if not self.divergence_tol >= 0.0:
             raise DomainError(f"divergence_tol must be nonnegative, got "
                               f"{self.divergence_tol}", field="divergence_tol")
+        if not all(0.0 < p0 < math.inf for p0 in self.p0plus_candidates):
+            raise DomainError(f"p(0+) candidates must be positive and finite, got "
+                              f"{self.p0plus_candidates}", field="p0plus_candidates")
+        if not all(math.isfinite(k) for k in self.k_candidates):
+            raise DomainError(f"K candidates must be finite, got {self.k_candidates}",
+                              field="k_candidates")
 
 
 @dataclass
@@ -148,13 +155,19 @@ class SolveReport:
     measures: list
     utilities: list
     termination: str
-    sweeps: int
-    initial_utility: float
     policy_history: list = field(default_factory=list, repr=False)
 
     @property
     def utility(self) -> float:
         return self.utilities[-1]
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.utilities) - 1
+
+    @property
+    def initial_utility(self) -> float:
+        return self.utilities[0]
 
     def write_dir(self, outdir):
         """Serialize policies, measures and the trace as text files."""
@@ -274,8 +287,7 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
     return np.array(out)
 
 
-def el_ode_solve(phi, params: HarvestParams, config: SolverConfig,
-                 capacity: float | None = None) -> PolicyGrid:
+def el_ode_solve(phi, params: HarvestParams, config: SolverConfig) -> PolicyGrid:
     """Integrate the necessary-condition ODE into an admissible policy grid.
 
     ``phi`` is a PhiMoments tabulation (or ExactRateMoments for a lone
@@ -284,7 +296,7 @@ def el_ode_solve(phi, params: HarvestParams, config: SolverConfig,
     an error.  A non-increasing result is admissible but flagged, since such
     policies are conjectured suboptimal (they stop countering overflow).
     """
-    cap = params.capacity if capacity is None else capacity
+    cap = params.capacity
     if math.isinf(cap):
         raise UsageError("the necessary-condition ODE needs a finite battery; "
                          "unbounded batteries use constant policies")
@@ -326,12 +338,8 @@ def _moment_knots(params: HarvestParams, rf: RateFunction, p0plus: float,
 
 
 def _start_candidates(config: SolverConfig):
-    if not config.optimize_start:
-        return [(config.p0plus, config.k_const)]
-    p0s = config.p0plus_candidates or tuple(
-        config.p0plus * f for f in (0.1, 0.3, 1.0, 3.0, 10.0))
-    ks = config.k_candidates or tuple(
-        config.k_const + d for d in (-0.4, -0.2, 0.0, 0.2, 0.4))
+    p0s = config.p0plus_candidates or (config.p0plus,)
+    ks = config.k_candidates or (config.k_const,)
     return [(p0, k) for p0 in p0s for k in ks]
 
 
@@ -381,9 +389,10 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
     updates it once per sweep (the symmetric fixed point); otherwise every
     node owns its policy and a sweep updates them in node order
     (Gauss-Seidel).  Each update re-tabulates the coordinate moments against
-    the current state, integrates the ODE and refreshes the measure.  With
-    ``optimize_start`` the update also grid-searches (p(0+), K) and keeps the
-    best candidate, never doing worse than the incumbent policy.
+    the current state, integrates the ODE and refreshes the measure.  When
+    the config lists start candidates the update grid-searches (p(0+), K)
+    over them and keeps the best candidate, never doing worse than the
+    incumbent policy; a candidate whose trajectory fails is skipped.
 
     The initial policies and measures, the initial utility and node 0's
     sweep-1 moments come from ``_start``, whose key leaves K out: a run of
@@ -406,7 +415,6 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
     utilities = [utility]
     history = list(policies) if keep_history else []
     termination = "max_outer"
-    sweeps = 0
     max_outer = max(cfg.max_outer for cfg in configs)
     theta_tol = min(cfg.theta_tol for cfg in configs)
     for sweep in range(1, max_outer + 1):
@@ -418,15 +426,15 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
                 knots = _moment_knots(nodes[j], rf, cfg.p0plus,
                                       float(np.max(policies[j].values)))
                 phi = phi_moments(state_of(), j, knots)
-            best = None
-            if cfg.optimize_start:
-                best = (utility, policies[j], measures[j])  # incumbent stays eligible
+            search = bool(cfg.p0plus_candidates or cfg.k_candidates)
+            # a search keeps the incumbent eligible; a lone candidate must succeed
+            best = (utility, policies[j], measures[j]) if search else None
             for p0, k in _start_candidates(cfg):
                 trial_cfg = replace(cfg, p0plus=p0, k_const=k)
                 try:
                     cand_policy = el_ode_solve(phi, nodes[j], trial_cfg)
                 except (NonAdmissibleTrajectoryError, NumericOverflowError):
-                    if cfg.optimize_start:
+                    if search:
                         continue
                     raise
                 cand_measure = measure_closed_form(cand_policy, nodes[j])
@@ -436,9 +444,6 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
                 policies[j], measures[j] = policies_j, measures_j
                 if best is None or cand_utility > best[0]:
                     best = (cand_utility, cand_policy, cand_measure)
-            if best is None:
-                raise NonAdmissibleTrajectoryError(
-                    f"every start candidate failed for node {j} in sweep {sweep}")
             new_utility, policies[j], measures[j] = best
             # an update-to-update decrease breaks the ascent argument; the drop
             # from the arbitrary initializer to the first solution is exempt
@@ -451,13 +456,11 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
         utilities.append(utility)
         if keep_history:
             history.extend(policies)
-        sweeps = sweep
         if theta < theta_tol:
             termination = "theta"
             break
     return SolveReport(policies=policies, measures=measures, utilities=utilities,
-                       termination=termination, sweeps=sweeps,
-                       initial_utility=utilities[0], policy_history=history)
+                       termination=termination, policy_history=history)
 
 
 def solve_symmetric_mac(m: int, params: HarvestParams, rf: RateFunction,

@@ -156,7 +156,7 @@ def test_criterion_3b_cell_necessary_condition(solves, cap):
 
 @pytest.mark.parametrize("cap", sorted(QUOTED_K_MINUS_HALF))
 def test_criterion_3b_cell_trajectory(solves, cap):
-    # at the default joint_substeps the simulated throughput sits about one
+    # at the simulator's two joint-rate substeps the throughput sits about one
     # standard error below the quadrature (its interaction-term sampling
     # bias); the quoted values lie 20-35 standard errors away
     report = solves.get(cap, -0.5, 0.001)
@@ -263,7 +263,7 @@ def test_criterion_7_property_suite(solves, constant_policy_sim):
 
         # coordinate ascent with candidate search keeps the trace nondecreasing
         cfg = eh.SolverConfig(k_const=0.0, p0plus=0.01, grid_n=128,
-                              theta_tol=1e-3, max_outer=6, optimize_start=True,
+                              theta_tol=1e-3, max_outer=6,
                               p0plus_candidates=(0.005, 0.01, 0.05),
                               k_candidates=(-0.2, 0.0, 0.2), divergence_tol=0.05)
         with warnings.catch_warnings():

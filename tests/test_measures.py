@@ -44,6 +44,17 @@ class TestPolicyGrid:
         with pytest.raises(DomainError):
             eh.PolicyGrid(grid=x, values=v, p0plus=1.0)
 
+    def test_density_side_on_another_grid_interpolates(self):
+        # a grid stretched by 2e-6 is not the policy's own: its nodes read the
+        # interpolant, not the policy's samples at other levels
+        pol = eh.policy_from_function(lambda x: 0.2 + x * x, 2.0, 64)
+        stretched = pol.grid * (1.0 + 2e-6)
+        got = pol.density_side_on(stretched)
+        want = np.concatenate(([pol.p0plus], pol.interp(extend=True).value(stretched[1:])))
+        np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(got, pol.density_side_values())
+        assert np.array_equal(pol.density_side_on(pol.grid.copy()), pol.density_side_values())
+
 
 class TestClosedForm:
     def test_constant_policy_unbounded(self):

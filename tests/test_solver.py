@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 import ehmac as eh
 import ehmac.solver as solver
-from ehmac.errors import (DomainError, EhmacError, NonAdmissibleTrajectoryError,
-                          SolverDivergenceError, UsageError)
+from ehmac.errors import (DomainError, EhmacError, MomentRangeError,
+                          NonAdmissibleTrajectoryError, SolverDivergenceError, UsageError)
 
 
 def hp_of(capacity, lam=1.0, zeta=1.0):
@@ -53,6 +54,22 @@ class TestSolverConfig:
             eh.SolverConfig(divergence_tol=tol)
         assert err.value.field == "divergence_tol"
         eh.SolverConfig(divergence_tol=0.0)  # zero: any utility drop diverges
+
+    @pytest.mark.parametrize("field, values", [
+        pytest.param("p0plus_candidates", (0.01, 0.0), id="p0_zero"),
+        pytest.param("p0plus_candidates", (-0.1,), id="p0_negative"),
+        pytest.param("p0plus_candidates", (math.inf,), id="p0_inf"),
+        pytest.param("p0plus_candidates", (math.nan,), id="p0_nan"),
+        pytest.param("k_candidates", (0.0, math.inf), id="k_inf"),
+        pytest.param("k_candidates", (math.nan,), id="k_nan"),
+    ])
+    def test_start_candidates_checked_where_set(self, field, values):
+        # a zero p(0+) candidate once failed only in sweep 1 of a solve, after
+        # the start and the first moment table were built
+        with pytest.raises(DomainError) as err:
+            eh.SolverConfig(grid_n=64, **{field: values})
+        assert err.value.field == field
+        eh.SolverConfig(p0plus_candidates=(0.01,), k_candidates=(-0.5, 0.0))
 
 
 class TestNecessaryConditionOde:
@@ -105,6 +122,28 @@ class TestNecessaryConditionOde:
         with pytest.raises(UsageError):
             eh.el_ode_solve(phi, eh.HarvestParams(1.0, 1.0), cfg)
 
+    def test_second_overrun_propagates(self, rf):
+        # exact-rate moments on [0, 2] with a provider: the one extension
+        # reaches 5.629, and the policy overruns it at p = 5.637
+        def exact(knots):
+            knots = np.asarray(knots, dtype=float)
+            return (eh.rate(rf, knots), eh.rate_deriv(rf, knots, 1),
+                    eh.rate_deriv(rf, knots, 2))
+
+        extensions = []
+
+        def provider(knots):
+            extensions.append(float(np.max(knots)))
+            return exact(knots)
+
+        q = np.linspace(0.0, 2.0, 9)
+        phi = eh.PhiMoments(q, *exact(q), provider=provider)
+        cfg = eh.SolverConfig(k_const=2.0, p0plus=0.01, grid_n=64)
+        with pytest.raises(MomentRangeError) as err:
+            eh.el_ode_solve(phi, hp_of(0.5), cfg)
+        assert len(extensions) == 1
+        assert 2.0 < extensions[0] < err.value.argument
+
     def test_tabulated_moments_auto_extend(self, rf):
         # a tabulation that is too short gets extended once and succeeds
         hp = eh.HarvestParams(1.0, 1.0)
@@ -131,6 +170,60 @@ class TestEulerLagrangeResidual:
         levels, resid = eh.el_residual(pol, phi, hp, k_const=0.0)
         assert levels.size > 400
         assert np.max(np.abs(resid)) < 1e-3
+
+
+def _terminal_g(report, hp, rf):
+    """g(p(L)) = phi - p phi' at the top of node 0's converged policy.
+
+    phi is node 0's coordinate moment table against the report's state.
+    """
+    pol, meas = report.policies[0], report.measures[0]
+    top = float(pol.values[-1])
+    state = eh.SystemState(nodes=((hp, pol, meas),) * 2, rate=rf)
+    phi = eh.phi_moments(state, 0, solver._moment_knots(hp, rf, pol.p0plus, top))
+    val, d1, _ = phi.eval3(top)
+    return val - top * d1
+
+
+class TestOptimalityCertificate:
+    """The two ends of the stationarity identity (solver module docstring).
+
+    The ODE keeps its bracket constant, so for any fixed K, with
+    J_K = -K / zeta, U - J_K = (g(p(L)) - J_K) f(L) p(L) / lam; at the best
+    constant g(p(L)) = U, the terminal condition.
+    """
+
+    @pytest.mark.parametrize("cap", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("k", [0.5, 0.0, -0.5])
+    def test_top_of_battery_identity(self, solves, rf, cap, k):
+        # converged table2 cells: gaps of 1.8e-6 to 1.3e-4
+        hp = hp_of(cap)
+        report = solves.get(cap, k, 0.001, theta_tol=1e-6)
+        assert report.termination == "theta"
+        j_k = -k / hp.zeta
+        top = float(report.policies[0].values[-1])
+        rhs = (_terminal_g(report, hp, rf) - j_k) * report.measures[0].density[-1] * top / hp.lam
+        assert abs(report.utility - j_k - rhs) <= 2e-4
+
+    @pytest.mark.parametrize("cap", [0.5, 1.0, 2.0])
+    def test_terminal_residual_brackets_best_constant(self, solves, rf, cap):
+        # the table2 scan's K* (-0.32, -0.46, -0.60) leaves residuals of
+        # 0.001-0.007; K* -+ 0.05 leave residuals of opposite signs, over ten
+        # times larger.  g(p(L)) - U alone cannot see the scale of K (a K
+        # scaled inside the ODE moves K* but not the residual there), so the
+        # residual against the equation's own J_K = -K / zeta is bracketed too.
+        hp = hp_of(cap)
+        cfg = eh.SolverConfig(p0plus=0.001, grid_n=512, theta_tol=0.01, max_outer=60)
+        k_best, _, _ = eh.best_k_search(2, hp, rf, cfg, -1.0, 0.0, step=0.01,
+                                        coarse_step=0.05)
+        rows = []
+        for k in (k_best - 0.05, k_best, k_best + 0.05):
+            report = solves.get(cap, k, 0.001)
+            g = _terminal_g(report, hp, rf)
+            rows.append((g - report.utility, g + k / hp.zeta))
+        for below, at, above in zip(*rows):
+            assert below < 0.0 < above
+            assert abs(at) < 0.1 * min(-below, above)
 
 
 class TestSymmetricSolve:
@@ -178,7 +271,7 @@ class TestSymmetricSolve:
         # best (p(0+), K) candidate and never drops below the incumbent
         hp = hp_of(2.0)
         cfg = eh.SolverConfig(k_const=0.0, p0plus=0.01, grid_n=128, theta_tol=1e-3,
-                              max_outer=8, init_policy="constant", optimize_start=True,
+                              max_outer=8, init_policy="constant",
                               p0plus_candidates=(0.005, 0.01, 0.05),
                               k_candidates=(-0.4, -0.2, 0.0), divergence_tol=0.05)
         with warnings.catch_warnings():
@@ -221,7 +314,7 @@ class TestGaussSeidel:
     def test_optimized_start_trace_monotone(self, rf):
         hp = hp_of(2.0)
         cfg = eh.SolverConfig(k_const=0.0, p0plus=0.01, grid_n=128,
-                              theta_tol=1e-3, max_outer=8, optimize_start=True,
+                              theta_tol=1e-3, max_outer=8,
                               p0plus_candidates=(0.005, 0.01, 0.05),
                               k_candidates=(-0.2, 0.0, 0.2),
                               divergence_tol=0.05)
@@ -294,7 +387,7 @@ SOLVER_PINS = {
         lambda rf: eh.solve_mac_gauss_seidel(
             [hp_of(2.0), hp_of(2.0)], rf,
             _pin_cfg(grid_n=128, theta_tol=1e-3, max_outer=4, init_policy="constant",
-                     divergence_tol=0.05, optimize_start=True,
+                     divergence_tol=0.05,
                      p0plus_candidates=(0.005, 0.05), k_candidates=(-0.4, -0.2, 0.0))),
         {"utilities": [0.01428457609838545, 0.5711571748642734, 0.5711571748653914],
          "sweeps": 2, "termination": "theta",
@@ -332,6 +425,31 @@ def test_solver_outputs_pinned(case, rf):
         assert np.shape(value) == np.shape(want[name]), name
         np.testing.assert_allclose(value, want[name], rtol=PIN_ROUNDOFF, atol=0.0,
                                    err_msg=name)
+
+
+def test_candidate_lists_alone_search(rf):
+    # a non-empty candidate list is the search: the gs_optimize_start pin's
+    # inputs reproduce its report, and each node keeps a listed p(0+)
+    lists = dict(p0plus_candidates=(0.005, 0.05), k_candidates=(-0.4, -0.2, 0.0))
+    cfg = _pin_cfg(grid_n=128, theta_tol=1e-3, max_outer=4, init_policy="constant",
+                   divergence_tol=0.05, **lists)
+    want = SOLVER_PINS["gs_optimize_start"][1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = eh.solve_mac_gauss_seidel([hp_of(2.0), hp_of(2.0)], rf, cfg)
+    assert (report.sweeps, report.termination) == (want["sweeps"], want["termination"])
+    np.testing.assert_allclose(report.utilities, want["utilities"], rtol=PIN_ROUNDOFF,
+                               atol=0.0)
+    assert all(pol.p0plus in lists["p0plus_candidates"] for pol in report.policies)
+    assert report.initial_utility == report.utilities[0]
+    # an empty list stands for the config's own value
+    one_k = replace(cfg, k_const=-0.2, k_candidates=())
+
+    def solve(c):
+        return lambda: eh.solve_mac_gauss_seidel([hp_of(2.0), hp_of(2.0)], rf, c)
+
+    assert (_report_digest(solve(one_k))
+            == _report_digest(solve(replace(one_k, k_candidates=(-0.2,)))))
 
 
 def _short_table_phi(rf):
@@ -514,7 +632,7 @@ def _gs_optimize_start(rf, k):
     return eh.solve_mac_gauss_seidel(
         [hp_of(2.0), hp_of(2.0)], rf,
         _pin_cfg(k_const=k, grid_n=128, theta_tol=1e-3, max_outer=4, init_policy="constant",
-                 divergence_tol=0.05, optimize_start=True,
+                 divergence_tol=0.05,
                  p0plus_candidates=(0.005, 0.05), k_candidates=(-0.4, -0.2, 0.0)))
 
 
