@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import sys
 import warnings
@@ -215,6 +216,8 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
     if solved:
         export_policy(policy, outdir / "policy_solved.csv")
     (outdir / "stats.txt").write_text(stats.to_text(), encoding="utf-8")
+    (outdir / "stats.json").write_text(json.dumps(stats.to_record(), indent=2) + "\n",
+                                       encoding="utf-8")
     np.savetxt(outdir / "cdf_node0.csv",
                np.column_stack([stats.cdf_levels[0], stats.cdf[0]]),
                header="columns = level, occupancy_cdf")

@@ -121,6 +121,7 @@ class PolicyInterp:
         self._low = np.arange(x.size - 1) + (p[1:] < p[:-1])
         # time to drain from each node to empty
         self.tau_nodes = np.concatenate(([0.0], np.cumsum(inv_power_cells(x, p))))
+        self._tau_inner = self.tau_nodes[1:-1]
 
     def locate(self, levels):
         """Cell index, offset into the cell, in-cell rate and excess over the top.
@@ -145,7 +146,7 @@ class PolicyInterp:
         if not self.extend and np.any(over > tol):
             raise DomainError("level beyond the policy grid")
         last = self.x.size - 2
-        i = np.clip(clipped * self._inv_h, 0, last).astype(np.intp)
+        i = np.minimum(np.maximum(clipped * self._inv_h, 0), last).astype(np.intp)
         i -= (self.x[i] > clipped) & (i > 0)
         i += (self.x[i + 1] <= clipped) & (i < last)
         j = self._low[i]
@@ -170,7 +171,8 @@ class PolicyInterp:
         """Battery level whose drain-to-empty time equals ``tau_values``."""
         tv = np.asarray(tau_values, dtype=float)
         taus = self.tau_nodes
-        i = np.clip(np.searchsorted(taus, tv, side="right") - 1, 0, taus.size - 2)
+        # the interior nodes at or below tv: the cell index, clamped to the cells
+        i = np.searchsorted(self._tau_inner, tv, side="right")
         dt = tv - taus[i]
         # p falls linearly in time inside a cell: level is quadratic in dt;
         # clamp to the cell edge against round-trip roundoff

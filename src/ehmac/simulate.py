@@ -7,6 +7,13 @@ packet energy, truncated at the capacity.  Statistics that are integrals
 along the trajectory (time at zero, radiated energy, occupancy CDF,
 crossing counts) are accumulated in closed form per drain segment, so the
 only sampling error left is the randomness of the arrivals themselves.
+The occupancy CDF and the crossing counts share one sort per level array
+(``_live_levels``): the start levels of the segments that drain,
+with their tau gathered in the same order, and their end levels.  Tied start
+levels carry equal tau, since the walk reads tau from the level alone, so
+the order an unstable sort leaves among ties never reaches a prefix sum;
+only the first segment, whose level the burn-in clip derives from its tau,
+could tie with another level and carry a different tau.
 
 The walk is one row per arrival, and a row that empties the battery forgets
 everything before it (the storage process regenerates there).  So the
@@ -23,7 +30,9 @@ the multi-node rate interaction term needs numeric quadrature.  It
 is sampled on the merged event timeline, only on the intervals where two or
 more nodes drain (elsewhere it is exactly zero), with substeps crowded toward
 the interval starts and one-sided limits at the event instants where the
-integrand jumps.
+integrand jumps.  Every drain end is a cut of that timeline, so a node drains
+or idles throughout each interval: the sampler takes one draining flag per
+node and interval, which gives the right endpoint its pre-event limit.
 
 The sampled term reads each policy in drain time tau, the time a battery
 needs to empty from its level.  Under the cellwise p**2-linear
@@ -42,6 +51,7 @@ compares the counts with come from ``measures.crossing_rates``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +78,10 @@ class SimConfig:
     track_events: bool = False
 
     def __post_init__(self):
+        for name in ("replications", "seed", "cdf_probes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}", field=name)
         if not self.burn_in >= 0.0:
             raise DomainError(f"burn-in must be nonnegative, got {self.burn_in}",
                               field="burn_in")
@@ -122,6 +136,7 @@ class TrajectoryStats:
     power_variance: np.ndarray
     power_variance_se: np.ndarray
     overflow_rate: np.ndarray
+    overflow_rate_se: np.ndarray
     cdf_levels: np.ndarray
     cdf: np.ndarray            # node x probe, pooled over replications
     crossing_levels: np.ndarray
@@ -154,6 +169,20 @@ class TrajectoryStats:
                 f"overflow_rate = {float(self.overflow_rate[k])!r}")
         return "\n".join(lines) + "\n"
 
+    def to_record(self) -> dict:
+        """The ``to_text`` summary, standard errors and work counts, as JSON values."""
+        nodes = [{name: float(getattr(self, name)[k]) for name in _NODE_FIELDS}
+                 for k in range(self.atom.size)]
+        return {"window": self.window, "replications": self.replications,
+                "throughput": self.throughput, "throughput_se": self.throughput_se,
+                "nodes": nodes, "window_arrivals": self.window_arrivals.tolist(),
+                "merged_intervals": self.merged_intervals,
+                "sampled_intervals": self.sampled_intervals}
+
+
+_NODE_FIELDS = ("atom", "atom_se", "mean_power", "mean_power_se", "power_variance",
+                "power_variance_se", "overflow_rate", "overflow_rate_se")
+
 
 # An unbounded battery has no level that bounds its drain time, so its walk
 # cuts wherever the gap before the next arrival exceeds this fraction of the
@@ -180,9 +209,9 @@ def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk
     while rows.size:
         t0 = t_prev[rows]
         t1 = t_next[rows]
-        live = level > 0.0
-        tau_r = np.where(live, interp.tau(level), 0.0)
-        drains = live & (t0 + tau_r > t1)
+        # tau(0.0) is 0.0, so an empty battery never drains: t1 >= t0
+        tau_r = interp.tau(level)
+        drains = t0 + tau_r > t1
         end_r = np.where(drains, interp.tau_inverse(tau_r - (t1 - t0)), 0.0)
         post_r = np.minimum(end_r + energy[rows], capacity)
         go = (rows < last) & (post_r != post[rows])
@@ -297,35 +326,42 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
                    post_arrival=post_arr, overflow=overflow)
 
 
-def _occupancy_cdf(interp, run: NodeRun, probes, window):
+def _live_levels(run: NodeRun):
+    """Sorted start levels of the segments that drain, their tau in that
+    order, and their sorted end levels.
+
+    The sort leaves the order among tied start levels open; ties carry equal
+    tau (but for the burn-in clip, see the module notes), so no prefix sum
+    sees that order.
+    """
+    live = run.drain_dur > 0.0
+    a = run.seg_level[live]
+    order = np.argsort(a)
+    return a[order], run.seg_tau[live][order], np.sort(run.seg_end_level[live])
+
+
+def _occupancy_cdf(interp, run: NodeRun, probes, window, levels=None):
     """Exact fraction of window time spent at or below each probe level.
 
     The time a drain from a to b spends at or below q is
     tau(clip(q, b, a)) - tau(b); summing over segments reduces to sorted
     prefix sums, so the cost is O((segments + probes) log segments).
+    ``levels`` is ``_live_levels(run)`` when the caller shares it.
     """
-    live = run.drain_dur > 0.0
-    a = run.seg_level[live]
-    b = run.seg_end_level[live]
-    ta = run.seg_tau[live]
-    tb = interp.tau(b)
-    a_sorted = np.sort(a)
-    b_sorted = np.sort(b)
-    pref_ta = np.concatenate(([0.0], np.cumsum(ta[np.argsort(a, kind="stable")])))
-    pref_tb = np.concatenate(([0.0], np.cumsum(tb[np.argsort(b, kind="stable")])))
+    a, ta, b = _live_levels(run) if levels is None else levels
+    pref_ta = np.concatenate(([0.0], np.cumsum(ta)))
+    pref_tb = np.concatenate(([0.0], np.cumsum(interp.tau(b))))
     atom_time = float(np.sum(run.idle_dur))
-    cnt_a = np.searchsorted(a_sorted, probes, side="right")   # drains fully below q
-    cnt_b = np.searchsorted(b_sorted, probes, side="left")    # drain floors below q
+    cnt_a = np.searchsorted(a, probes, side="right")   # drains fully below q
+    cnt_b = np.searchsorted(b, probes, side="left")    # drain floors below q
     below = (atom_time + pref_ta[cnt_a] - pref_tb[cnt_b]
              + interp.tau(probes) * (cnt_b - cnt_a))
     return below / window
 
 
-def _crossing_counts(run: NodeRun, probes):
-    """Down/up crossing counts at each probe level."""
-    live = run.drain_dur > 0.0
-    a = np.sort(run.seg_level[live])
-    b = np.sort(run.seg_end_level[live])
+def _crossing_counts(run: NodeRun, probes, levels=None):
+    """Down/up crossing counts at each probe level; ``levels`` as above."""
+    a, _, b = _live_levels(run) if levels is None else levels
     down = (np.searchsorted(b, probes, side="left")
             - np.searchsorted(a, probes, side="left"))
     up = (np.searchsorted(np.sort(run.pre_arrival), probes, side="left")
@@ -438,17 +474,14 @@ def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
         own_rate = np.zeros_like(samples)
         for interp, run, seg in zip(interps, runs, segs):
             idx = seg[lo:lo + chunk]
-            de = run.drain_end[idx]
-            # cut instants equal drain_end floats bitwise, so the one-sided
-            # limits resolve exactly: the left endpoint takes the post-event
-            # branch (strict <), the right endpoint the pre-event one (<=)
-            draining = samples < de[:, None]
-            draining[:, -1] = (t1 <= de) & (run.drain_dur[idx] > 0.0)
-            elapsed = np.minimum(samples, de[:, None]) - run.seg_start[idx][:, None]
-            tau_left = run.seg_tau[idx][:, None] - elapsed
+            # every drain end is a cut, so a node drains through the whole
+            # interval, right endpoint included (the pre-event limit), or
+            # idles through it; no interior sample reaches t1
+            draining = t0 < run.drain_end[idx]
+            tau_left = run.seg_tau[idx][:, None] - (samples - run.seg_start[idx][:, None])
             # p is linear in drain time inside each cell, and the clamps give
             # p(0+) at tau <= 0 and the top value beyond the last node
-            p_node = np.where(draining,
+            p_node = np.where(draining[:, None],
                               np.interp(tau_left, interp.tau_nodes, interp.p), 0.0)
             p_sum += p_node
             own_rate += rate(rf, p_node)
@@ -513,12 +546,14 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
                               - interps[k].power_integral(run.seg_end_level)))
             var_p[rep, k] = sq / window - mean_p[rep, k] ** 2
             over[rep, k] = run.overflow / window
+            levels = _live_levels(run)
             if probes_cdf is not None:
-                cdf_acc[k] += _occupancy_cdf(interps[k], run, probes_cdf[k], window)
+                cdf_acc[k] += _occupancy_cdf(interps[k], run, probes_cdf[k], window, levels)
             if probes_cross.size:
-                d, u = _crossing_counts(run, probes_cross)
+                d, u = _crossing_counts(run, probes_cross, levels)
                 down[rep, k] = d / window
                 up[rep, k] = u / window
+            del levels   # the sorted copies are not held through the joint integral
         bits, n_merged, n_sampled = _joint_rate_integral(
             interps, runs, rf, config.burn_in, config.horizon, _JOINT_SUBSTEPS)
         thr[rep] = bits / window
@@ -537,7 +572,7 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
         atom=np.mean(atom, axis=0), atom_se=se(atom),
         mean_power=np.mean(mean_p, axis=0), mean_power_se=se(mean_p),
         power_variance=np.mean(var_p, axis=0), power_variance_se=se(var_p),
-        overflow_rate=np.mean(over, axis=0),
+        overflow_rate=np.mean(over, axis=0), overflow_rate_se=se(over),
         cdf_levels=(np.asarray(probes_cdf) if probes_cdf is not None else np.empty((m, 0))),
         cdf=(np.asarray(cdf_acc) / reps if cdf_acc is not None else np.empty((m, 0))),
         crossing_levels=probes_cross,

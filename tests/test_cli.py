@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import multiprocessing
 import os
@@ -394,6 +395,32 @@ class TestSimulateCommand:
         assert "atom" in text
         assert (out / "crossing_balance.csv").exists()
         assert (out / "cdf_node0.csv").exists()
+
+    def test_stats_json_matches_returned_stats(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("schema_version = 1\ncapacities = 2.0\nnode_count = 2\n"
+                        "policy_level = 1.5\nhorizon = 2000\nreplications = 2\n",
+                        encoding="utf-8")
+        out = tmp_path / "simout"
+        stats = cli.cmd_simulate(load_config(path, env={}), out)
+        record = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+        assert set(record) == {"window", "replications", "throughput", "throughput_se",
+                               "nodes", "window_arrivals", "merged_intervals",
+                               "sampled_intervals"}
+        assert (record["window"], record["replications"]) == (stats.window, 2)
+        assert (record["throughput"], record["throughput_se"]) == (stats.throughput,
+                                                                    stats.throughput_se)
+        assert len(record["nodes"]) == 2
+        for k, node in enumerate(record["nodes"]):
+            assert set(node) == {"atom", "atom_se", "mean_power", "mean_power_se",
+                                 "power_variance", "power_variance_se", "overflow_rate",
+                                 "overflow_rate_se"}
+            for name, value in node.items():
+                assert value == getattr(stats, name)[k], name
+        assert record["window_arrivals"] == stats.window_arrivals.tolist()
+        assert min(record["window_arrivals"]) > 0
+        assert record["merged_intervals"] == stats.merged_intervals
+        assert 0 < record["sampled_intervals"] == stats.sampled_intervals
 
     def test_policy_file_round_trip(self, tmp_path):
         # solve writes a policy; simulate consumes it

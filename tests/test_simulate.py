@@ -42,6 +42,29 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             eh.SimConfig(horizon=10.0, cdf_probes=-3)
 
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_replications_must_be_an_integer(self, value):
+        with pytest.raises(DomainError, match="replications must be an integer") as err:
+            eh.SimConfig(horizon=50.0, replications=value)
+        assert err.value.field == "replications"
+
+    @pytest.mark.parametrize("value", [2.5, False, None])
+    def test_cdf_probes_must_be_an_integer(self, value):
+        with pytest.raises(DomainError, match="cdf_probes must be an integer") as err:
+            eh.SimConfig(horizon=50.0, cdf_probes=value)
+        assert err.value.field == "cdf_probes"
+
+    @pytest.mark.parametrize("value", [1.5, True, 1.0])
+    def test_seed_must_be_an_integer(self, value):
+        with pytest.raises(DomainError, match="seed must be an integer") as err:
+            eh.SimConfig(horizon=50.0, seed=value)
+        assert err.value.field == "seed"
+
+    def test_numpy_integers_accepted(self):
+        cfg = eh.SimConfig(horizon=50.0, replications=np.int64(2), seed=np.uint32(7),
+                           cdf_probes=np.int32(9))
+        assert (cfg.replications, cfg.seed, cfg.cdf_probes) == (2, 7, 9)
+
 
 class TestDepletionMap:
     def test_constant_drain_is_linear(self):
@@ -495,6 +518,81 @@ def crossing_run():
     return hp, pol, meas, stats
 
 
+@st.composite
+def window_runs(draw):
+    """A chain of drain segments on a finite battery whose levels tie at the
+    capacity and at grid nodes, with its first drain clipped at the burn-in,
+    and probes that hit those levels too."""
+    n = draw(st.integers(1, 16))
+    span = draw(st.floats(0.5, 4.0))
+    p = sorted(draw(st.lists(st.floats(0.05, 4.0), min_size=n + 1, max_size=n + 1)),
+               reverse=draw(st.booleans()))
+    interp = eh.PolicyGrid(uniform_grid(span, n), np.asarray([0.0] + p[1:]),
+                           p0plus=p[0]).interp()
+    nodes = interp.x.tolist()
+
+    def level(lo, hi):
+        pick = draw(st.sampled_from(("node", "capacity", "free", "free")))
+        if pick == "node" and any(lo <= x <= hi for x in nodes):
+            return draw(st.sampled_from([x for x in nodes if lo <= x <= hi]))
+        if pick == "capacity":
+            return hi
+        return draw(st.floats(lo, hi))
+
+    a, b = [], []
+    top = level(0.0, span)
+    for _ in range(draw(st.integers(1, 30))):
+        a.append(top)
+        b.append(draw(st.sampled_from((0.0, 0.0, top))) if draw(st.booleans())
+                 else level(0.0, top))
+        top = level(b[-1], span)
+    a, b = np.asarray(a), np.asarray(b)
+    seg_tau = interp.tau(a)
+    drain_dur = seg_tau - interp.tau(b)
+    idle_dur = np.where(b == 0.0, np.asarray(draw(st.lists(
+        st.floats(0.0, 3.0), min_size=a.size, max_size=a.size))), 0.0)
+    if drain_dur[0] > 0.0:   # a drain straddles the burn-in: keep its tail
+        cut = draw(st.floats(0.0, 0.99)) * drain_dur[0]
+        seg_tau[0] -= cut
+        drain_dur[0] -= cut
+        a[0] = interp.tau_inverse(seg_tau[0])
+    idle_dur[-1] += 0.5
+    seg_start = np.concatenate(([0.0], np.cumsum(drain_dur + idle_dur)[:-1]))
+    run = sim.NodeRun(seg_start=seg_start, seg_level=a, seg_tau=seg_tau, seg_end_level=b,
+                      drain_end=seg_start + drain_dur, drain_dur=drain_dur,
+                      idle_dur=idle_dur, pre_arrival=b[:-1], post_arrival=a[1:],
+                      overflow=0.0)
+    probes = np.asarray(sorted(set(
+        draw(st.lists(st.sampled_from(nodes + a.tolist() + b.tolist()), max_size=12))
+        + draw(st.lists(st.floats(0.0, span), max_size=6)))))
+    return interp, run, probes
+
+
+class TestWindowStatistics:
+    """Occupancy CDF and crossing counts against per-segment sums."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(window_runs())
+    def test_match_per_segment_sums(self, case):
+        interp, run, probes = case
+        window = float(np.sum(run.drain_dur) + np.sum(run.idle_dur))
+        # a drain from a to b spends tau(clip(q, b, a)) - tau(b) at or below q
+        want = [math.fsum([float(np.sum(run.idle_dur))]
+                          + [interp.tau(min(max(q, b), a)) - interp.tau(b)
+                             for a, b in zip(run.seg_level.tolist(),
+                                             run.seg_end_level.tolist())]) / window
+                for q in probes.tolist()]
+        got = sim._occupancy_cdf(interp, run, probes, window)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        down, up = sim._crossing_counts(run, probes)
+        live = run.drain_dur > 0.0
+        assert down.tolist() == [
+            float(np.sum(live & (run.seg_end_level < q) & (q <= run.seg_level)))
+            for q in probes]
+        assert up.tolist() == [
+            float(np.sum((run.pre_arrival < q) & (q <= run.post_arrival))) for q in probes]
+
+
 class TestCrossingBalance:
 
     def test_down_equals_up_within_one(self, rf):
@@ -829,6 +927,26 @@ class TestJointIntervalSkip:
         assert 0 < sampled < merged
         if nodes == "three_one_idle":
             assert runs[1].drain_dur.sum() == 0.0   # idle throughout
+
+    # float.hex of the integral per block size, with the merged and sampled
+    # interval counts; in "three_one_idle" node 1 idles inside every sampled
+    # interval, so its release rate there must read exactly 0.0
+    PINNED = {
+        "two": ({1: "0x1.99f8ddd0ca891p+7", 7: "0x1.99f8ddd0ca891p+7",
+                 sim._JOINT_CHUNK: "0x1.99f8ddd0ca890p+7"}, 740, 471),
+        "three_one_idle": ({1: "0x1.ddfbcf676cf05p+7", 7: "0x1.ddfbcf676cf06p+7",
+                            sim._JOINT_CHUNK: "0x1.ddfbcf676cf07p+7"}, 1076, 876),
+    }
+
+    @pytest.mark.parametrize("nodes", sorted(NODES))
+    def test_integral_bits_pinned(self, nodes, rf):
+        burn_in, horizon = 13.7, 400.0
+        interps, runs = _node_runs(self.NODES[nodes], burn_in, horizon, seed=41)
+        bits, merged_want, sampled_want = self.PINNED[nodes]
+        for chunk, want in bits.items():
+            got, merged, sampled = sim._joint_rate_integral(interps, runs, rf, burn_in,
+                                                            horizon, 2, chunk=chunk)
+            assert (got.hex(), merged, sampled) == (want, merged_want, sampled_want)
 
     def test_work_counts(self, rf, monkeypatch):
         # node 0 drains over [1, 4), node 1 over [2, 3) and [6, 7): the cuts
