@@ -11,9 +11,11 @@ The occupancy CDF and the crossing counts share one sort per level array
 (``_live_levels``): the start levels of the segments that drain,
 with their tau gathered in the same order, and their end levels.  Tied start
 levels carry equal tau, since the walk reads tau from the level alone, so
-the order an unstable sort leaves among ties never reaches a prefix sum;
-only the first segment, whose level the burn-in clip derives from its tau,
-could tie with another level and carry a different tau.
+the order an unstable sort leaves among ties never reaches a prefix sum.
+Only the first segment, whose level the burn-in clip derives from its tau,
+can tie with another level and carry a different tau; it is put first among
+its ties, as a stable sort would, so the sums do not depend on the machine's
+sort.
 
 The walk is one row per arrival, and a row that empties the battery forgets
 everything before it (the storage process regenerates there).  So the
@@ -173,7 +175,7 @@ class TrajectoryStats:
         """The ``to_text`` summary, standard errors and work counts, as JSON values."""
         nodes = [{name: float(getattr(self, name)[k]) for name in _NODE_FIELDS}
                  for k in range(self.atom.size)]
-        return {"window": self.window, "replications": self.replications,
+        return {"window": float(self.window), "replications": int(self.replications),
                 "throughput": self.throughput, "throughput_se": self.throughput_se,
                 "nodes": nodes, "window_arrivals": self.window_arrivals.tolist(),
                 "merged_intervals": self.merged_intervals,
@@ -331,24 +333,28 @@ def _live_levels(run: NodeRun):
     order, and their sorted end levels.
 
     The sort leaves the order among tied start levels open; ties carry equal
-    tau (but for the burn-in clip, see the module notes), so no prefix sum
-    sees that order.
+    tau, so no prefix sum sees that order.  Only the burn-in-clipped first
+    segment can tie with a level of other tau, so it goes first among its
+    ties, where a stable sort puts it.
     """
     live = run.drain_dur > 0.0
     a = run.seg_level[live]
     order = np.argsort(a)
-    return a[order], run.seg_tau[live][order], np.sort(run.seg_end_level[live])
+    a, first = a[order], run.seg_level[0]
+    if live[0]:
+        order[np.searchsorted(a, first, "left"):np.searchsorted(a, first, "right")].sort()
+    return a, run.seg_tau[live][order], np.sort(run.seg_end_level[live])
 
 
-def _occupancy_cdf(interp, run: NodeRun, probes, window, levels=None):
+def _occupancy_cdf(interp, run: NodeRun, levels, probes, window):
     """Exact fraction of window time spent at or below each probe level.
 
     The time a drain from a to b spends at or below q is
     tau(clip(q, b, a)) - tau(b); summing over segments reduces to sorted
     prefix sums, so the cost is O((segments + probes) log segments).
-    ``levels`` is ``_live_levels(run)`` when the caller shares it.
+    ``levels`` is ``_live_levels(run)``.
     """
-    a, ta, b = _live_levels(run) if levels is None else levels
+    a, ta, b = levels
     pref_ta = np.concatenate(([0.0], np.cumsum(ta)))
     pref_tb = np.concatenate(([0.0], np.cumsum(interp.tau(b))))
     atom_time = float(np.sum(run.idle_dur))
@@ -359,9 +365,9 @@ def _occupancy_cdf(interp, run: NodeRun, probes, window, levels=None):
     return below / window
 
 
-def _crossing_counts(run: NodeRun, probes, levels=None):
+def _crossing_counts(run: NodeRun, levels, probes):
     """Down/up crossing counts at each probe level; ``levels`` as above."""
-    a, _, b = _live_levels(run) if levels is None else levels
+    a, _, b = levels
     down = (np.searchsorted(b, probes, side="left")
             - np.searchsorted(a, probes, side="left"))
     up = (np.searchsorted(np.sort(run.pre_arrival), probes, side="left")
@@ -546,14 +552,15 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
                               - interps[k].power_integral(run.seg_end_level)))
             var_p[rep, k] = sq / window - mean_p[rep, k] ** 2
             over[rep, k] = run.overflow / window
-            levels = _live_levels(run)
-            if probes_cdf is not None:
-                cdf_acc[k] += _occupancy_cdf(interps[k], run, probes_cdf[k], window, levels)
-            if probes_cross.size:
-                d, u = _crossing_counts(run, probes_cross, levels)
-                down[rep, k] = d / window
-                up[rep, k] = u / window
-            del levels   # the sorted copies are not held through the joint integral
+            if probes_cdf is not None or probes_cross.size:
+                levels = _live_levels(run)
+                if probes_cdf is not None:
+                    cdf_acc[k] += _occupancy_cdf(interps[k], run, levels, probes_cdf[k], window)
+                if probes_cross.size:
+                    d, u = _crossing_counts(run, levels, probes_cross)
+                    down[rep, k] = d / window
+                    up[rep, k] = u / window
+                del levels   # the sorted copies are not held through the joint integral
         bits, n_merged, n_sampled = _joint_rate_integral(
             interps, runs, rf, config.burn_in, config.horizon, _JOINT_SUBSTEPS)
         thr[rep] = bits / window

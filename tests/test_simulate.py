@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -64,6 +65,14 @@ class TestSimConfig:
         cfg = eh.SimConfig(horizon=50.0, replications=np.int64(2), seed=np.uint32(7),
                            cdf_probes=np.int32(9))
         assert (cfg.replications, cfg.seed, cfg.cdf_probes) == (2, 7, 9)
+
+    def test_numpy_counts_give_a_json_record(self, rf):
+        hp, pol = constant_setup(level=2.0)
+        cfg = eh.SimConfig(horizon=200.0, replications=np.int64(2), seed=np.uint32(7),
+                           cdf_probes=np.int32(9))
+        record = json.loads(json.dumps(eh.simulate([(hp, pol, exp_dist())], rf,
+                                                   cfg).to_record()))
+        assert record["replications"] == 2 and record["window"] == 200.0
 
 
 class TestDepletionMap:
@@ -582,15 +591,34 @@ class TestWindowStatistics:
                              for a, b in zip(run.seg_level.tolist(),
                                              run.seg_end_level.tolist())]) / window
                 for q in probes.tolist()]
-        got = sim._occupancy_cdf(interp, run, probes, window)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        down, up = sim._crossing_counts(run, probes)
+        levels = sim._live_levels(run)
         live = run.drain_dur > 0.0
+        # the tau a stable sort would gather, so no sum depends on the sort kind
+        np.testing.assert_array_equal(
+            levels[1], run.seg_tau[live][np.argsort(run.seg_level[live], kind="stable")])
+        got = sim._occupancy_cdf(interp, run, levels, probes, window)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        down, up = sim._crossing_counts(run, levels, probes)
         assert down.tolist() == [
             float(np.sum(live & (run.seg_end_level < q) & (q <= run.seg_level)))
             for q in probes]
         assert up.tolist() == [
             float(np.sum((run.pre_arrival < q) & (q <= run.post_arrival))) for q in probes]
+
+
+    def test_clipped_first_segment_leads_its_ties(self):
+        # the burn-in clip leaves the first segment a tau other than its
+        # level's; among many tied start levels it must come first
+        interp = eh.constant_policy(2.0, 4.0, 64).interp()
+        a = np.tile([3.0, 1.0], 200)
+        seg_tau = interp.tau(a)
+        seg_tau[0] *= 1.0 - 1e-12
+        run = sim.NodeRun(seg_start=np.zeros(a.size), seg_level=a, seg_tau=seg_tau,
+                          seg_end_level=np.zeros(a.size), drain_end=seg_tau,
+                          drain_dur=seg_tau, idle_dur=np.zeros(a.size),
+                          pre_arrival=np.zeros(0), post_arrival=np.zeros(0), overflow=0.0)
+        _, ta, _ = sim._live_levels(run)
+        assert ta[200] == seg_tau[0] and ta[201:].tolist() == [seg_tau[2]] * 199
 
 
 class TestCrossingBalance:
