@@ -17,10 +17,11 @@ can tie with another level and carry a different tau; it is put first among
 its ties, as a stable sort would, so the sums do not depend on the machine's
 sort.
 
-The walk is one row per arrival, and a row that empties the battery forgets
-everything before it (the storage process regenerates there).  So the
-arrivals are cut into blocks after rows that must empty (on an unbounded
-battery: that very likely empty), every block is walked at once in numpy
+The walk is one row per arrival, and a row that empties the battery, or
+whose packet alone fills it, forgets everything before it (the storage
+process regenerates there).  So the arrivals are cut into blocks after rows
+that must empty (on an unbounded battery: that very likely empty) and after
+rows whose packet fills the battery, every block is walked at once in numpy
 lockstep, and each cut is then checked against the level the walk before it
 really left; the blocks whose start was wrong are walked again.  The rows
 come out bitwise equal to a one-row-at-a-time loop.
@@ -235,9 +236,12 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
     [t_prev, t_next) and then adds the arrival's packet.  A row that empties
     forgets the past, so the rows are cut into blocks after each row whose gap
     exceeds the drain time from the capacity, and every block starts from
-    its predecessor's last packet.  An unbounded battery has no such bound
-    and cuts at gaps beyond ``_SPECULATIVE_GAP`` of its top drain time
-    instead.  All blocks advance in lockstep, one row of each per numpy step.
+    its predecessor's last packet.  A row whose packet is at least the
+    capacity forgets the past as well: its post level is min(end + e, C) =
+    C = min(e, C), so the rows are also cut after it, busy or not.  An
+    unbounded battery has no such bound and never fills; it cuts at gaps
+    beyond ``_SPECULATIVE_GAP`` of its top drain time instead.  All blocks
+    advance in lockstep, one row of each per numpy step.
 
     Then every cut is checked: a block walked from another level than the
     post-arrival level its predecessor left is wrong.  The first wrong block
@@ -263,7 +267,7 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
         gap = _SPECULATIVE_GAP * interp.tau_nodes[-1]
     else:
         gap = interp.tau(capacity)
-    cut = np.flatnonzero(t_prev[:-1] + gap < t_next[:-1])
+    cut = np.flatnonzero((t_prev[:-1] + gap < t_next[:-1]) | (energy[:-1] >= capacity))
     first = np.concatenate(([0], cut + 1))
     last = np.append(cut, rows - 1)
     level = np.concatenate(([0.0], np.minimum(energy[cut], capacity)))

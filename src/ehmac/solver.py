@@ -119,9 +119,9 @@ class SolverConfig:
         if not math.isfinite(self.k_const):
             raise DomainError(f"k_const must be finite, got {self.k_const}", field="k_const")
         for name in ("grid_n", "ode_substeps", "max_outer"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}",
-                                  field=name)
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}", field=name)
         if not self.p0plus > 0.0:
             raise DomainError(f"p(0+) must be positive, got {self.p0plus}", field="p0plus")
         if not self.theta_tol > 0.0:
@@ -201,6 +201,16 @@ def initial_policy(capacity: float, grid_n: int, p0plus: float,
     return PolicyGrid(grid=x, values=vals, p0plus=p0plus)
 
 
+def _driven_to_zero(pos: float):
+    raise NonAdmissibleTrajectoryError(
+        f"release rate driven to zero near level {pos:.6g}", where=pos)
+
+
+def _overflowed(pos: float):
+    raise NumericOverflowError(
+        f"release rate exceeded the floating range near level {pos:.6g}", where=pos)
+
+
 def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
                substeps: int, p0plus: float) -> np.ndarray:
     """Fixed-step RK4 along the level grid; returns p at the grid nodes.
@@ -213,6 +223,13 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
     checks and the segment search, and the segment that call used becomes
     the live one.  The inline cubics are eval3's arithmetic, so either route
     gives the same bits; a lone node's exact moments have no segment.
+
+    Most substeps run in y (97 % of the grid nodes of a table2 solve), so
+    the y substep is written out stage by stage; the log p substep keeps one
+    loop over the stages.  The y stages use exact identities only: stage 1
+    reads the state itself (the state is positive or +0.0, which fails
+    either way), k1 + 2 k2 + 2 k3 + k4 is the weighted sum from -0.0 in the
+    same order, and 2 num / exp(C) is -2 num / d2 with d2 = -exp(C).
     """
     eval3, live_segment = phi.eval3, phi.live_segment
     log1p, exp, sqrt = math.log1p, math.exp, math.sqrt
@@ -230,59 +247,94 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
         hsub = (xs[i + 1] - x0) / substeps
         half = 0.5 * hsub
         sixth = hsub / 6.0
-        # (offset, weight) per stage: k1 + 2 k2 + 2 k3 + k4, summed left to right
+        # log p stages as (offset, weight): k1 + 2 k2 + 2 k3 + k4, left to right
         stages = ((0.0, 1.0), (half, 2.0), (half, 2.0), (hsub, 1.0))
         for j in range(substeps):
-            k = 0.0
-            acc = -0.0  # the exact additive identity, so acc = k1 after stage 1
-            for off, weight in stages:
-                arg = state + off * k
-                if in_y:
-                    if arg <= 0.0:
-                        pos = x0 + j * hsub
-                        raise NonAdmissibleTrajectoryError(
-                            f"release rate driven to zero near level {pos:.6g}",
-                            where=pos)
-                    p = sqrt(arg)
-                elif arg > _LOG_P_CAP:
-                    pos = x0 + j * hsub
-                    raise NumericOverflowError(
-                        f"release rate exceeded the floating range near level "
-                        f"{pos:.6g}", where=pos)
-                else:
+            if not in_y:
+                k = 0.0
+                acc = -0.0  # the exact additive identity, so acc = k1 after stage 1
+                for off, weight in stages:
+                    arg = state + off * k
+                    if arg > _LOG_P_CAP:
+                        _overflowed(x0 + j * hsub)
                     p = exp(arg)
-                t = log1p(p)
-                if t_lo <= t < t_hi:
-                    u = t - t0
-                    val = ((a0 * u + a1) * u + a2) * u + a3
-                    d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
-                    d2 = -exp(((c0 * u + c1) * u + c2) * u + c3)
-                else:
-                    val, d1, d2 = eval3(p)
-                    (t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3,
-                     c0, c1, c2, c3) = live_segment()
-                num = (lam - zeta * p) * d1 + zeta * val + k_const
-                k = -2.0 * num / d2 if in_y else -num / (p * p * d2)
-                acc = acc + weight * k
-            state = state + sixth * acc
-            if in_y:
-                if state <= 0.0:
-                    pos = x0 + j * hsub
-                    raise NonAdmissibleTrajectoryError(
-                        f"release rate driven to zero near level {pos:.6g}",
-                        where=pos)
-                if state > y_to_s:
-                    in_y = False
-                    state = 0.5 * math.log(state)
-            else:
+                    t = log1p(p)
+                    if t_lo <= t < t_hi:
+                        u = t - t0
+                        val = ((a0 * u + a1) * u + a2) * u + a3
+                        d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                        d2 = -exp(((c0 * u + c1) * u + c2) * u + c3)
+                    else:
+                        val, d1, d2 = eval3(p)
+                        (t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3,
+                         c0, c1, c2, c3) = live_segment()
+                    k = -((lam - zeta * p) * d1 + zeta * val + k_const) / (p * p * d2)
+                    acc = acc + weight * k
+                state = state + sixth * acc
                 if state > _LOG_P_CAP:
-                    pos = x0 + j * hsub
-                    raise NumericOverflowError(
-                        f"release rate exceeded the floating range near level "
-                        f"{pos:.6g}", where=pos)
+                    _overflowed(x0 + j * hsub)
                 if state < s_to_y:
                     in_y = True
                     state = math.exp(2.0 * state)
+                continue
+            # y = p**2: the four stages written out
+            p = _driven_to_zero(x0 + j * hsub) if state <= 0.0 else sqrt(state)
+            t = log1p(p)
+            if t_lo <= t < t_hi:
+                u = t - t0
+                val = ((a0 * u + a1) * u + a2) * u + a3
+                d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
+            else:
+                val, d1, d2 = eval3(p)
+                e2 = -d2
+                t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
+            k1 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
+            arg = state + half * k1
+            p = _driven_to_zero(x0 + j * hsub) if arg <= 0.0 else sqrt(arg)
+            t = log1p(p)
+            if t_lo <= t < t_hi:
+                u = t - t0
+                val = ((a0 * u + a1) * u + a2) * u + a3
+                d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
+            else:
+                val, d1, d2 = eval3(p)
+                e2 = -d2
+                t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
+            k2 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
+            arg = state + half * k2
+            p = _driven_to_zero(x0 + j * hsub) if arg <= 0.0 else sqrt(arg)
+            t = log1p(p)
+            if t_lo <= t < t_hi:
+                u = t - t0
+                val = ((a0 * u + a1) * u + a2) * u + a3
+                d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
+            else:
+                val, d1, d2 = eval3(p)
+                e2 = -d2
+                t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
+            k3 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
+            arg = state + hsub * k3
+            p = _driven_to_zero(x0 + j * hsub) if arg <= 0.0 else sqrt(arg)
+            t = log1p(p)
+            if t_lo <= t < t_hi:
+                u = t - t0
+                val = ((a0 * u + a1) * u + a2) * u + a3
+                d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
+            else:
+                val, d1, d2 = eval3(p)
+                e2 = -d2
+                t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
+            k4 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
+            state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if state <= 0.0:
+                _driven_to_zero(x0 + j * hsub)
+            if state > y_to_s:
+                in_y = False
+                state = 0.5 * math.log(state)
         out.append(math.sqrt(state) if in_y else math.exp(state))
     return np.array(out)
 

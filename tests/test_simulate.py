@@ -875,6 +875,18 @@ class TestLockstepWalk:
         assert np.all(run.seg_end_level[[1, 2, 6]] > 0.0)
         assert passes == [6, 2]   # cuts after rows 1, 2, 4, 6 and 8
 
+    def test_cut_after_a_filling_packet(self, monkeypatch):
+        # no gap outlasts the drain from the capacity, but the packet of row 1
+        # alone fills the battery, so the block is cut after it while the
+        # battery is busy, and the cut is right with no repair
+        passes = self._count_passes(monkeypatch)
+        interp = eh.constant_policy(1.0, 2.0, 16).interp()
+        times = np.array([1.0, 1.5, 2.0, 2.5])
+        energies = np.array([1.0, 3.0, 0.2, 0.3])
+        run = assert_walks_identical(interp, 2.0, times, energies, 0.0, 3.0)
+        assert run.seg_end_level[1] > 0.0 and run.post_arrival[1] == 2.0
+        assert passes == [2]
+
 
 def every_interval_integral(interps, runs, rf, burn_in, horizon, substeps):
     """Reference joint-rate integral that samples every merged interval."""

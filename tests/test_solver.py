@@ -35,10 +35,14 @@ class TestSolverConfig:
         pytest.param("grid_n", 128.0, id="grid_n_float"),
         pytest.param("ode_substeps", 2.5, id="ode_substeps"),
         pytest.param("max_outer", 3.0, id="max_outer"),
+        pytest.param("grid_n", True, id="grid_n_bool"),
+        pytest.param("ode_substeps", True, id="ode_substeps_bool"),
+        pytest.param("max_outer", True, id="max_outer_bool"),
     ])
     def test_rejects_before_any_work(self, field, value):
         # each of these once failed only inside a solve: a ZeroDivisionError,
-        # an E_RANGE, or a TypeError from linspace or range
+        # an E_RANGE, or a TypeError from linspace or range; a bool count
+        # once ran as 1
         with pytest.raises(DomainError) as err:
             eh.SolverConfig(**{field: value})
         assert err.value.field == field

@@ -778,9 +778,49 @@ def _same_as_reference(phi, *args):
     return want
 
 
+def _short_table():
+    """Moments of a node facing a constant-policy node, tabulated up to p = 10."""
+    hp = eh.HarvestParams(1.0, 1.0)
+    pol = eh.constant_policy(2.0, 12.0, 64)
+    state = eh.SystemState(nodes=(constant_node(n=64), (hp, pol, eh.measure_closed_form(pol, hp))),
+                           rate=eh.RateFunction(1.0))
+    return eh.phi_moments(state, 0, np.linspace(0.0, 10.0, 20))
+
+
+def _overshoot_table():
+    """A table whose phi' is not phi's slope (the kernel never checks): with
+    K = 2000 the equation has a stable point near p = 2000, above the y -> log p
+    hand-over at 1000, which coarse steps overshoot to and fro."""
+    q = np.concatenate(([0.0], np.geomspace(1e-3, 1e12, 200)))
+    return eh.PhiMoments(q=q, phi=np.log1p(q), dphi=np.ones_like(q),
+                         d2phi=-1.0 / (1.0 + q) ** 2)
+
+
+# arguments of test_exact_moments (n0, lam, zeta, k, p0, cap, n, substeps) and
+# test_tabulated_moments (phi, lam, zeta, k, log10 p0, cap, n, substeps) that
+# reach the written-out y stages' branches (test_examples_reach_their_branches)
+LATE_ZERO = {2: (1.0, 1.0, 1.0, -0.7, 1.0, 1.0, 3, 2),   # driven to zero at stage 2,
+             3: (0.5, 1.6, 0.6, -1.98, 0.08, 3.0, 10, 2),   # 3 and 4 of a
+             4: (1.0, 1.0, 1.0, -0.6, 1.5, 3.0, 3, 2)}      # second substep
+LATE_RANGE = (_short_table(), 1.0, 1.0, 0.0, -1.0, 2.0, 9, 2)
+ROUND_TRIP = (_overshoot_table(), 1.0, 1.0, 2000.0, -2.0, 0.5, 65, 4)
+
+
+def _exact_args(n0, lam, zeta, k, p0, cap, n, substeps):
+    return eh.ExactRateMoments(eh.RateFunction(n0)), lam, zeta, k, np.linspace(0.0, cap, n), \
+        substeps, p0
+
+
+def _tabulated_args(phi, lam, zeta, k, log_p0, cap, n, substeps):
+    return phi, lam, zeta, k, np.linspace(0.0, cap, n), substeps, 10.0 ** log_p0
+
+
 class TestIntegratorOracle:
     """The kernel's inline cubics give eval3's bits, and its errors."""
 
+    # a y stage after the first queries beyond the table; y -> log p -> y
+    @example(*LATE_RANGE)
+    @example(*ROUND_TRIP)
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(moment_tables(), st.floats(0.3, 3.0), st.floats(0.5, 2.0),
            st.floats(-1.5, 1.0), st.floats(-4.0, 1.0), st.floats(0.2, 4.0),
@@ -789,7 +829,11 @@ class TestIntegratorOracle:
         x = np.linspace(0.0, cap, n)
         _same_as_reference(phi, lam, zeta, k, x, substeps, 10.0 ** log_p0)
 
-    # trajectories in y = p^2 only, handing over to log p, and overflowing
+    # trajectories in y = p^2 only, handing over to log p, and overflowing;
+    # driven to zero at a later stage
+    @example(*LATE_ZERO[2])
+    @example(*LATE_ZERO[3])
+    @example(*LATE_ZERO[4])
     @example(1.0, 1.0, 1.0, -0.3, 0.05, 2.0, 129, 4)
     @example(1.0, 1.0, 1.0, 0.0, 0.1, 5.5, 129, 4)
     @example(1.0, 1.0, 1.0, 0.0, 0.1, 8.0, 129, 4)
@@ -800,6 +844,38 @@ class TestIntegratorOracle:
     def test_exact_moments(self, n0, lam, zeta, k, p0, cap, n, substeps):
         phi = eh.ExactRateMoments(eh.RateFunction(n0))
         _same_as_reference(phi, lam, zeta, k, np.linspace(0.0, cap, n), substeps, p0)
+
+    def test_examples_reach_their_branches(self):
+        # each example replayed on the oracle with a recording eval3.  Every
+        # stage queries once, so a stage that raises before its query leaves
+        # a count that is not a multiple of 4 (4 per substep before it), and a
+        # query that raises is the last one; stage 1 queries p of the state,
+        # above the hand-over only in log p and below its lower end only in y
+        def replay(phi, lam, zeta, k, x, substeps, p0):
+            queries = []
+
+            class Recorder:
+                def eval3(self, p):
+                    queries.append(p)
+                    return phi.eval3(p)
+
+            got = _outcome(_reference_integrate, Recorder(), lam, zeta, k, x, substeps, p0)
+            return got, queries, _SWITCH_FACTOR * max(1.0, lam / zeta, p0)
+
+        for stage, case in LATE_ZERO.items():
+            got, queries, _ = replay(*_exact_args(*case))
+            assert got[0] is NonAdmissibleTrajectoryError and got[2] > 0.0
+            assert len(queries) % 4 == stage - 1
+            assert (len(queries) // 4) % case[-1] == 1   # substep j = 1 of its step
+        got, queries, switch = replay(*_tabulated_args(*LATE_RANGE))
+        assert got[0] is MomentRangeError and got[3] == queries[-1]
+        assert len(queries) > 4 and (len(queries) - 1) % 4 != 0
+        assert max(queries[:-1]) < 0.5 * switch   # never left y
+        got, queries, switch = replay(*_tabulated_args(*ROUND_TRIP))
+        assert isinstance(got, list)
+        stage1 = queries[::4]
+        up = next(i for i, p in enumerate(stage1) if p > 1.01 * switch)
+        assert min(stage1[up:]) < 0.99 * 0.5 * switch
 
     @pytest.mark.parametrize("end", ["top", "bottom"])
     def test_range_ends_are_exact(self, rf, end):
