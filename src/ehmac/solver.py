@@ -224,7 +224,7 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
     the live one.  The inline cubics are eval3's arithmetic, so either route
     gives the same bits; a lone node's exact moments have no segment.
 
-    Most substeps run in y (97 % of the grid nodes of a table2 solve), so
+    Most substeps run in y (97 % of the grid nodes of a table2 pass), so
     the y substep is written out stage by stage; the log p substep keeps one
     loop over the stages.  The y stages use exact identities only: stage 1
     reads the state itself (the state is positive or +0.0, which fails

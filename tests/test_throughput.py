@@ -782,8 +782,8 @@ def _short_table():
     """Moments of a node facing a constant-policy node, tabulated up to p = 10."""
     hp = eh.HarvestParams(1.0, 1.0)
     pol = eh.constant_policy(2.0, 12.0, 64)
-    state = eh.SystemState(nodes=(constant_node(n=64), (hp, pol, eh.measure_closed_form(pol, hp))),
-                           rate=eh.RateFunction(1.0))
+    other = (hp, pol, eh.measure_closed_form(pol, hp))
+    state = eh.SystemState(nodes=(constant_node(n=64), other), rate=eh.RateFunction(1.0))
     return eh.phi_moments(state, 0, np.linspace(0.0, 10.0, 20))
 
 
@@ -798,17 +798,19 @@ def _overshoot_table():
 
 # arguments of test_exact_moments (n0, lam, zeta, k, p0, cap, n, substeps) and
 # test_tabulated_moments (phi, lam, zeta, k, log10 p0, cap, n, substeps) that
-# reach the written-out y stages' branches (test_examples_reach_their_branches)
-LATE_ZERO = {2: (1.0, 1.0, 1.0, -0.7, 1.0, 1.0, 3, 2),   # driven to zero at stage 2,
-             3: (0.5, 1.6, 0.6, -1.98, 0.08, 3.0, 10, 2),   # 3 and 4 of a
-             4: (1.0, 1.0, 1.0, -0.6, 1.5, 3.0, 3, 2)}      # second substep
+# reach the written-out y stages' branches (test_examples_reach_their_branches):
+# driven to zero at stage 2, 3 or 4 of a step's second substep, a y stage after
+# the first beyond the table, and y -> log p -> y round trips
+LATE_ZERO = {2: (1.0, 1.0, 1.0, -0.7, 1.0, 1.0, 3, 2),
+             3: (0.5, 1.6, 0.6, -1.98, 0.08, 3.0, 10, 2),
+             4: (1.0, 1.0, 1.0, -0.6, 1.5, 3.0, 3, 2)}
 LATE_RANGE = (_short_table(), 1.0, 1.0, 0.0, -1.0, 2.0, 9, 2)
 ROUND_TRIP = (_overshoot_table(), 1.0, 1.0, 2000.0, -2.0, 0.5, 65, 4)
 
 
 def _exact_args(n0, lam, zeta, k, p0, cap, n, substeps):
-    return eh.ExactRateMoments(eh.RateFunction(n0)), lam, zeta, k, np.linspace(0.0, cap, n), \
-        substeps, p0
+    phi = eh.ExactRateMoments(eh.RateFunction(n0))
+    return phi, lam, zeta, k, np.linspace(0.0, cap, n), substeps, p0
 
 
 def _tabulated_args(phi, lam, zeta, k, log_p0, cap, n, substeps):
