@@ -31,11 +31,13 @@ the time integral of r(p) over a drain is the level integral of r(p) / p,
 one ``PolicyInterp.drain_integral`` call with the rate cell rule.  So only
 the multi-node rate interaction term needs numeric quadrature.  It
 is sampled on the merged event timeline, only on the intervals where two or
-more nodes drain (elsewhere it is exactly zero), with substeps crowded toward
-the interval starts and one-sided limits at the event instants where the
-integrand jumps.  Every drain end is a cut of that timeline, so a node drains
-or idles throughout each interval: the sampler takes one draining flag per
-node and interval, which gives the right endpoint its pre-event limit.
+more nodes drain (elsewhere it is exactly zero), by 3-point Gauss-Legendre
+on three panels of each interval that narrow toward its start.  Every drain
+end is a cut of that timeline, so a node drains or idles throughout each
+interval, and the integrand is smooth between cuts except at the kinks of
+the policy; no Gauss point sits on a cut, where it jumps.  The sampler takes
+one draining flag per node and interval, and the remainder in one log per
+sample (``_rate_remainder``).
 
 The sampled term reads each policy in drain time tau, the time a battery
 needs to empty from its level.  Under the cellwise p**2-linear
@@ -284,8 +286,8 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
                    post[first[head] - 1], walk)
 
     # a drain that empties stops at the exact float t_prev + tau, which the
-    # merged timeline cuts at, so one-sided limits resolve by float identity;
-    # an empty battery (tau = 0) stops at t_prev
+    # merged timeline cuts at, so a node drains or idles throughout each of
+    # its intervals; an empty battery (tau = 0) stops at t_prev
     t_stop = np.minimum(t_prev + tau, t_next)
 
     # arrivals inside the window; an arrival overflows by (pre + energy) - post,
@@ -411,21 +413,66 @@ def _own_bits(interp, rf: RateFunction, run: NodeRun) -> float:
                         - interp.drain_integral(run.seg_end_level, cells, top)))
 
 
-# merged intervals per block of the joint-rate sampler: with 19 samples each,
-# a block's sample arrays (4096 x 19 float64, 608 KiB apiece) stay in a 1-4
+# merged intervals per block of the joint-rate sampler: with 9 samples each,
+# a block's sample arrays (4096 x 9 float64, 288 KiB apiece) stay in a 1-4
 # MiB L2 cache.  On one two-node sim_pair replication (grid 512, 5e4 time
-# units, 2 cores), sampling every interval took 0.42-0.55 s in 200k-interval
+# units, 2 cores, with the 19-sample trapezoid the Gauss-Legendre rule below
+# replaced), sampling every interval took 0.42-0.55 s in 200k-interval
 # blocks and 0.25-0.34 s in 4096-interval ones; skipping the intervals with
 # fewer than two draining nodes took that to 0.13-0.20 s, and the traced peak
 # memory fell from 190 to 10 MiB.
 _JOINT_CHUNK = 4096
-# uniform trapezoid substeps per sampled interval; the log-spaced samples that
-# crowd toward the interval start number 4 * this + 9
-_JOINT_SUBSTEPS = 2
+
+
+def _gauss_rule(edges, nodes, weights):
+    """Composite Gauss-Legendre rule on the panels between ``edges``.
+
+    ``nodes`` and ``weights`` are the rule on [-1, 1].  Returns the sample
+    fractions, all strictly inside their panels, and their weights, which
+    sum to ``edges[-1] - edges[0]``.
+    """
+    edges = np.asarray(edges, dtype=float)[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (edges[:-1] + half + half * nodes).ravel(), (half * weights).ravel()
+
+
+# 3-point Gauss-Legendre in closed form: numpy.polynomial's leggauss gives
+# the same rule to an ulp, but importing that package costs every run 1.6 MiB
+# of resident memory
+_GL3 = ([-math.sqrt(0.6), 0.0, math.sqrt(0.6)], [5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+# on three panels of each sampled interval, narrow toward its start: right
+# after an arrival an aggressive policy sheds the top charge within a small
+# fraction of the interval
+_JOINT_RULE = _gauss_rule([0.0, 0.1, 0.4, 1.0], *_GL3)
+
+
+def _rate_remainder(qs):
+    """r(sum p) - sum r(p) over the nodes' q = p / n0, in one log.
+
+    With s = sum q and e = prod(1 + q) - 1 - s, the remainder is
+    -log1p(e / (1 + s)) / (2 ln 2).  e is accumulated node by node as
+    e (1 + q) + q s, a sum of nonnegative terms, so nothing cancels; the
+    result is never positive, and exactly 0.0 when at most one q is nonzero.
+    """
+    s = e = 0.0
+    for q in qs:
+        e = e * (1.0 + q) + q * s
+        s = s + q
+    return np.log1p(e / (1.0 + s)) / (-2.0 * math.log(2.0))
+
+
+def _segment_index(t, run: NodeRun):
+    """The node's segment at each merged interval start ``t[:-1]``.
+
+    Every segment start is a cut of ``t``, so counting the starts at or
+    before each cut gives the last segment that began by then.
+    """
+    starts = np.bincount(np.searchsorted(t, run.seg_start), minlength=t.size)
+    return np.cumsum(starts[:t.size - 1]) - 1
 
 
 def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
-                         substeps, chunk=_JOINT_CHUNK):
+                         rule=_JOINT_RULE, chunk=_JOINT_CHUNK):
     """Integral of r(sum of release rates) over the window, merged timeline.
 
     Each node's own-rate integral is exact (``_own_bits``); only the
@@ -433,70 +480,47 @@ def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
     varies on the slow timescale, is sampled on the merged event timeline.
     Between cuts every node drains or idles throughout, and the remainder is
     exactly 0.0 where at most one node drains, so only intervals with two
-    or more draining nodes are sampled.  Event instants carry one-sided
-    limits: the first sample of an interval takes the post-event value, the
-    last the pre-event one (a battery that empties exactly at the cut still
-    transmits at p(0+) from the left).
+    or more draining nodes are sampled.  ``rule`` holds the sample fractions
+    of an interval and their weights; the default Gauss-Legendre fractions
+    lie strictly inside it, so no sample sits on an event instant.
 
     Returns the integral, the number of merged intervals and the number
     sampled.
     """
-    exact = 0.0
-    for interp, run in zip(interps, runs):
-        exact += _own_bits(interp, rf, run)
+    exact = sum(_own_bits(interp, rf, run) for interp, run in zip(interps, runs))
     if len(runs) == 1:
         return exact, 0, 0
+    # the segments are clipped to the window, so every cut lies inside it
     cuts = [np.asarray([burn_in, horizon])]
     for run in runs:
-        cuts.append(run.seg_start)
         empties = (run.seg_end_level == 0.0) & (run.drain_dur > 0.0)
-        cuts.append(run.drain_end[empties])
+        cuts += [run.seg_start, run.drain_end[empties]]
     t = np.unique(np.concatenate(cuts))
-    t = t[(t >= burn_in) & (t <= horizon)]
-    # each node's segment at every interval start; a node drains through the
-    # interval iff the interval starts before its drain ends
-    segs = [np.clip(np.searchsorted(run.seg_start, t[:-1], side="right") - 1,
-                    0, run.seg_start.size - 1) for run in runs]
+    # a node drains through the interval iff it starts before the drain ends
+    segs = [_segment_index(t, run) for run in runs]
     busy = sum((t[:-1] < run.drain_end[idx]).astype(np.intp)
                for run, idx in zip(runs, segs))
     keep = np.flatnonzero(busy >= 2)
     segs = [idx[keep] for idx in segs]
+    frac, weight = rule
     total = 0.0
-    # sample fractions crowd logarithmically toward the interval start: right
-    # after an arrival an aggressive policy sheds the top charge within a tiny
-    # fraction of the interval, and uniform substeps would credit that spike
-    # with a full trapezoid panel
-    frac = np.unique(np.concatenate((
-        [0.0], np.geomspace(1e-7, 1.0, 4 * substeps + 9),
-        np.linspace(0.0, 1.0, substeps + 1))))
-    w = np.empty_like(frac)
-    w[1:-1] = 0.5 * (frac[2:] - frac[:-2])
-    w[0] = 0.5 * (frac[1] - frac[0])
-    w[-1] = 0.5 * (frac[-1] - frac[-2])
     for lo in range(0, keep.size, chunk):
         block = keep[lo:lo + chunk]
         t0 = t[block]
-        t1 = t[block + 1]
-        dt = t1 - t0
-        samples = t0[:, None] + dt[:, None] * frac[None, :]
-        samples[:, -1] = t1  # exact cut float, not t0 + dt
-        p_sum = np.zeros_like(samples)
-        own_rate = np.zeros_like(samples)
-        for interp, run, seg in zip(interps, runs, segs):
+        dt = t[block + 1] - t0
+        elapsed = dt[:, None] * frac
+
+        def q_at(interp, run, seg):
             idx = seg[lo:lo + chunk]
-            # every drain end is a cut, so a node drains through the whole
-            # interval, right endpoint included (the pre-event limit), or
-            # idles through it; no interior sample reaches t1
-            draining = t0 < run.drain_end[idx]
-            tau_left = run.seg_tau[idx][:, None] - (samples - run.seg_start[idx][:, None])
             # p is linear in drain time inside each cell, and the clamps give
             # p(0+) at tau <= 0 and the top value beyond the last node
-            p_node = np.where(draining[:, None],
-                              np.interp(tau_left, interp.tau_nodes, interp.p), 0.0)
-            p_sum += p_node
-            own_rate += rate(rf, p_node)
-        vals = rate(rf, p_sum) - own_rate
-        total += float(np.sum((vals @ w) * dt))
+            tau0 = run.seg_tau[idx] - (t0 - run.seg_start[idx])
+            q = np.interp(tau0[:, None] - elapsed, interp.tau_nodes, interp.p / rf.n0)
+            q *= (t0 < run.drain_end[idx])[:, None]
+            return q
+
+        vals = _rate_remainder(map(q_at, interps, runs, segs))
+        total += float(np.sum((vals @ weight) * dt))
     return exact + total, t.size - 1, keep.size
 
 
@@ -566,7 +590,7 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
                     up[rep, k] = u / window
                 del levels   # the sorted copies are not held through the joint integral
         bits, n_merged, n_sampled = _joint_rate_integral(
-            interps, runs, rf, config.burn_in, config.horizon, _JOINT_SUBSTEPS)
+            interps, runs, rf, config.burn_in, config.horizon)
         thr[rep] = bits / window
         merged += n_merged
         sampled += n_sampled

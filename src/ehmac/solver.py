@@ -206,9 +206,9 @@ def _driven_to_zero(pos: float):
         f"release rate driven to zero near level {pos:.6g}", where=pos)
 
 
-def _overflowed(pos: float):
+def _overflowed(pos: float, what: str = "release rate"):
     raise NumericOverflowError(
-        f"release rate exceeded the floating range near level {pos:.6g}", where=pos)
+        f"{what} exceeded the floating range near level {pos:.6g}", where=pos) from None
 
 
 def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
@@ -230,6 +230,8 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
     reads the state itself (the state is positive or +0.0, which fails
     either way), k1 + 2 k2 + 2 k3 + k4 is the weighted sum from -0.0 in the
     same order, and 2 num / exp(C) is -2 num / d2 with d2 = -exp(C).
+    A slope whose denominator underflows to zero raises NumericOverflowError
+    at the substep's level.
     """
     eval3, live_segment = phi.eval3, phi.live_segment
     log1p, exp, sqrt = math.log1p, math.exp, math.sqrt
@@ -242,100 +244,104 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
     t_lo = t_hi = math.nan  # no live segment: the first query goes to eval3
     out = [p0plus]
     state = p0plus * p0plus
-    for i in range(len(xs) - 1):
-        x0 = xs[i]
-        hsub = (xs[i + 1] - x0) / substeps
-        half = 0.5 * hsub
-        sixth = hsub / 6.0
-        # log p stages as (offset, weight): k1 + 2 k2 + 2 k3 + k4, left to right
-        stages = ((0.0, 1.0), (half, 2.0), (half, 2.0), (hsub, 1.0))
-        for j in range(substeps):
-            if not in_y:
-                k = 0.0
-                acc = -0.0  # the exact additive identity, so acc = k1 after stage 1
-                for off, weight in stages:
-                    arg = state + off * k
-                    if arg > _LOG_P_CAP:
+    try:
+        for i in range(len(xs) - 1):
+            x0 = xs[i]
+            hsub = (xs[i + 1] - x0) / substeps
+            half = 0.5 * hsub
+            sixth = hsub / 6.0
+            # log p stages as (offset, weight): k1 + 2 k2 + 2 k3 + k4, left to right
+            stages = ((0.0, 1.0), (half, 2.0), (half, 2.0), (hsub, 1.0))
+            for j in range(substeps):
+                if not in_y:
+                    k = 0.0
+                    acc = -0.0  # the exact additive identity, so acc = k1 after stage 1
+                    for off, weight in stages:
+                        arg = state + off * k
+                        if arg > _LOG_P_CAP:
+                            _overflowed(x0 + j * hsub)
+                        p = exp(arg)
+                        t = log1p(p)
+                        if t_lo <= t < t_hi:
+                            u = t - t0
+                            val = ((a0 * u + a1) * u + a2) * u + a3
+                            d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                            d2 = -exp(((c0 * u + c1) * u + c2) * u + c3)
+                        else:
+                            val, d1, d2 = eval3(p)
+                            (t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3,
+                             c0, c1, c2, c3) = live_segment()
+                        k = -((lam - zeta * p) * d1 + zeta * val + k_const) / (p * p * d2)
+                        acc = acc + weight * k
+                    state = state + sixth * acc
+                    if state > _LOG_P_CAP:
                         _overflowed(x0 + j * hsub)
-                    p = exp(arg)
-                    t = log1p(p)
-                    if t_lo <= t < t_hi:
-                        u = t - t0
-                        val = ((a0 * u + a1) * u + a2) * u + a3
-                        d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
-                        d2 = -exp(((c0 * u + c1) * u + c2) * u + c3)
-                    else:
-                        val, d1, d2 = eval3(p)
-                        (t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3,
-                         c0, c1, c2, c3) = live_segment()
-                    k = -((lam - zeta * p) * d1 + zeta * val + k_const) / (p * p * d2)
-                    acc = acc + weight * k
-                state = state + sixth * acc
-                if state > _LOG_P_CAP:
-                    _overflowed(x0 + j * hsub)
-                if state < s_to_y:
-                    in_y = True
-                    state = math.exp(2.0 * state)
-                continue
-            # y = p**2: the four stages written out
-            p = _driven_to_zero(x0 + j * hsub) if state <= 0.0 else sqrt(state)
-            t = log1p(p)
-            if t_lo <= t < t_hi:
-                u = t - t0
-                val = ((a0 * u + a1) * u + a2) * u + a3
-                d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
-                e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
-            else:
-                val, d1, d2 = eval3(p)
-                e2 = -d2
-                t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
-            k1 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
-            arg = state + half * k1
-            p = _driven_to_zero(x0 + j * hsub) if arg <= 0.0 else sqrt(arg)
-            t = log1p(p)
-            if t_lo <= t < t_hi:
-                u = t - t0
-                val = ((a0 * u + a1) * u + a2) * u + a3
-                d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
-                e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
-            else:
-                val, d1, d2 = eval3(p)
-                e2 = -d2
-                t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
-            k2 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
-            arg = state + half * k2
-            p = _driven_to_zero(x0 + j * hsub) if arg <= 0.0 else sqrt(arg)
-            t = log1p(p)
-            if t_lo <= t < t_hi:
-                u = t - t0
-                val = ((a0 * u + a1) * u + a2) * u + a3
-                d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
-                e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
-            else:
-                val, d1, d2 = eval3(p)
-                e2 = -d2
-                t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
-            k3 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
-            arg = state + hsub * k3
-            p = _driven_to_zero(x0 + j * hsub) if arg <= 0.0 else sqrt(arg)
-            t = log1p(p)
-            if t_lo <= t < t_hi:
-                u = t - t0
-                val = ((a0 * u + a1) * u + a2) * u + a3
-                d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
-                e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
-            else:
-                val, d1, d2 = eval3(p)
-                e2 = -d2
-                t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
-            k4 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
-            state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if state <= 0.0:
-                _driven_to_zero(x0 + j * hsub)
-            if state > y_to_s:
-                in_y = False
-                state = 0.5 * math.log(state)
-        out.append(math.sqrt(state) if in_y else math.exp(state))
+                    if state < s_to_y:
+                        in_y = True
+                        state = math.exp(2.0 * state)
+                    continue
+                # y = p**2: the four stages written out
+                p = _driven_to_zero(x0 + j * hsub) if state <= 0.0 else sqrt(state)
+                t = log1p(p)
+                if t_lo <= t < t_hi:
+                    u = t - t0
+                    val = ((a0 * u + a1) * u + a2) * u + a3
+                    d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                    e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
+                else:
+                    val, d1, d2 = eval3(p)
+                    e2 = -d2
+                    t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
+                k1 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
+                arg = state + half * k1
+                p = _driven_to_zero(x0 + j * hsub) if arg <= 0.0 else sqrt(arg)
+                t = log1p(p)
+                if t_lo <= t < t_hi:
+                    u = t - t0
+                    val = ((a0 * u + a1) * u + a2) * u + a3
+                    d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                    e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
+                else:
+                    val, d1, d2 = eval3(p)
+                    e2 = -d2
+                    t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
+                k2 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
+                arg = state + half * k2
+                p = _driven_to_zero(x0 + j * hsub) if arg <= 0.0 else sqrt(arg)
+                t = log1p(p)
+                if t_lo <= t < t_hi:
+                    u = t - t0
+                    val = ((a0 * u + a1) * u + a2) * u + a3
+                    d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                    e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
+                else:
+                    val, d1, d2 = eval3(p)
+                    e2 = -d2
+                    t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
+                k3 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
+                arg = state + hsub * k3
+                p = _driven_to_zero(x0 + j * hsub) if arg <= 0.0 else sqrt(arg)
+                t = log1p(p)
+                if t_lo <= t < t_hi:
+                    u = t - t0
+                    val = ((a0 * u + a1) * u + a2) * u + a3
+                    d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
+                    e2 = exp(((c0 * u + c1) * u + c2) * u + c3)
+                else:
+                    val, d1, d2 = eval3(p)
+                    e2 = -d2
+                    t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = live_segment()
+                k4 = 2.0 * ((lam - zeta * p) * d1 + zeta * val + k_const) / e2
+                state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if state <= 0.0:
+                    _driven_to_zero(x0 + j * hsub)
+                if state > y_to_s:
+                    in_y = False
+                    state = 0.5 * math.log(state)
+            out.append(math.sqrt(state) if in_y else math.exp(state))
+    except ZeroDivisionError:
+        # the slope's denominator p**2 phi'' (or exp(C) in y) underflowed
+        _overflowed(x0 + j * hsub, "equation slope")
     return np.array(out)
 
 

@@ -156,9 +156,10 @@ def test_criterion_3b_cell_necessary_condition(solves, cap):
 
 @pytest.mark.parametrize("cap", sorted(QUOTED_K_MINUS_HALF))
 def test_criterion_3b_cell_trajectory(solves, cap):
-    # at the simulator's two joint-rate substeps the throughput sits about one
-    # standard error below the quadrature (its interaction-term sampling
-    # bias); the quoted values lie 20-35 standard errors away
+    # the simulator's Gauss-Legendre joint-rate rule leaves a bias below 1e-7
+    # here, and the throughput sits within one standard error of the
+    # quadrature (-0.06 and +0.50 SE); the quoted values lie 20-35 standard
+    # errors away
     report = solves.get(cap, -0.5, 0.001)
     hp = eh.HarvestParams(1.0, 1.0, cap)
     cfg = eh.SimConfig(horizon=1e4, replications=8, seed=7, burn_in=100.0)

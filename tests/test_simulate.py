@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ehmac as eh
@@ -307,7 +307,7 @@ def _pin_single():
 
 PIN_CASES = {
     "pair": (_pin_pair, {
-        "throughput": 0.7904602675403462, "throughput_se": 0.010401192686292804,
+        "throughput": 0.7917723786384492, "throughput_se": 0.010489189441790723,
         "atom": [0.10048905213863596, 0.009311190971520772],
         "mean_power": [0.7213188961557377, 1.4624383348654542],
         "power_variance": [0.6109538361964063, 0.6193186005061053],
@@ -888,38 +888,70 @@ class TestLockstepWalk:
         assert passes == [2]
 
 
-def every_interval_integral(interps, runs, rf, burn_in, horizon, substeps):
-    """Reference joint-rate integral that samples every merged interval."""
-    exact = 0.0
-    for interp, run in zip(interps, runs):
-        exact += sim._own_bits(interp, rf, run)
+class TestRateRemainder:
+    """The one-log interaction remainder against a 50-digit reference."""
+
+    @example([0.0, 0.7, 0.0], 1.0)
+    @example([1e-12, 1e-12], 10.0)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e3),
+                              st.floats(1e3, 1e6)), min_size=1, max_size=5),
+           st.floats(0.1, 10.0))
+    def test_matches_mpmath(self, ps, n0):
+        mpmath = pytest.importorskip("mpmath")
+        got = float(sim._rate_remainder([p / n0 for p in ps]))
+        with mpmath.workdps(50):
+            q = [mpmath.mpf(p / n0) for p in ps]
+            want = (mpmath.log(1 + sum(q)) - sum(mpmath.log(1 + v) for v in q)) / (
+                2 * mpmath.log(2))
+        assert abs(got - float(want)) <= max(1e-13 * abs(float(want)), 1e-15)
+        assert got <= 0.0
+        if sum(p > 0.0 for p in ps) <= 1:
+            assert got == 0.0
+
+    def test_arrays_elementwise(self):
+        q = [np.array([0.0, 0.5, 2.0]), np.array([0.0, 0.0, 3.0]), np.array([1.0, 0.25, 0.0])]
+        got = sim._rate_remainder(q)
+        want = [float(sim._rate_remainder([v[i] for v in q])) for i in range(3)]
+        assert got.tolist() == want and got[0] == 0.0
+
+
+# 6-point Gauss-Legendre on the 179 panels of a uniform and a geometric grid
+# of the interval
+FINE_RULE = sim._gauss_rule(np.unique(np.concatenate((
+    np.linspace(0.0, 1.0, 121), np.geomspace(1e-6, 1.0, 61)))),
+    *np.polynomial.legendre.leggauss(6))
+
+
+def merged_timeline(runs, burn_in, horizon):
+    """The window's cuts: its ends, every segment start and every emptying."""
     cuts = [np.asarray([burn_in, horizon])]
     for run in runs:
         cuts.append(run.seg_start)
         cuts.append(run.drain_end[(run.seg_end_level == 0.0) & (run.drain_dur > 0.0)])
     t = np.unique(np.concatenate(cuts))
-    t = t[(t >= burn_in) & (t <= horizon)]
-    frac = np.unique(np.concatenate((
-        [0.0], np.geomspace(1e-7, 1.0, 4 * substeps + 9),
-        np.linspace(0.0, 1.0, substeps + 1))))
-    w = np.empty_like(frac)
-    w[1:-1] = 0.5 * (frac[2:] - frac[:-2])
-    w[0] = 0.5 * (frac[1] - frac[0])
-    w[-1] = 0.5 * (frac[-1] - frac[-2])
+    return t[(t >= burn_in) & (t <= horizon)]
+
+
+def every_interval_integral(interps, runs, rf, burn_in, horizon):
+    """Reference joint-rate integral that samples every merged interval with
+    the default rule, reads each node's segment and draining state per
+    sample, and takes the remainder as r(sum p) - sum r(p)."""
+    exact = 0.0
+    for interp, run in zip(interps, runs):
+        exact += sim._own_bits(interp, rf, run)
+    t = merged_timeline(runs, burn_in, horizon)
+    frac, w = sim._JOINT_RULE
     t0, t1 = t[:-1], t[1:]
     dt = t1 - t0
     samples = t0[:, None] + dt[:, None] * frac[None, :]
-    samples[:, -1] = t1
     p_sum = np.zeros_like(samples)
     own_rate = np.zeros_like(samples)
     for interp, run in zip(interps, runs):
-        idx = np.clip(np.searchsorted(run.seg_start, t0, side="right") - 1,
+        idx = np.clip(np.searchsorted(run.seg_start, samples, side="right") - 1,
                       0, run.seg_start.size - 1)
-        de = run.drain_end[idx]
-        draining = samples < de[:, None]
-        draining[:, -1] = (t1 <= de) & (run.drain_dur[idx] > 0.0)
-        elapsed = np.minimum(samples, de[:, None]) - run.seg_start[idx][:, None]
-        tau_left = run.seg_tau[idx][:, None] - elapsed
+        draining = samples < run.drain_end[idx]
+        tau_left = run.seg_tau[idx] - (samples - run.seg_start[idx])
         p_node = np.where(draining, np.interp(tau_left, interp.tau_nodes, interp.p), 0.0)
         p_sum += p_node
         own_rate += rate(rf, p_node)
@@ -956,11 +988,11 @@ class TestJointIntervalSkip:
     def test_matches_every_interval_reference(self, nodes, rf):
         burn_in, horizon = 13.7, 400.0
         interps, runs = _node_runs(self.NODES[nodes], burn_in, horizon, seed=41)
-        want = every_interval_integral(interps, runs, rf, burn_in, horizon, 2)
+        want = every_interval_integral(interps, runs, rf, burn_in, horizon)
         results = set()
         for chunk in (1, 7, sim._JOINT_CHUNK):
             got, merged, sampled = sim._joint_rate_integral(interps, runs, rf, burn_in,
-                                                            horizon, 2, chunk=chunk)
+                                                            horizon, chunk=chunk)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
             results.add((got, merged, sampled))
         assert len({(m, s) for _, m, s in results}) == 1
@@ -968,14 +1000,44 @@ class TestJointIntervalSkip:
         if nodes == "three_one_idle":
             assert runs[1].drain_dur.sum() == 0.0   # idle throughout
 
+    @pytest.mark.parametrize("nodes", sorted(NODES))
+    def test_segment_index_from_the_merged_timeline(self, nodes):
+        # counting segment starts along the merged cuts gives the integers a
+        # search of every cut among the segment starts gives
+        burn_in, horizon = 13.7, 400.0
+        _, runs = _node_runs(self.NODES[nodes], burn_in, horizon, seed=41)
+        t = merged_timeline(runs, burn_in, horizon)
+        for run in runs:
+            want = np.clip(np.searchsorted(run.seg_start, t[:-1], side="right") - 1,
+                           0, run.seg_start.size - 1)
+            np.testing.assert_array_equal(sim._segment_index(t, run), want)
+
+    def test_default_rule_is_3_point_gauss_legendre(self):
+        x, w = np.polynomial.legendre.leggauss(3)
+        np.testing.assert_allclose(sim._GL3, (x, w), rtol=1e-15, atol=1e-16)
+        frac, weight = sim._JOINT_RULE
+        assert frac.size == 9 and np.all((frac > 0.0) & (frac < 1.0))
+        assert weight @ frac ** 5 == pytest.approx(1.0 / 6.0, rel=1e-14)
+
+    @pytest.mark.parametrize("nodes", sorted(NODES))
+    def test_default_rule_against_a_fine_rule(self, nodes, rf):
+        # 6-point Gauss-Legendre on 179 panels of each interval agrees with 8
+        # points on 598 to 1e-9 per unit window here; the default, to 1e-7
+        burn_in, horizon = 13.7, 400.0
+        interps, runs = _node_runs(self.NODES[nodes], burn_in, horizon, seed=41)
+        got, _, _ = sim._joint_rate_integral(interps, runs, rf, burn_in, horizon)
+        fine, _, _ = sim._joint_rate_integral(interps, runs, rf, burn_in, horizon,
+                                              rule=FINE_RULE, chunk=256)
+        assert abs(got - fine) / (horizon - burn_in) <= 1e-5
+
     # float.hex of the integral per block size, with the merged and sampled
     # interval counts; in "three_one_idle" node 1 idles inside every sampled
     # interval, so its release rate there must read exactly 0.0
     PINNED = {
-        "two": ({1: "0x1.99f8ddd0ca891p+7", 7: "0x1.99f8ddd0ca891p+7",
-                 sim._JOINT_CHUNK: "0x1.99f8ddd0ca890p+7"}, 740, 471),
-        "three_one_idle": ({1: "0x1.ddfbcf676cf05p+7", 7: "0x1.ddfbcf676cf06p+7",
-                            sim._JOINT_CHUNK: "0x1.ddfbcf676cf07p+7"}, 1076, 876),
+        "two": ({1: "0x1.9aab6ac9be87ep+7", 7: "0x1.9aab6ac9be87ep+7",
+                 sim._JOINT_CHUNK: "0x1.9aab6ac9be87ep+7"}, 740, 471),
+        "three_one_idle": ({1: "0x1.de456412aa668p+7", 7: "0x1.de456412aa66ap+7",
+                            sim._JOINT_CHUNK: "0x1.de456412aa66ap+7"}, 1076, 876),
     }
 
     @pytest.mark.parametrize("nodes", sorted(NODES))
@@ -985,7 +1047,7 @@ class TestJointIntervalSkip:
         bits, merged_want, sampled_want = self.PINNED[nodes]
         for chunk, want in bits.items():
             got, merged, sampled = sim._joint_rate_integral(interps, runs, rf, burn_in,
-                                                            horizon, 2, chunk=chunk)
+                                                            horizon, chunk=chunk)
             assert (got.hex(), merged, sampled) == (want, merged_want, sampled_want)
 
     def test_work_counts(self, rf, monkeypatch):

@@ -702,8 +702,9 @@ class TestSplineFit:
 def _reference_integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
                          substeps: int, p0plus: float) -> np.ndarray:
     """The RK4 loop before it kept the live spline segment in locals: one
-    right-hand side and one ``eval3`` call per stage.  Kept verbatim as the
-    oracle of ``solver._integrate``."""
+    right-hand side and one ``eval3`` call per stage.  Kept as the oracle of
+    ``solver._integrate``; like the kernel, it raises NumericOverflowError
+    where a slope divides by zero."""
     eval3 = phi.eval3
     switch_hi = _SWITCH_FACTOR * max(1.0, lam / zeta, p0plus)
     switch_lo = 0.5 * switch_hi
@@ -738,10 +739,15 @@ def _reference_integrate(phi, lam: float, zeta: float, k_const: float, x: np.nda
         sixth = hsub / 6.0
         for j in range(substeps):
             pos = x0 + j * hsub
-            k1 = rhs(state)
-            k2 = rhs(state + half * k1)
-            k3 = rhs(state + half * k2)
-            k4 = rhs(state + hsub * k3)
+            try:
+                k1 = rhs(state)
+                k2 = rhs(state + half * k1)
+                k3 = rhs(state + half * k2)
+                k4 = rhs(state + hsub * k3)
+            except ZeroDivisionError:
+                raise NumericOverflowError(
+                    f"equation slope exceeded the floating range near level {pos:.6g}",
+                    where=pos) from None
             state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if in_y:
                 if state <= 0.0:
@@ -806,6 +812,9 @@ LATE_ZERO = {2: (1.0, 1.0, 1.0, -0.7, 1.0, 1.0, 3, 2),
              4: (1.0, 1.0, 1.0, -0.6, 1.5, 3.0, 3, 2)}
 LATE_RANGE = (_short_table(), 1.0, 1.0, 0.0, -1.0, 2.0, 9, 2)
 ROUND_TRIP = (_overshoot_table(), 1.0, 1.0, 2000.0, -2.0, 0.5, 65, 4)
+# K = 5000: a log p stage steps so far down that p = exp(arg) underflows to
+# 0.0, and its slope divides by p**2 phi'' = -0.0
+SLOPE_UNDERFLOW = (_overshoot_table(), 1.0, 1.0, 5000.0, -2.0, 0.5, 17, 4)
 
 
 def _exact_args(n0, lam, zeta, k, p0, cap, n, substeps):
@@ -820,9 +829,11 @@ def _tabulated_args(phi, lam, zeta, k, log_p0, cap, n, substeps):
 class TestIntegratorOracle:
     """The kernel's inline cubics give eval3's bits, and its errors."""
 
-    # a y stage after the first queries beyond the table; y -> log p -> y
+    # a y stage after the first queries beyond the table; y -> log p -> y;
+    # a slope that divides by zero
     @example(*LATE_RANGE)
     @example(*ROUND_TRIP)
+    @example(*SLOPE_UNDERFLOW)
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(moment_tables(), st.floats(0.3, 3.0), st.floats(0.5, 2.0),
            st.floats(-1.5, 1.0), st.floats(-4.0, 1.0), st.floats(0.2, 4.0),
@@ -878,6 +889,11 @@ class TestIntegratorOracle:
         stage1 = queries[::4]
         up = next(i for i, p in enumerate(stage1) if p > 1.01 * switch)
         assert min(stage1[up:]) < 0.99 * 0.5 * switch
+
+    def test_slope_underflow_is_a_typed_error(self):
+        got = _same_as_reference(*_tabulated_args(*SLOPE_UNDERFLOW))
+        assert got[0] is NumericOverflowError and got[2] == 0.5 / 64
+        assert "equation slope" in got[1]
 
     @pytest.mark.parametrize("end", ["top", "bottom"])
     def test_range_ends_are_exact(self, rf, end):
