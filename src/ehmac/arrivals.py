@@ -75,6 +75,8 @@ class PacketDistribution:
         cdf = np.asarray(cdf, dtype=float)
         if xs.ndim != 1 or xs.size < 2 or xs.shape != cdf.shape:
             raise DomainError("tabulated CDF needs matching 1-d knot arrays of length >= 2")
+        if not (np.isfinite(xs).all() and np.isfinite(cdf).all()):
+            raise DomainError("tabulated CDF knots must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise DomainError("tabulated CDF abscissae must be strictly increasing")
         if np.any(np.diff(cdf) < 0.0) or cdf[0] < 0.0 or abs(cdf[-1] - 1.0) > 1e-12:

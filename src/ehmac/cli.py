@@ -22,7 +22,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import islice
 from pathlib import Path
 
@@ -45,8 +45,14 @@ def _bound_for(cfg: ExperimentConfig, capacity: float) -> float:
     return bound([cfg.harvest(capacity)] * cfg.node_count, cfg.rate_function())
 
 
-def _write_summary(path: Path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_summary(path: Path | None, rows):
+    """Write the summary CSV to ``path``, making its directory, or to stdout."""
+    if path is None:
+        out = nullcontext(sys.stdout)
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        out = open(path, "w", newline="", encoding="utf-8")
+    with out as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         writer.writerows(rows)
@@ -57,13 +63,7 @@ def cmd_bound(cfg: ExperimentConfig, outdir: Path | None):
     rows = []
     for cap in cfg.capacities:
         rows.append((cap, "", "", "", f"{_bound_for(cfg, cap):.6f}", ""))
-    if outdir is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerows(rows)
-    else:
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_summary(outdir / "bounds.csv", rows)
+    _write_summary(None if outdir is None else outdir / "bounds.csv", rows)
     return rows
 
 
@@ -178,13 +178,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path | None):
     with _runner(cfg) as run:
         rows = [_summary_row(cfg, cap, k, p0, rep.utility)
                 for (_, cap, k, p0, _), rep in _solved_cells(cfg, run)]
-    if outdir is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerows(rows)
-    else:
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_summary(outdir / "summary.csv", rows)
+    _write_summary(None if outdir is None else outdir / "summary.csv", rows)
     return rows
 
 

@@ -33,25 +33,18 @@ class RateFunction:
 
 def _check_nonnegative(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("total power must be nonnegative")
+    if not (arr >= 0.0).all():
+        raise DomainError("total power must be nonnegative, not NaN")
     return arr
 
 
 def rate(rf: RateFunction, x):
     """Rate in bits per unit time at total power ``x``.
 
-    Accepts scalars or arrays; negative power raises DomainError.
+    Accepts scalars or arrays; negative or NaN power raises DomainError.
     """
-    arr = _check_nonnegative(x)
-    # 0.5 * log1p(x / n0) / ln 2, computed in one fresh buffer
-    out = np.divide(arr, rf.n0, out=np.empty_like(arr))
-    np.log1p(out, out=out)
-    out *= 0.5
-    out /= _LN2
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    out = 0.5 * np.log1p(_check_nonnegative(x) / rf.n0) / _LN2
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def rate_deriv(rf: RateFunction, x, order=1):
@@ -59,19 +52,8 @@ def rate_deriv(rf: RateFunction, x, order=1):
     arr = _check_nonnegative(x)
     if order not in (1, 2):
         raise UsageError(f"derivative order must be 1 or 2, got {order}")
-    # 1 / (2 ln 2 (n0 + x)) and -1 / (2 ln 2 (n0 + x)**2), in one fresh buffer
-    out = np.add(rf.n0, arr, out=np.empty_like(arr))
-    if order == 2 and out.ndim:
-        np.square(out, out=out)
-    elif order == 2:
-        # a scalar is squared with pow(), as numpy's scalar ** does; pow can
-        # differ from x * x in the last bit
-        np.float_power(out, 2.0, out=out)
-    out *= 2.0 * _LN2
-    np.divide(1.0 if order == 1 else -1.0, out, out=out)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    out = (1.0 if order == 1 else -1.0) / ((rf.n0 + arr) ** order * (2.0 * _LN2))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def mixture_rate_inequality_check(gamma, beta, a, b, rf: RateFunction | None = None,

@@ -591,6 +591,8 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
                 del levels   # the sorted copies are not held through the joint integral
         bits, n_merged, n_sampled = _joint_rate_integral(
             interps, runs, rf, config.burn_in, config.horizon)
+        # the next replication's first walk starts with none of this one's arrays
+        del runs, run, times, energies
         thr[rep] = bits / window
         merged += n_merged
         sampled += n_sampled

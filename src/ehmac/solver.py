@@ -216,22 +216,23 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
     """Fixed-step RK4 along the level grid; returns p at the grid nodes.
 
     The state is y = p**2 while ``in_y`` holds and log(p) after the hand-over.
-    The loop runs on plain floats and in the common case makes no Python
-    call: it holds the moments' live spline segment (``phi.live_segment()``)
-    in locals and evaluates its three cubics inline while t = log1p(p) stays
-    inside it.  Any other query goes to ``phi.eval3``, which keeps the range
-    checks and the segment search, and the segment that call used becomes
-    the live one.  The inline cubics are eval3's arithmetic, so either route
-    gives the same bits; a lone node's exact moments have no segment.
+    The loop runs on plain floats.  Most substeps run in y (97 % of the grid
+    nodes of a table2 pass), so the y substep is written out stage by stage
+    and in the common case makes no Python call: it holds the moments' live
+    spline segment (``phi.live_segment()``) in locals and evaluates its three
+    cubics inline while t = log1p(p) stays inside it.  Any other y query goes
+    to ``phi.eval3``, which keeps the range checks and the segment search,
+    and the segment that call used becomes the live one.  The inline cubics
+    are eval3's arithmetic, so either route gives the same bits; a lone
+    node's exact moments have no segment.  The log p substep loops over its
+    stages and reads every moment through ``phi.eval3``.
 
-    Most substeps run in y (97 % of the grid nodes of a table2 pass), so
-    the y substep is written out stage by stage; the log p substep keeps one
-    loop over the stages.  The y stages use exact identities only: stage 1
-    reads the state itself (the state is positive or +0.0, which fails
-    either way), k1 + 2 k2 + 2 k3 + k4 is the weighted sum from -0.0 in the
-    same order, and 2 num / exp(C) is -2 num / d2 with d2 = -exp(C).
-    A slope whose denominator underflows to zero raises NumericOverflowError
-    at the substep's level.
+    The y stages use exact identities only: stage 1 reads the state itself
+    (the state is positive or +0.0, which fails either way), k1 + 2 k2 +
+    2 k3 + k4 is the weighted sum from -0.0 in the same order, and
+    2 num / exp(C) is -2 num / d2 with d2 = -exp(C).  A slope whose
+    denominator underflows to zero raises NumericOverflowError at the
+    substep's level.
     """
     eval3, live_segment = phi.eval3, phi.live_segment
     log1p, exp, sqrt = math.log1p, math.exp, math.sqrt
@@ -250,27 +251,17 @@ def _integrate(phi, lam: float, zeta: float, k_const: float, x: np.ndarray,
             hsub = (xs[i + 1] - x0) / substeps
             half = 0.5 * hsub
             sixth = hsub / 6.0
-            # log p stages as (offset, weight): k1 + 2 k2 + 2 k3 + k4, left to right
-            stages = ((0.0, 1.0), (half, 2.0), (half, 2.0), (hsub, 1.0))
             for j in range(substeps):
                 if not in_y:
                     k = 0.0
                     acc = -0.0  # the exact additive identity, so acc = k1 after stage 1
-                    for off, weight in stages:
+                    # stages as (offset, weight): k1 + 2 k2 + 2 k3 + k4, left to right
+                    for off, weight in ((0.0, 1.0), (half, 2.0), (half, 2.0), (hsub, 1.0)):
                         arg = state + off * k
                         if arg > _LOG_P_CAP:
                             _overflowed(x0 + j * hsub)
                         p = exp(arg)
-                        t = log1p(p)
-                        if t_lo <= t < t_hi:
-                            u = t - t0
-                            val = ((a0 * u + a1) * u + a2) * u + a3
-                            d1 = exp(((b0 * u + b1) * u + b2) * u + b3)
-                            d2 = -exp(((c0 * u + c1) * u + c2) * u + c3)
-                        else:
-                            val, d1, d2 = eval3(p)
-                            (t_lo, t_hi, t0, a0, a1, a2, a3, b0, b1, b2, b3,
-                             c0, c1, c2, c3) = live_segment()
+                        val, d1, d2 = eval3(p)
                         k = -((lam - zeta * p) * d1 + zeta * val + k_const) / (p * p * d2)
                         acc = acc + weight * k
                     state = state + sixth * acc

@@ -349,8 +349,10 @@ class PhiMoments:
         # their logarithms, which pins their signs and keeps relative accuracy
         # where they decay over hundreds of orders of magnitude.  The three
         # curves share one elimination (``_not_a_knot``), and each gets the
-        # bits of its own scipy fit.  The table is held as plain floats: the
-        # ODE evaluates it millions of times per solve, one scalar at a time.
+        # bits of its own scipy fit.  The table is held as plain floats, one
+        # tuple per segment: the ODE's y stages evaluate the segment of the
+        # last query inline (``live_segment``), and every other query comes
+        # here, one scalar at a time.
         t = np.log1p(self.q)
         coefs = _not_a_knot(t, (self.phi, np.log(self.dphi), np.log(-self.d2phi)))
         packs = coefs.reshape(-1, t.size - 1).T.tolist()
@@ -367,9 +369,7 @@ class PhiMoments:
         segs = [(max(a, t_min), min(b, t_max), t0, *c)
                 for a, b, t0, c in zip(lo, hi, knots, packs)]
         log1p, exp = math.log1p, math.exp
-        # the last segment used: 99 % of the table2 preset's queries and 94 % of
-        # a three-node Gauss-Seidel solve's fall in it again
-        seg = 0
+        seg = 0  # the segment the last query used
 
         def eval3(p):
             nonlocal seg
@@ -382,14 +382,7 @@ class PhiMoments:
                     f"moment tabulation queried below its first knot ({p:.6g})",
                     argument=p)
             t = log1p(p)
-            j = seg
-            if not lo[j] <= t < hi[j]:
-                j = bisect_right(knots, t) - 1
-                if j > last:
-                    j = last
-                elif j < 0:
-                    j = 0
-                seg = j
+            seg = j = min(max(bisect_right(knots, t) - 1, 0), last)
             c = segs[j]
             u = t - c[2]
             val = ((c[3] * u + c[4]) * u + c[5]) * u + c[6]

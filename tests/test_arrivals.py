@@ -54,6 +54,15 @@ class TestSurvival:
         with pytest.raises(DomainError):
             eh.PacketDistribution.tabulated([0.0, 1.0], [0.2, 1.1])
 
+    @pytest.mark.parametrize("xs, cdf", [
+        ([0.0, math.nan, 2.0], [0.0, 0.5, 1.0]),
+        ([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
+        ([0.0, 1.0, math.inf], [0.0, 0.5, 1.0]),
+    ])
+    def test_non_finite_knots_rejected(self, xs, cdf):
+        with pytest.raises(DomainError, match="finite"):
+            eh.PacketDistribution.tabulated(xs, cdf)
+
 
 class TestSampleArrivals:
     def test_rate_law_of_large_numbers(self):

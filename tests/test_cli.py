@@ -293,6 +293,27 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("command, name, config", [
+    ("bound", "bounds.csv", "capacities = 0.5, 1, 2, 3, inf\n"),
+    ("sweep", "summary.csv", "capacities = 1.0\nk_values = 0\np0plus_values = 0.01\n"
+                             "grid_n = 64\n"),
+])
+def test_stdout_matches_out_file(tmp_path, command, name, config):
+    # without --out, bound and sweep print the bytes they write to --out
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("schema_version = 1\n" + config, encoding="utf-8")
+    src = str(Path(ehmac.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "ehmac.cli", command, "--config", str(cfg)]
+    env = {**os.environ, "PYTHONPATH": src}
+    printed = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    written = subprocess.run(argv + ["--out", str(tmp_path / "out")], capture_output=True,
+                             env=env, timeout=120)
+    assert printed.returncode == written.returncode == 0, printed.stderr + written.stderr
+    assert written.stdout == b""
+    assert printed.stdout.count(b"\n") > 1
+    assert printed.stdout == (tmp_path / "out" / name).read_bytes()
+
+
 class TestFig3Preset:
     def test_three_initializer_files(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EHMAC_GRID_N", "128")

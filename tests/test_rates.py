@@ -126,6 +126,12 @@ class TestRateKernels:
             with pytest.raises(DomainError):
                 _kernel(name, rf, x)
 
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_nan_power_rejected(self, rf, name):
+        for x in (math.nan, [1.0, math.nan], np.array([[0.0], [np.nan]]), np.array(np.nan)):
+            with pytest.raises(DomainError):
+                _kernel(name, rf, x)
+
     def test_integer_scalar_returns_float(self, rf):
         assert type(eh.rate(rf, 3)) is float
         assert eh.rate(rf, 3) == eh.rate(rf, 3.0)
