@@ -35,11 +35,11 @@ class HarvestParams:
     capacity: float = math.inf
 
     def __post_init__(self):
-        if not self.lam >= 0.0:
-            raise DomainError(f"arrival intensity must be >= 0, got {self.lam}", field="lam")
-        if not self.zeta > 0.0:
-            raise DomainError(f"inverse mean packet energy must be > 0, got {self.zeta}",
-                              field="zeta")
+        if not 0.0 <= self.lam < math.inf:
+            raise DomainError(f"arrival rate must be finite >= 0, got {self.lam}", field="lam")
+        if not (0.0 < self.zeta < math.inf and self.lam / self.zeta < math.inf):
+            raise DomainError(f"inverse mean packet energy must be finite > 0, with lam / zeta "
+                              f"finite, got {self.zeta}", field="zeta")
         if not self.capacity > 0.0:
             raise DomainError(f"capacity must be positive or infinite, got {self.capacity}",
                               field="capacity")
@@ -65,8 +65,8 @@ class PacketDistribution:
 
     @classmethod
     def exponential(cls, zeta: float) -> "PacketDistribution":
-        if not zeta > 0.0:
-            raise DomainError(f"exponential parameter must be positive, got {zeta}")
+        if not 0.0 < zeta < math.inf:
+            raise DomainError(f"exponential zeta must be finite > 0, got {zeta}", field="zeta")
         return cls(form="exponential", zeta=zeta)
 
     @classmethod

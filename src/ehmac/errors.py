@@ -4,6 +4,8 @@ Every error carries a short machine-parsable ``code`` so the CLI can emit
 stable diagnostics on stderr.
 """
 
+import numbers
+
 
 class EhmacError(Exception):
     """Base class for all package errors.
@@ -73,3 +75,14 @@ class ConfigError(EhmacError, ValueError):
     """An experiment configuration failed validation."""
 
     code = "E_CONFIG"
+
+
+def check_integers(obj, names):
+    """Raise DomainError unless each named field of ``obj`` is an integer.
+
+    A bool is not taken for one; numpy integers are.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}", field=name)

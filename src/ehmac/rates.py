@@ -27,8 +27,8 @@ class RateFunction:
     n0: float = 1.0
 
     def __post_init__(self):
-        if not self.n0 > 0.0:
-            raise DomainError(f"noise level must be positive, got {self.n0}", field="n0")
+        if not 0.0 < self.n0 < math.inf:
+            raise DomainError(f"noise level must be finite > 0, got {self.n0}", field="n0")
 
 
 def _check_nonnegative(x):

@@ -10,12 +10,9 @@ only sampling error left is the randomness of the arrivals themselves.
 The occupancy CDF and the crossing counts share one sort per level array
 (``_live_levels``): the start levels of the segments that drain,
 with their tau gathered in the same order, and their end levels.  Tied start
-levels carry equal tau, since the walk reads tau from the level alone, so
-the order an unstable sort leaves among ties never reaches a prefix sum.
-Only the first segment, whose level the burn-in clip derives from its tau,
-can tie with another level and carry a different tau; it is put first among
-its ties, as a stable sort would, so the sums do not depend on the machine's
-sort.
+levels carry equal tau, since the walk reads tau from the level alone (the
+burn-in clip too), so the order an unstable sort leaves among ties never
+reaches a prefix sum.  The CDF is taken on 256 levels per node.
 
 The walk is one row per arrival, and a row that empties the battery, or
 whose packet alone fills it, forgets everything before it (the storage
@@ -56,13 +53,12 @@ compares the counts with come from ``measures.crossing_rates``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arrivals import HarvestParams, PacketDistribution, sample_arrivals
-from .errors import DomainError
+from .errors import DomainError, check_integers
 from .measures import (PolicyGrid, StationaryMeasure, check_admissible, check_probes,
                        crossing_rates)
 from .rates import RateFunction, rate
@@ -79,14 +75,10 @@ class SimConfig:
     seed: int = 0
     burn_in: float = 0.0
     level_probes: tuple = ()
-    cdf_probes: int = 257
     track_events: bool = False
 
     def __post_init__(self):
-        for name in ("replications", "seed", "cdf_probes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}", field=name)
+        check_integers(self, ("replications", "seed"))
         if not self.burn_in >= 0.0:
             raise DomainError(f"burn-in must be nonnegative, got {self.burn_in}",
                               field="burn_in")
@@ -98,9 +90,6 @@ class SimConfig:
             raise DomainError("at least one replication is required", field="replications")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}", field="seed")
-        if self.cdf_probes < 0:
-            raise DomainError(f"cdf_probes must be nonnegative, got {self.cdf_probes}",
-                              field="cdf_probes")
 
 
 @dataclass
@@ -198,6 +187,9 @@ _NODE_FIELDS = ("atom", "atom_se", "mean_power", "mean_power_se", "power_varianc
 # 2.3-3.4 s for a one-row-at-a-time loop; cutting only beyond the top drain
 # time was slower than that loop.
 _SPECULATIVE_GAP = 1.0 / 3.0
+
+# occupancy CDF grid per node: 257 even points from empty, the empty one dropped
+_CDF_LEVELS = 257
 
 
 def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk):
@@ -320,8 +312,8 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
     drain_end = t_stop[w:]
     if seg_start[0] < burn_in:
         if drain_end[0] > burn_in:   # drain straddles the burn-in: clip it
-            seg_tau[0] -= burn_in - seg_start[0]
-            seg_level[0] = interp.tau_inverse(seg_tau[0])
+            seg_level[0] = interp.tau_inverse(seg_tau[0] - (burn_in - seg_start[0]))
+            seg_tau[0] = interp.tau(seg_level[0])   # tau of the level, as every row's
         else:                        # empty at the burn-in
             seg_level[0] = seg_tau[0] = 0.0
             drain_end[0] = burn_in
@@ -339,17 +331,12 @@ def _live_levels(run: NodeRun):
     order, and their sorted end levels.
 
     The sort leaves the order among tied start levels open; ties carry equal
-    tau, so no prefix sum sees that order.  Only the burn-in-clipped first
-    segment can tie with a level of other tau, so it goes first among its
-    ties, where a stable sort puts it.
+    tau, so no prefix sum sees that order.
     """
     live = run.drain_dur > 0.0
     a = run.seg_level[live]
     order = np.argsort(a)
-    a, first = a[order], run.seg_level[0]
-    if live[0]:
-        order[np.searchsorted(a, first, "left"):np.searchsorted(a, first, "right")].sort()
-    return a, run.seg_tau[live][order], np.sort(run.seg_end_level[live])
+    return a[order], run.seg_tau[live][order], np.sort(run.seg_end_level[live])
 
 
 def _occupancy_cdf(interp, run: NodeRun, levels, probes, window):
@@ -541,14 +528,11 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
     window = config.horizon - config.burn_in
     interps = [policy.interp(extend=params.is_infinite)
                for params, policy, _ in nodes]
-    probes_cdf = None
-    if config.cdf_probes:
-        # per-node probe grids: a finite battery never exceeds its capacity,
-        # an unbounded one gets headroom beyond the policy's sampled span
-        probes_cdf = [np.linspace(0.0, policy.capacity if not params.is_infinite
-                                  else 1.5 * policy.capacity,
-                                  config.cdf_probes)[1:]
-                      for params, policy, _ in nodes]
+    # per-node probe grids: a finite battery never exceeds its capacity,
+    # an unbounded one gets headroom beyond the policy's sampled span
+    probes_cdf = [np.linspace(0.0, policy.capacity if not params.is_infinite
+                              else 1.5 * policy.capacity, _CDF_LEVELS)[1:]
+                  for params, policy, _ in nodes]
 
     reps = config.replications
     thr = np.empty(reps)
@@ -556,8 +540,7 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
     mean_p = np.empty((reps, m))
     var_p = np.empty((reps, m))
     over = np.empty((reps, m))
-    cdf_acc = ([np.zeros(p.size) for p in probes_cdf]
-               if probes_cdf is not None else None)
+    cdf_acc = [np.zeros(p.size) for p in probes_cdf]
     down = np.zeros((reps, m, probes_cross.size))
     up = np.zeros((reps, m, probes_cross.size))
     log = [] if config.track_events else None
@@ -580,15 +563,13 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
                               - interps[k].power_integral(run.seg_end_level)))
             var_p[rep, k] = sq / window - mean_p[rep, k] ** 2
             over[rep, k] = run.overflow / window
-            if probes_cdf is not None or probes_cross.size:
-                levels = _live_levels(run)
-                if probes_cdf is not None:
-                    cdf_acc[k] += _occupancy_cdf(interps[k], run, levels, probes_cdf[k], window)
-                if probes_cross.size:
-                    d, u = _crossing_counts(run, levels, probes_cross)
-                    down[rep, k] = d / window
-                    up[rep, k] = u / window
-                del levels   # the sorted copies are not held through the joint integral
+            levels = _live_levels(run)
+            cdf_acc[k] += _occupancy_cdf(interps[k], run, levels, probes_cdf[k], window)
+            if probes_cross.size:
+                d, u = _crossing_counts(run, levels, probes_cross)
+                down[rep, k] = d / window
+                up[rep, k] = u / window
+            del levels   # the sorted copies are not held through the joint integral
         bits, n_merged, n_sampled = _joint_rate_integral(
             interps, runs, rf, config.burn_in, config.horizon)
         # the next replication's first walk starts with none of this one's arrays
@@ -605,13 +586,12 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
     return TrajectoryStats(
         window=window, replications=reps,
         throughput=float(np.mean(thr)),
-        throughput_se=float(se(thr)) if reps > 1 else 0.0,
+        throughput_se=float(se(thr)),
         atom=np.mean(atom, axis=0), atom_se=se(atom),
         mean_power=np.mean(mean_p, axis=0), mean_power_se=se(mean_p),
         power_variance=np.mean(var_p, axis=0), power_variance_se=se(var_p),
         overflow_rate=np.mean(over, axis=0), overflow_rate_se=se(over),
-        cdf_levels=(np.asarray(probes_cdf) if probes_cdf is not None else np.empty((m, 0))),
-        cdf=(np.asarray(cdf_acc) / reps if cdf_acc is not None else np.empty((m, 0))),
+        cdf_levels=np.asarray(probes_cdf), cdf=np.asarray(cdf_acc) / reps,
         crossing_levels=probes_cross,
         down_rate=np.mean(down, axis=0), down_rate_se=se(down),
         up_rate=np.mean(up, axis=0), up_rate_se=se(up),

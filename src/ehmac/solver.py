@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -63,7 +62,8 @@ import numpy as np
 
 from .arrivals import HarvestParams
 from .errors import (DomainError, MomentRangeError, NonAdmissibleTrajectoryError,
-                     NumericOverflowError, SolverDivergenceError, UsageError)
+                     NumericOverflowError, SolverDivergenceError, UsageError,
+                     check_integers)
 from .grids import uniform_grid
 from .measures import PolicyGrid, measure_closed_form
 from .rates import RateFunction
@@ -118,10 +118,7 @@ class SolverConfig:
     def __post_init__(self):
         if not math.isfinite(self.k_const):
             raise DomainError(f"k_const must be finite, got {self.k_const}", field="k_const")
-        for name in ("grid_n", "ode_substeps", "max_outer"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}", field=name)
+        check_integers(self, ("grid_n", "ode_substeps", "max_outer"))
         if not self.p0plus > 0.0:
             raise DomainError(f"p(0+) must be positive, got {self.p0plus}", field="p0plus")
         if not self.theta_tol > 0.0:
@@ -350,23 +347,18 @@ def el_ode_solve(phi, params: HarvestParams, config: SolverConfig) -> PolicyGrid
         raise UsageError("the necessary-condition ODE needs a finite battery; "
                          "unbounded batteries use constant policies")
     x = uniform_grid(cap, config.grid_n)
-    lam, zeta = params.lam, params.zeta
-    attempt_phi = phi
-    for attempt in (0, 1):
-        try:
-            values = _integrate(attempt_phi, lam, zeta, config.k_const, x,
-                                config.ode_substeps, config.p0plus)
-            break
-        except MomentRangeError as err:
-            if attempt == 1 or not attempt_phi.can_extend:
-                raise
-            # project the remaining doubly-exponential growth to size the
-            # extension; one retry per the contract
-            p_fail = max(float(err.argument or 2.0), 2.0)
-            grow = math.exp(min(zeta * cap, 6.0))
-            target = math.exp(min(math.log(p_fail) * grow * 1.5,
-                                  math.log(QMAX_CAP)))
-            attempt_phi = attempt_phi.extended(target)
+    args = (params.lam, params.zeta, config.k_const, x, config.ode_substeps, config.p0plus)
+    try:
+        values = _integrate(phi, *args)
+    except MomentRangeError as err:
+        if phi.provider is None:
+            raise
+        # project the remaining doubly-exponential growth to size the
+        # extension; one retry per the contract
+        p_fail = max(float(err.argument or 2.0), 2.0)
+        grow = math.exp(min(params.zeta * cap, 6.0))
+        target = math.exp(min(math.log(p_fail) * grow * 1.5, math.log(QMAX_CAP)))
+        values = _integrate(phi.extended(target), *args)
     full = np.concatenate(([0.0], values[1:]))
     if np.any(np.diff(values) <= 0.0):
         warnings.warn("necessary-condition solution is not strictly increasing; "
@@ -411,7 +403,7 @@ def _start(nodes: tuple, rf: RateFunction, starts: tuple):
     exact moments).  The arguments are the whole key, so the start is built
     once per distinct key and the last one is kept.  Its arrays are
     read-only, so no caller can change a later solve; the moments keep only
-    a segment hint, which no result depends on.
+    the segment their last query used, which no result depends on.
     """
     policies = tuple(initial_policy(hp.capacity, *start) for hp, start in zip(nodes, starts))
     measures = tuple(measure_closed_form(pol, hp) for pol, hp in zip(policies, nodes))

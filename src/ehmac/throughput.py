@@ -318,10 +318,6 @@ class PhiMoments:
     def qmax(self) -> float:
         return float(self.q[-1])
 
-    @property
-    def can_extend(self) -> bool:
-        return self.provider is not None
-
     def extended(self, new_qmax: float) -> "PhiMoments":
         """Continue the knots geometrically up to ``new_qmax``.
 
@@ -392,6 +388,7 @@ class PhiMoments:
 
         return eval3, lambda: segs[seg]
 
+    # stays a method of the class: benchmarks/tracing.py counts its calls there
     def eval3(self, p: float):
         """(phi, phi', phi'') at scalar power p; raises beyond the knot range."""
         if self._evaluator is None:
@@ -418,7 +415,7 @@ class ExactRateMoments:
         self._n0 = rf.n0
         self._ln2 = math.log(2.0)
 
-    can_extend = False
+    provider = None  # nothing to extend the exact moments with
 
     def eval3(self, p: float):
         if p < 0.0:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 import ehmac as eh
@@ -28,6 +30,16 @@ class TestHarvestParams:
         with pytest.raises(DomainError):
             eh.HarvestParams(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("lam, zeta, name", [
+        (math.inf, 1.0, "lam"), (math.nan, 1.0, "lam"), (1.0, math.inf, "zeta"),
+        (1.0, math.nan, "zeta"), (1e300, 1e-300, "zeta"),
+    ])
+    def test_non_finite_rejected(self, lam, zeta, name):
+        # an infinite rate or mean packet, or lam / zeta beyond the floats
+        with pytest.raises(DomainError, match="finite") as err:
+            eh.HarvestParams(lam, zeta, 2.0)
+        assert err.value.field == name
+
 
 class TestSurvival:
     def test_exponential_at_zero(self):
@@ -42,6 +54,12 @@ class TestSurvival:
         dist = eh.PacketDistribution.tabulated([0.0, 2.0], [0.0, 1.0])
         assert eh.survival(dist, 1.0) == pytest.approx(0.5)
         assert dist.mean() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("zeta", [math.inf, math.nan, 0.0, -1.0])
+    def test_exponential_parameter_finite_positive(self, zeta):
+        with pytest.raises(DomainError) as err:
+            eh.PacketDistribution.exponential(zeta)
+        assert err.value.field == "zeta"
 
     def test_negative_energy_rejected(self):
         dist = eh.PacketDistribution.exponential(1.0)
@@ -123,3 +141,43 @@ class TestSampleArrivals:
         assert draws.min() >= 0.0 and draws.max() <= 2.0
         assert float(np.mean(draws)) == pytest.approx(1.0, abs=0.02)
 
+
+# every float the constructors may meet: infinities, NaN, zeros, negatives,
+# subnormals and the extremes
+any_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
+                     1.7976931348623157e308, 1.0]))
+
+
+class TestConstructorsNeverGiveNaN:
+    """A constructor rejects its input with a typed error, or what it built
+    reads finite."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(any_float, any_float)
+    def test_harvest_params(self, lam, zeta):
+        try:
+            hp = eh.HarvestParams(lam, zeta, 2.0)
+        except DomainError:
+            return
+        assert math.isfinite(hp.mean_input_rate)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(any_float)
+    def test_exponential_packets(self, zeta):
+        try:
+            dist = eh.PacketDistribution.exponential(zeta)
+        except DomainError:
+            return
+        assert math.isfinite(dist.cdf(0.0)) and math.isfinite(eh.survival(dist, 0.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(any_float)
+    def test_rate_function(self, n0):
+        try:
+            rf = eh.RateFunction(n0)
+        except DomainError:
+            return
+        # the rate at the noise power itself is half a bit for any n0
+        assert math.isfinite(eh.rate(rf, rf.n0))

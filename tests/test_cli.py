@@ -358,6 +358,23 @@ class TestLoadErrors:
         assert key.lower() in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, command", [
+        ("ZETA", ["bound", "--preset", "table1"]),
+        ("LAM", ["simulate", "--preset", "fig1"]),
+        ("N0", ["bound", "--preset", "table1"]),
+    ])
+    def test_infinite_harvest_or_noise_exits_at_load(self, tmp_path, capsys, monkeypatch,
+                                                    key, command):
+        # an infinite zeta printed 0.0 ceilings, and an infinite lam overflowed
+        # in the arrival sampler
+        monkeypatch.setenv(f"EHMAC_{key}", "inf")
+        out = tmp_path / "out"
+        assert run(command + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
+        assert key.lower() in err
+        assert not out.exists()
+
     def test_long_k_scan_exits_at_load(self, tmp_path, capsys, monkeypatch):
         # 2e13 planned solves; rejected by the load, before --out or any scan
         monkeypatch.setattr(cli, "best_k_search", _no_scan)

@@ -37,6 +37,13 @@ class TestRateValues:
         with pytest.raises(DomainError):
             eh.RateFunction(n0=0.0)
 
+    @pytest.mark.parametrize("n0", [math.inf, math.nan])
+    def test_non_finite_noise_level(self, n0):
+        # an infinite n0 made rate(rf, inf) NaN
+        with pytest.raises(DomainError, match="finite") as err:
+            eh.RateFunction(n0=n0)
+        assert err.value.field == "n0"
+
 
 class TestRateDerivatives:
     def test_first_at_zero(self, rf):
