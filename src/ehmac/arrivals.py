@@ -65,8 +65,9 @@ class PacketDistribution:
 
     @classmethod
     def exponential(cls, zeta: float) -> "PacketDistribution":
-        if not 0.0 < zeta < math.inf:
-            raise DomainError(f"exponential zeta must be finite > 0, got {zeta}", field="zeta")
+        if not (0.0 < zeta < math.inf and 1.0 / zeta < math.inf):
+            raise DomainError(f"exponential zeta must be finite > 0 with a finite mean "
+                              f"1 / zeta, got {zeta}", field="zeta")
         return cls(form="exponential", zeta=zeta)
 
     @classmethod

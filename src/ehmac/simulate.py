@@ -19,9 +19,10 @@ whose packet alone fills it, forgets everything before it (the storage
 process regenerates there).  So the arrivals are cut into blocks after rows
 that must empty (on an unbounded battery: that very likely empty) and after
 rows whose packet fills the battery, every block is walked at once in numpy
-lockstep, and each cut is then checked against the level the walk before it
-really left; the blocks whose start was wrong are walked again.  The rows
-come out bitwise equal to a one-row-at-a-time loop.
+lockstep until few are left, which finish on plain floats, and each cut is
+then checked against the level the walk before it really left; the blocks
+whose start was wrong are walked again.  The rows come out bitwise equal to
+a one-row-at-a-time loop.
 
 Each node's own transmitted bits also integrate in closed form along drains:
 the time integral of r(p) over a drain is the level integral of r(p) / p,
@@ -182,11 +183,19 @@ _NODE_FIELDS = ("atom", "atom_se", "mean_power", "mean_power_se", "power_varianc
 # cuts wherever the gap before the next arrival exceeds this fraction of the
 # policy's top drain time; a cut whose row does not empty is repaired.  On the
 # criterion-5 fixture (constant p = 2, top drain time 6), 16 walks of 1.25e5
-# arrivals took 0.52-0.73 s at 1/3 with about three repair passes each,
-# against 0.77-0.80 s at 0.2, 0.66-0.85 s at 1/2, 0.95-1.03 s at 2/3 and
-# 2.3-3.4 s for a one-row-at-a-time loop; cutting only beyond the top drain
-# time was slower than that loop.
+# arrivals took 0.50-0.62 s at 1/3 with about three repair passes each,
+# against 0.61-0.66 s at 0.2, 0.50-0.59 s at 1/2, 0.68-0.86 s at 2/3,
+# 1.5-1.8 s when cutting only beyond the top drain time and 3.9-4.4 s for a
+# one-row-at-a-time loop (2 cores, with the float finish below).
 _SPECULATIVE_GAP = 1.0 / 3.0
+
+# A pass with at most this many open lanes finishes them one at a time on
+# Python floats (``PolicyInterp.scalar_maps``).  A numpy step costs 50-110 us
+# however few lanes it moves, a float row about 1.7 us.  On the sim_single
+# walks (32 of 12.7k rows each) the count trades 1956 numpy steps and no
+# float rows at 0 for 1098 and 3756 at 16, 1000 and 5725 at 24, 932 and
+# 7649 at 32, 832 and 11631 at 48: flat from 16 to 32 by that cost.
+_SCALAR_LANES = 24
 
 # occupancy CDF grid per node: 257 even points from empty, the empty one dropped
 _CDF_LEVELS = 257
@@ -200,10 +209,13 @@ def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk
     was walked from, tau, the level where the drain stops and the post-arrival
     level.  A lane stops early at the first row whose post level equals the
     stored one (never on a first walk, which finds NaN): the stored rows
-    after it follow from it.
+    after it follow from it.  Once at most ``_SCALAR_LANES`` lanes are open,
+    each is finished alone, row by row on Python floats, through the scalar
+    drain maps of ``interp``; the lanes' rows are disjoint, so the order of
+    the lanes does not matter.
     """
     start, tau, end, post = walk
-    while rows.size:
+    while rows.size > _SCALAR_LANES:
         t0 = t_prev[rows]
         t1 = t_next[rows]
         # tau(0.0) is 0.0, so an empty battery never drains: t1 >= t0
@@ -219,6 +231,24 @@ def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk
         rows = rows[go] + 1
         last = last[go]
         level = post_r[go]
+    tau_of, level_of = interp.scalar_maps
+    capacity = float(capacity)
+    for row, stop, lv in zip(rows.tolist(), last.tolist(), level.tolist()):
+        while True:
+            t0 = t_prev.item(row)
+            t1 = t_next.item(row)
+            tau_r = tau_of(lv)
+            end_r = level_of(tau_r - (t1 - t0)) if t0 + tau_r > t1 else 0.0
+            post_r = min(end_r + energy.item(row), capacity)
+            done = row == stop or post_r == post.item(row)
+            start[row] = lv
+            tau[row] = tau_r
+            end[row] = end_r
+            post[row] = post_r
+            if done:
+                break
+            row += 1
+            lv = post_r
 
 
 def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
@@ -243,10 +273,11 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
     through the run, and stops at the first row whose post level equals the
     stored one; checks and repairs repeat until every cut agrees.  So the cut
     rule sets the speed only.  Each row does the arithmetic of a sequential
-    walk in the same order, so the rows are bitwise the same.  The number of
-    numpy steps is the longest block or repaired run: an unbounded battery
-    that seldom empties walks its long busy periods one row per step, which
-    is slower than a Python loop would be.
+    walk in the same order, so the rows are bitwise the same.  A pass takes
+    numpy steps only while more than ``_SCALAR_LANES`` lanes are open and
+    walks the rest of its longest lanes on floats, so the long busy periods
+    of an unbounded battery that seldom empties cost a Python loop's time,
+    not one numpy step per row.
 
     The segment arrays, the window clipping and the event log are then
     built with numpy from the rows.

@@ -119,8 +119,9 @@ class SolverConfig:
         if not math.isfinite(self.k_const):
             raise DomainError(f"k_const must be finite, got {self.k_const}", field="k_const")
         check_integers(self, ("grid_n", "ode_substeps", "max_outer"))
-        if not self.p0plus > 0.0:
-            raise DomainError(f"p(0+) must be positive, got {self.p0plus}", field="p0plus")
+        if not 0.0 < self.p0plus < math.inf:
+            raise DomainError(f"p(0+) must be positive and finite, got {self.p0plus}",
+                              field="p0plus")
         if not self.theta_tol > 0.0:
             raise DomainError(f"theta_tol must be positive, got {self.theta_tol}",
                               field="theta_tol")

@@ -55,11 +55,15 @@ class TestSurvival:
         assert eh.survival(dist, 1.0) == pytest.approx(0.5)
         assert dist.mean() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("zeta", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("zeta", [math.inf, math.nan, 0.0, -1.0, 5e-324, 5e-309])
     def test_exponential_parameter_finite_positive(self, zeta):
         with pytest.raises(DomainError) as err:
             eh.PacketDistribution.exponential(zeta)
         assert err.value.field == "zeta"
+
+    def test_tiny_exponential_parameter_keeps_a_finite_mean(self):
+        # 1 / zeta overflows only below about 5.6e-309
+        assert eh.PacketDistribution.exponential(1e-308).mean() == 1e308
 
     def test_negative_energy_rejected(self):
         dist = eh.PacketDistribution.exponential(1.0)

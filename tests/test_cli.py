@@ -375,6 +375,16 @@ class TestLoadErrors:
         assert key.lower() in err
         assert not out.exists()
 
+    def test_infinite_start_rate_exits_at_load(self, tmp_path, capsys, monkeypatch):
+        # an infinite p(0+) once started the solve and failed with E_DOMAIN
+        monkeypatch.setenv("EHMAC_P0PLUS_VALUES", "inf")
+        out = tmp_path / "out"
+        assert run(["solve", "--preset", "table1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
+        assert "p0plus_values" in err
+        assert not out.exists()
+
     def test_long_k_scan_exits_at_load(self, tmp_path, capsys, monkeypatch):
         # 2e13 planned solves; rejected by the load, before --out or any scan
         monkeypatch.setattr(cli, "best_k_search", _no_scan)

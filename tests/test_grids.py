@@ -75,6 +75,77 @@ class TestLocate:
             assert reader(-1e-12 * interp.x[-1]) == pytest.approx(reader(0.0), abs=1e-11)
 
 
+def same_bits(got, want):
+    """Float lists equal bit for bit, signed zeros and NaN payloads included."""
+    return np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                          np.asarray(want, dtype=float).view(np.int64))
+
+
+@st.composite
+def shaped_grids(draw):
+    """A rising, falling or unordered policy, as built or rounded through a CSV file."""
+    n = draw(st.integers(1, 64))
+    span = draw(st.floats(1e-2, 1e2))
+    p = draw(st.lists(st.floats(0.01, 10.0), min_size=n + 1, max_size=n + 1))
+    shape = draw(st.sampled_from(["rising", "falling", "unordered"]))
+    if shape != "unordered":
+        p.sort(reverse=shape == "falling")
+    policy = eh.PolicyGrid(uniform_grid(span, n), np.asarray([0.0] + p[1:]), p0plus=p[0])
+    digits = draw(st.one_of(st.none(), st.integers(13, 17)))
+    return policy if digits is None else csv_round_trip(policy, digits)
+
+
+class TestScalarMaps:
+    """The float drain maps return the array maps' floats, bit for bit."""
+
+    @staticmethod
+    def probes(interp, fracs):
+        x, t = interp.x, interp.tau_nodes
+        mids = np.asarray(fracs)
+        levels = np.concatenate((
+            [0.0, -0.0, -1e-12 * x[-1]], x, np.nextafter(x, -np.inf)[1:],
+            np.nextafter(x, np.inf), mids * x[-1],
+            [1.5 * x[-1], 1e3 * x[-1], np.inf]))
+        taus = np.concatenate((
+            [0.0, -1.0], t, np.nextafter(t, -np.inf)[1:], np.nextafter(t, np.inf),
+            mids * t[-1], interp.tau(np.minimum(levels[3:-3], x[-1])),
+            [1.5 * t[-1], 1e3 * t[-1]]))
+        return levels, taus
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(shaped_grids(), st.booleans(), st.lists(st.floats(0.0, 1.0), max_size=32))
+    def test_equal_to_the_array_maps(self, policy, extend, fracs):
+        interp = policy.interp(extend=extend)
+        tau, tau_inverse = interp.scalar_maps
+        levels, taus = self.probes(interp, fracs)
+        if not extend:   # beyond the top only the span tolerance is read
+            levels = levels[levels <= interp.x[-1] * (1.0 + 1e-12)]
+        assert same_bits([tau(v) for v in levels.tolist()], interp.tau(levels))
+        assert same_bits([tau_inverse(v) for v in taus.tolist()], interp.tau_inverse(taus))
+        for v in levels[::7].tolist():
+            assert same_bits(tau(v), interp.tau(v))
+
+    @pytest.mark.parametrize("extend", [False, True])
+    def test_guards_raise_as_the_array_map(self, extend):
+        interp = eh.policy_from_function(lambda v: 0.3 + v, 2.0, 64).interp(extend=extend)
+        tau, tau_inverse = interp.scalar_maps
+        bad = {"NaN": [np.nan], "below empty": [-1.0, -1e-6, -np.inf]}
+        if not extend:
+            bad["beyond the policy grid"] = [2.0 * (1.0 + 2e-9), 3.0, np.inf]
+        for message, levels in bad.items():
+            for level in levels:
+                for reader in (tau, interp.tau):
+                    with pytest.raises(DomainError, match=message):
+                        reader(level)
+        # the inverse has no guard: a NaN drain time reads a NaN level in both
+        assert np.isnan(tau_inverse(np.nan)) and np.isnan(interp.tau_inverse(np.nan))
+
+    def test_built_once_per_policy(self):
+        interp = eh.constant_policy(1.0, 2.0, 16).interp()
+        assert interp.scalar_maps is interp.scalar_maps
+        assert eh.constant_policy(1.0, 2.0, 16).interp().scalar_maps is not interp.scalar_maps
+
+
 class TestGridSpacing:
     def test_zero_span_rejected(self):
         with pytest.raises(DomainError, match="positive"):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import ehmac as eh
 from ehmac.arrivals import sample_arrivals
 from ehmac.errors import DomainError
-from ehmac.grids import power_cells, uniform_grid
+from ehmac.grids import PolicyInterp, power_cells, uniform_grid
 from ehmac.rates import rate
 
 sim = importlib.import_module("ehmac.simulate")
@@ -799,6 +799,38 @@ class TestLockstepWalk:
     @given(walk_inputs())
     def test_matches_scalar_loop(self, case):
         assert_walks_identical(*case)
+
+    @pytest.mark.parametrize("lanes", [0, 4])
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=walk_inputs())
+    def test_matches_scalar_loop_in_numpy_lanes(self, lanes, case):
+        # these small walks have fewer blocks than the default lane count, so
+        # on their own they would never take a numpy step; at 0 every row is
+        # a numpy row, at 4 the passes switch to floats midway
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_SCALAR_LANES", lanes)
+            assert_walks_identical(*case)
+
+    def test_never_emptying_unbounded_walk_steps_few_numpy_rows(self, monkeypatch):
+        # p = 0.5 against a unit input rate: the battery never empties after its
+        # first arrivals, and with a top drain time of 32 hardly any gap
+        # reaches the speculative cut, so one lane walks nearly every row.
+        # It once took one numpy step per row, 100x a Python loop.
+        steps = []
+        tau = PolicyInterp.tau
+
+        def counting(self, levels):
+            if np.ndim(levels):
+                steps.append(np.size(levels))
+            return tau(self, levels)
+
+        monkeypatch.setattr(PolicyInterp, "tau", counting)
+        interp = eh.constant_policy(0.5, 16.0, 16).interp(extend=True)
+        times, energies = sample_arrivals(eh.HarvestParams(1.0, 1.0, math.inf), exp_dist(),
+                                          5000.0, 3)
+        run = assert_walks_identical(interp, math.inf, times, energies, 0.0, 5000.0)
+        assert times.size > 4000 and np.count_nonzero(run.seg_end_level == 0.0) <= 2
+        assert len(steps) <= 5
 
     @pytest.mark.parametrize("capacity", [2.0, math.inf], ids=["finite", "unbounded"])
     def test_burn_in_inside_a_drain(self, capacity):

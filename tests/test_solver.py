@@ -31,6 +31,8 @@ class TestSolverConfig:
         pytest.param("k_const", math.inf, id="k_inf"),
         pytest.param("k_const", -math.inf, id="k_minus_inf"),
         pytest.param("k_const", math.nan, id="k_nan"),
+        pytest.param("p0plus", math.inf, id="p0plus_inf"),
+        pytest.param("p0plus", math.nan, id="p0plus_nan"),
         pytest.param("grid_n", 64.5, id="grid_n_fraction"),
         pytest.param("grid_n", 128.0, id="grid_n_float"),
         pytest.param("ode_substeps", 2.5, id="ode_substeps"),
@@ -41,8 +43,8 @@ class TestSolverConfig:
     ])
     def test_rejects_before_any_work(self, field, value):
         # each of these once failed only inside a solve: a ZeroDivisionError,
-        # an E_RANGE, or a TypeError from linspace or range; a bool count
-        # once ran as 1
+        # an E_RANGE, an E_DOMAIN from an infinite start rate, or a TypeError
+        # from linspace or range; a bool count once ran as 1
         with pytest.raises(DomainError) as err:
             eh.SolverConfig(**{field: value})
         assert err.value.field == field
