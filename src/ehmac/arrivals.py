@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integers
 
 __all__ = [
     "HarvestParams",
@@ -134,10 +134,17 @@ def sample_arrivals(params: HarvestParams, dist: PacketDistribution, horizon: fl
     """Poisson arrival times on (0, horizon] with i.i.d. packet energies.
 
     Returns (times, energies) as float arrays, deterministic under
-    (seed, node, replication).
+    (seed, node, replication).  A horizon that is not positive and finite, or
+    a seed, node or replication that is not a nonnegative integer, raises
+    ``DomainError`` naming the argument.
     """
-    if not horizon > 0.0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise DomainError(f"horizon must be positive and finite, got {horizon}",
+                          field="horizon")
+    check_integers(seed=seed, node=node, replication=replication)
+    for name, value in (("seed", seed), ("node", node), ("replication", replication)):
+        if value < 0:
+            raise DomainError(f"{name} must be nonnegative, got {value}", field=name)
     rng = _stream(seed, node, replication)
     times = []
     t = 0.0

@@ -77,12 +77,11 @@ class ConfigError(EhmacError, ValueError):
     code = "E_CONFIG"
 
 
-def check_integers(obj, names):
-    """Raise DomainError unless each named field of ``obj`` is an integer.
+def check_integers(**values):
+    """Raise DomainError, naming the keyword, unless each value is an integer.
 
     A bool is not taken for one; numpy integers are.
     """
-    for name in names:
-        value = getattr(obj, name)
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise DomainError(f"{name} must be an integer, got {value!r}", field=name)

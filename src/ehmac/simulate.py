@@ -22,7 +22,10 @@ rows whose packet fills the battery, every block is walked at once in numpy
 lockstep until few are left, which finish on plain floats, and each cut is
 then checked against the level the walk before it really left; the blocks
 whose start was wrong are walked again.  The rows come out bitwise equal to
-a one-row-at-a-time loop.
+a one-row-at-a-time loop.  They are written into grow-only buffers that
+every replication of one ``simulate`` call reuses, one per node and one all
+nodes share for the rows only the walk reads, so a ``NodeRun``'s arrays are
+views, valid until the next replication.
 
 Each node's own transmitted bits also integrate in closed form along drains:
 the time integral of r(p) over a drain is the level integral of r(p) / p,
@@ -79,7 +82,7 @@ class SimConfig:
     track_events: bool = False
 
     def __post_init__(self):
-        check_integers(self, ("replications", "seed"))
+        check_integers(replications=self.replications, seed=self.seed)
         if not self.burn_in >= 0.0:
             raise DomainError(f"burn-in must be nonnegative, got {self.burn_in}",
                               field="burn_in")
@@ -102,6 +105,9 @@ class NodeRun:
     then idles for ``idle_dur`` until the next arrival.  ``seg_tau`` is the
     drain time to empty from ``seg_level``, the walk's own policy coordinate:
     at ``seg_start + s`` the battery releases at p(``seg_tau`` - s).
+
+    The arrays are views of the walk's row buffers, which ``simulate`` reuses
+    for every replication, so they stay valid until the next replication.
     """
 
     seg_start: np.ndarray
@@ -201,6 +207,25 @@ _SCALAR_LANES = 24
 _CDF_LEVELS = 257
 
 
+class _Workspace:
+    """Grow-only row buffers that the walks of one ``simulate`` call reuse.
+
+    Freed row arrays are trimmed off the heap and faulted back in by the next
+    replication (12-15k minor faults per sim_single call); reused buffers
+    are not.  A buffer grows to an eighth more than the rows asked for.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def rows(self, key, count, size):
+        """``count`` float rows of length ``size``, from the buffer at ``key``."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape[1] < size:
+            buf = self._buffers[key] = np.empty((count, size + size // 8))
+        return buf[:, :size]
+
+
 def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk):
     """Advance walks in lockstep, one row of each per step, writing in place.
 
@@ -211,8 +236,12 @@ def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk
     stored one (never on a first walk, which finds NaN): the stored rows
     after it follow from it.  Once at most ``_SCALAR_LANES`` lanes are open,
     each is finished alone, row by row on Python floats, through the scalar
-    drain maps of ``interp``; the lanes' rows are disjoint, so the order of
-    the lanes does not matter.
+    drain maps of ``interp``.  A repair lane may run on into the rows of a
+    later lane.  It must write them last: in lockstep it reaches a row after
+    the later lane did, and the float lanes finish latest first.  Otherwise
+    the later lane would overwrite rows behind the earlier lane's stop and
+    leave a row that is no cut starting off its predecessor's stored post
+    level, which the cut check of ``_walk_trajectory`` never reads.
     """
     start, tau, end, post = walk
     while rows.size > _SCALAR_LANES:
@@ -233,7 +262,7 @@ def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk
         level = post_r[go]
     tau_of, level_of = interp.scalar_maps
     capacity = float(capacity)
-    for row, stop, lv in zip(rows.tolist(), last.tolist(), level.tolist()):
+    for row, stop, lv in zip(rows[::-1].tolist(), last[::-1].tolist(), level[::-1].tolist()):
         while True:
             t0 = t_prev.item(row)
             t1 = t_next.item(row)
@@ -252,7 +281,7 @@ def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk
 
 
 def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
-                     log, node):
+                     log, node, work=None):
     """Walk over arrivals with exact drains, clipped to the window.
 
     The walk has one row per arrival plus a closing row at the horizon (its
@@ -271,23 +300,36 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
     post-arrival level its predecessor left is wrong.  The first wrong block
     of each run of consecutive ones is walked again from the right level, on
     through the run, and stops at the first row whose post level equals the
-    stored one; checks and repairs repeat until every cut agrees.  So the cut
-    rule sets the speed only.  Each row does the arithmetic of a sequential
-    walk in the same order, so the rows are bitwise the same.  A pass takes
-    numpy steps only while more than ``_SCALAR_LANES`` lanes are open and
-    walks the rest of its longest lanes on floats, so the long busy periods
-    of an unbounded battery that seldom empties cost a Python loop's time,
-    not one numpy step per row.
+    stored one.  The first run's lane goes on through the later runs too, so
+    on a battery that seldom empties, where a wrong level seldom meets the
+    right one again, one pass mends every run.  Checks and repairs repeat
+    until every cut agrees, so the cut rule sets the speed only.  Each row
+    does the arithmetic of a sequential walk in the same order, so the rows
+    are bitwise the same.  A pass takes numpy steps only while more than
+    ``_SCALAR_LANES`` lanes are open and walks the rest of its longest lanes
+    on floats, so the long busy periods of an unbounded battery that seldom
+    empties cost a Python loop's time, not one numpy step per row.
 
     The segment arrays, the window clipping and the event log are then
-    built with numpy from the rows.
+    built with numpy from the rows.  The rows are written into the buffers
+    of ``work`` (a ``_Workspace``; a fresh one when None), so the returned
+    arrays are views that stay valid until the next walk of ``node`` there.
     """
-    t_prev = np.concatenate(([0.0], times))
-    t_next = np.append(times, horizon)
-    energy = np.append(energies, 0.0)
-    rows = t_next.size
-    walk = np.full((4, rows), np.nan)
-    start, tau, end, post = walk
+    rows = times.size + 1
+    if work is None:
+        work = _Workspace()
+    # the rows the NodeRun keeps live in the node's own buffer, the rows only
+    # the walk reads in one buffer that every node shares
+    t_prev, start, tau, end, post, t_stop, drain_dur, idle_dur = work.rows(node, 8, rows)
+    t_next, energy = work.rows("shared", 2, rows)
+    t_prev[0] = 0.0
+    t_prev[1:] = times
+    t_next[:-1] = times
+    t_next[-1] = horizon
+    energy[:-1] = energies
+    energy[-1] = 0.0
+    post.fill(np.nan)   # a first walk never stops early
+    walk = (start, tau, end, post)
     if math.isinf(capacity):
         gap = _SPECULATIVE_GAP * interp.tau_nodes[-1]
     else:
@@ -302,16 +344,20 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
         if not bad.size:
             break
         # the first wrong block of a chain starts from the right level; its
-        # lane runs on through the chain, up to the next chain's first block
+        # lane runs on through the chain, up to the next chain's first block,
+        # whose start may be stale.  The first chain's start is right, so its
+        # lane runs on through the later chains too (``_walk_rows`` has it
+        # write their rows last)
         head = bad[np.diff(bad, prepend=-1) > 1]
         stop = np.append(first[head[1:]] - 1, rows - 1)
+        stop[0] = rows - 1
         _walk_rows(interp, capacity, t_prev, t_next, energy, first[head], stop,
                    post[first[head] - 1], walk)
 
     # a drain that empties stops at the exact float t_prev + tau, which the
     # merged timeline cuts at, so a node drains or idles throughout each of
     # its intervals; an empty battery (tau = 0) stops at t_prev
-    t_stop = np.minimum(t_prev + tau, t_next)
+    np.minimum(np.add(t_prev, tau, out=t_stop), t_next, out=t_stop)
 
     # arrivals inside the window; an arrival overflows by (pre + energy) - post,
     # which is exactly 0.0 unless the capacity clipped it
@@ -349,8 +395,8 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
             seg_level[0] = seg_tau[0] = 0.0
             drain_end[0] = burn_in
         seg_start[0] = burn_in
-    drain_dur = drain_end - seg_start
-    idle_dur = t_next[w:] - drain_end
+    drain_dur = np.subtract(drain_end, seg_start, out=drain_dur[w:])
+    idle_dur = np.subtract(t_next[w:], drain_end, out=idle_dur[w:])
     return NodeRun(seg_start=seg_start, seg_level=seg_level, seg_tau=seg_tau,
                    seg_end_level=seg_end_level, drain_end=drain_end,
                    drain_dur=drain_dur, idle_dur=idle_dur, pre_arrival=pre_arr,
@@ -577,6 +623,7 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
     log = [] if config.track_events else None
     arrivals = np.zeros(m, dtype=np.int64)
     merged = sampled = 0
+    work = _Workspace()
 
     for rep in range(reps):
         runs = []
@@ -584,7 +631,7 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
             times, energies = sample_arrivals(params, dist, config.horizon,
                                               config.seed, node=k, replication=rep)
             run = _walk_trajectory(interps[k], params.capacity, times, energies,
-                                   config.burn_in, config.horizon, log, k)
+                                   config.burn_in, config.horizon, log, k, work)
             runs.append(run)
             arrivals[k] += run.pre_arrival.size
             atom[rep, k] = float(np.sum(run.idle_dur)) / window
@@ -603,7 +650,8 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
             del levels   # the sorted copies are not held through the joint integral
         bits, n_merged, n_sampled = _joint_rate_integral(
             interps, runs, rf, config.burn_in, config.horizon)
-        # the next replication's first walk starts with none of this one's arrays
+        # the runs are views of ``work``, whose buffers the next replication
+        # walks in again; released here are the arrivals and any outgrown buffer
         del runs, run, times, energies
         thr[rep] = bits / window
         merged += n_merged

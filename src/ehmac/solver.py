@@ -118,7 +118,8 @@ class SolverConfig:
     def __post_init__(self):
         if not math.isfinite(self.k_const):
             raise DomainError(f"k_const must be finite, got {self.k_const}", field="k_const")
-        check_integers(self, ("grid_n", "ode_substeps", "max_outer"))
+        check_integers(grid_n=self.grid_n, ode_substeps=self.ode_substeps,
+                       max_outer=self.max_outer)
         if not 0.0 < self.p0plus < math.inf:
             raise DomainError(f"p(0+) must be positive and finite, got {self.p0plus}",
                               field="p0plus")

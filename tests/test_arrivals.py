@@ -107,6 +107,33 @@ class TestSampleArrivals:
         with pytest.raises(DomainError):
             eh.sample_arrivals(hp, dist, 0.0, seed=0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan, -1.0])
+    def test_horizon_positive_and_finite(self, horizon):
+        hp = eh.HarvestParams(1.0, 1.0)
+        dist = eh.PacketDistribution.exponential(1.0)
+        with pytest.raises(DomainError) as err:
+            eh.sample_arrivals(hp, dist, horizon, seed=0)
+        assert err.value.field == "horizon"
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("node", -1), ("node", 0.5),
+        ("replication", -2), ("replication", 2.0)])
+    def test_stream_keys_nonnegative_integers(self, name, value):
+        hp = eh.HarvestParams(1.0, 1.0)
+        dist = eh.PacketDistribution.exponential(1.0)
+        keys = {"seed": 0, "node": 0, "replication": 0, name: value}
+        with pytest.raises(DomainError) as err:
+            eh.sample_arrivals(hp, dist, 10.0, **keys)
+        assert err.value.field == name
+
+    def test_numpy_integer_keys_accepted(self):
+        hp = eh.HarvestParams(1.0, 1.0)
+        dist = eh.PacketDistribution.exponential(1.0)
+        a = eh.sample_arrivals(hp, dist, 50.0, seed=np.int64(3), node=np.int32(1),
+                               replication=np.uint8(2))
+        b = eh.sample_arrivals(hp, dist, 50.0, seed=3, node=1, replication=2)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
     def test_reproducible_bit_identical(self):
         hp = eh.HarvestParams(1.3, 0.7)
         dist = eh.PacketDistribution.exponential(0.7)

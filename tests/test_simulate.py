@@ -754,18 +754,23 @@ RUN_FIELDS = ("seg_start", "seg_level", "seg_tau", "seg_end_level", "drain_end",
               "drain_dur", "idle_dur", "pre_arrival", "post_arrival")
 
 
-def assert_walks_identical(interp, capacity, times, energies, burn_in, horizon):
-    """The lockstep walk against the oracle: every row and log entry bitwise."""
-    log_want, log_got = [], []
-    want = scalar_walk(interp, capacity, times, energies, burn_in, horizon, log_want, 3)
-    got = sim._walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
-                               log_got, 3)
+def assert_runs_identical(want, got):
+    """Every array of two ``NodeRun`` bitwise, and the overflow with its sign."""
     for name in RUN_FIELDS:
         a, b = getattr(want, name), getattr(got, name)
         assert a.shape == b.shape, name
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
     assert math.copysign(1.0, want.overflow) == math.copysign(1.0, got.overflow)
     assert want.overflow == got.overflow
+
+
+def assert_walks_identical(interp, capacity, times, energies, burn_in, horizon):
+    """The lockstep walk against the oracle: every row and log entry bitwise."""
+    log_want, log_got = [], []
+    want = scalar_walk(interp, capacity, times, energies, burn_in, horizon, log_want, 3)
+    got = sim._walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
+                               log_got, 3)
+    assert_runs_identical(want, got)
     assert log_want == log_got
     return want
 
@@ -790,6 +795,23 @@ def walk_inputs(draw):
     burn_in = draw(st.floats(0.0, 0.5)) * horizon
     times, energies = sample_arrivals(params, dist, horizon, draw(st.integers(0, 2 ** 16)))
     return policy.interp(extend=unbounded), params.capacity, times, energies, burn_in, horizon
+
+
+@st.composite
+def never_emptying_walks(draw):
+    """An unbounded battery on a short span whose policy releases below the
+    unit input rate: it seldom empties, yet its short top drain time makes
+    the walk cut at many gaps, and nearly every cut needs a repair."""
+    n = draw(st.integers(1, 16))
+    span = draw(st.floats(1.0, 8.0))
+    p = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=n + 1, max_size=n + 1)),
+               reverse=draw(st.booleans()))
+    policy = eh.PolicyGrid(uniform_grid(span, n), np.asarray([0.0] + p[1:]), p0plus=p[0])
+    horizon = draw(st.floats(50.0, 2000.0))
+    burn_in = draw(st.floats(0.0, 0.5)) * horizon
+    times, energies = sample_arrivals(eh.HarvestParams(1.0, 1.0, math.inf), exp_dist(),
+                                      horizon, draw(st.integers(0, 2 ** 16)))
+    return policy.interp(extend=True), math.inf, times, energies, burn_in, horizon
 
 
 class TestLockstepWalk:
@@ -912,6 +934,89 @@ class TestLockstepWalk:
         run = assert_walks_identical(interp, 2.0, times, energies, 0.0, 3.0)
         assert run.seg_end_level[1] > 0.0 and run.post_arrival[1] == 2.0
         assert passes == [2]
+
+    def test_one_repair_pass_on_a_short_span(self, monkeypatch):
+        # p = 0.5 against a unit input rate on a span of 4: the top drain time
+        # is 8, so the walk cuts at about 1400 gaps though the battery never
+        # empties.  Each repair lane once stopped before the next wrong block,
+        # mending one chain per pass: 199 passes.
+        passes = self._count_passes(monkeypatch)
+        interp = eh.constant_policy(0.5, 4.0, 16).interp(extend=True)
+        times, energies = sample_arrivals(eh.HarvestParams(1.0, 1.0, math.inf), exp_dist(),
+                                          2e4, 3)
+        run = assert_walks_identical(interp, math.inf, times, energies, 0.0, 2e4)
+        assert np.count_nonzero(run.seg_end_level == 0.0) <= 2 and passes[0] > 1000
+        assert len(passes) <= 3
+
+    @pytest.mark.parametrize("lanes", [0, sim._SCALAR_LANES])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(case=never_emptying_walks())
+    def test_overlapping_repair_lanes_match_scalar_loop(self, lanes, case):
+        # the first repair lane of a pass runs on through the later lanes'
+        # rows; at 0 every row is a numpy row, at the default most are floats
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_SCALAR_LANES", lanes)
+            assert_walks_identical(*case)
+
+
+def _workspace_nodes(kind):
+    finite = (eh.HarvestParams(1.0, 1.0, 2.0),
+              eh.policy_from_function(lambda x: 0.4 + 0.6 * x, 2.0, 64), exp_dist())
+    unbounded = (eh.HarvestParams(1.0, 1.0, math.inf), eh.constant_policy(2.0, 12.0, 128),
+                 exp_dist())
+    return {"finite": [finite], "unbounded": [unbounded], "pair": [finite, unbounded]}[kind]
+
+
+class TestWalkWorkspace:
+    """``simulate`` walks every replication of a node in the same buffers."""
+
+    @pytest.mark.parametrize("kind", ["finite", "unbounded", "pair"])
+    def test_replications_reuse_buffers_bitwise(self, kind, rf, monkeypatch):
+        # seed 6 gives each node 406/437/414 and 396/404/389 arrivals: the
+        # rows grow, then are walked shorter in the same memory
+        walk = sim._walk_trajectory
+        previous = {}   # node: its last run, and that walk without a workspace
+        sizes, shared = {}, []
+
+        def checked(*args):
+            node, log = args[7], args[6]
+            if node in previous:
+                # valid through every walk and the joint integral since
+                assert_runs_identical(*previous[node][::-1])
+            mark = len(log)
+            run = walk(*args)
+            want_log = []
+            want = walk(*args[:6], want_log, node)
+            assert_runs_identical(want, run)
+            assert log[mark:] == want_log
+            if node in previous:
+                shared.append(all(np.shares_memory(getattr(previous[node][0], name),
+                                                   getattr(run, name))
+                                  for name in RUN_FIELDS))
+            sizes.setdefault(node, []).append(args[2].size)
+            previous[node] = run, want
+            return run
+
+        monkeypatch.setattr(sim, "_walk_trajectory", checked)
+        nodes = _workspace_nodes(kind)
+        eh.simulate(nodes, rf, eh.SimConfig(horizon=400.0, replications=3, seed=6,
+                                            burn_in=50.0, track_events=True))
+        for run, want in previous.values():
+            assert_runs_identical(want, run)
+        assert len(sizes) == len(nodes)
+        assert all(a < b > c for a, b, c in sizes.values())
+        assert len(shared) == 2 * len(nodes) and all(shared)
+
+    def test_buffer_grows_without_touching_earlier_rows(self):
+        work = sim._Workspace()
+        rows = work.rows(0, 8, 100)
+        rows[:] = 1.0
+        assert np.shares_memory(rows, work.rows(0, 8, 50))
+        assert not np.shares_memory(rows, work.rows(1, 8, 50))
+        grown = work.rows(0, 8, 1000)
+        assert grown.shape == (8, 1000) and not np.shares_memory(rows, grown)
+        assert np.all(rows == 1.0)
+        assert np.shares_memory(grown, work.rows(0, 8, 10))
 
 
 class TestRateRemainder:
