@@ -162,6 +162,13 @@ class StationaryMeasure:
         if not np.all((np.asarray(self.cell_masses) >= 0.0) & np.isfinite(self.cell_masses)):
             raise DomainError("cell masses must be finite and nonnegative")
 
+    def __getstate__(self):
+        # ``throughput`` keeps the node law this measure last served, with
+        # its transform rows, as ``_law``: copies and pickles start without it
+        state = dict(self.__dict__)
+        state.pop("_law", None)
+        return state
+
     @property
     def n(self) -> int:
         return self.grid.size - 1

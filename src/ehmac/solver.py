@@ -67,7 +67,7 @@ from .errors import (DomainError, MomentRangeError, NonAdmissibleTrajectoryError
 from .grids import uniform_grid
 from .measures import PolicyGrid, measure_closed_form
 from .rates import RateFunction
-from .throughput import (ExactRateMoments, QMAX_CAP, SystemState, phi_moments,
+from .throughput import (ExactRateMoments, QMAX_CAP, SystemState, drop_laws, phi_moments,
                          sum_throughput)
 
 __all__ = [
@@ -404,8 +404,10 @@ def _start(nodes: tuple, rf: RateFunction, starts: tuple):
     node 0's sweep-1 moments, tabulated against the state (a lone node's
     exact moments).  The arguments are the whole key, so the start is built
     once per distinct key and the last one is kept.  Its arrays are
-    read-only, so no caller can change a later solve; the moments keep only
-    the segment their last query used, which no result depends on.
+    read-only, so no caller can change a later solve.  The moments keep
+    the segment their last query used, and the measures keep their node
+    laws (see ``throughput._law_of``), whose transform rows grow as later
+    solves need more t nodes; no result depends on either.
     """
     policies = tuple(initial_policy(hp.capacity, *start) for hp, start in zip(nodes, starts))
     measures = tuple(measure_closed_form(pol, hp) for pol, hp in zip(policies, nodes))
@@ -449,8 +451,8 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
         raise UsageError("coordinate ascent needs finite batteries")
     free = 1 if tied else m  # node k runs policy k % free
     starts = tuple((cfg.grid_n, cfg.p0plus, cfg.init_policy) for cfg in configs[:free])
-    policies, measures, utility, start_phi = _start(tuple(nodes), rf, starts)
-    policies, measures = list(policies), list(measures)
+    policies, start_measures, utility, start_phi = _start(tuple(nodes), rf, starts)
+    policies, measures = list(policies), list(start_measures)
 
     def state_of():
         return _system_state(nodes, rf, policies, measures)
@@ -502,6 +504,9 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
         if theta < theta_tol:
             termination = "theta"
             break
+    # the report's measures leave their laws' transform rows behind; the
+    # start's keep theirs for the next solve that shares the start
+    drop_laws(meas for meas in measures if all(meas is not s for s in start_measures))
     return SolveReport(policies=policies, measures=measures, utilities=utilities,
                        termination=termination, policy_history=history)
 

@@ -27,9 +27,19 @@ the sums round as with one transform per node.  The trapezoid rule in
 ln t converges geometrically (L. N. Trefethen and J. A. C. Weideman, "The
 exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014); at
 the step used here the sums agree with ``math.fsum`` over the full tensor
-to about 5e-15 relative.  The t nodes are walked in blocks that hold a bounded number of
-elements.  The rate functions of ``rates`` stay the scalar and array API;
-the sums do not call them.
+to about 5e-15 relative.  The t nodes are walked in blocks that hold a
+bounded number of elements.  The rate functions of ``rates`` stay the
+scalar and array API; the sums do not call them.
+
+A law keeps its transforms (``_Law``): the measure it comes from holds it
+for as long as the measure lives, so the laws of the nodes a
+Gauss-Seidel update leaves alone are transformed once, not once per
+tensor sum.  Its rows are computed in fixed blocks of t nodes, because a
+BLAS matrix-vector product may round the last rows of a block by another
+kernel: with fixed blocks a row has the same bits whether an earlier call
+computed it or not, and no result depends on what the law holds.  Copies
+and pickles of a measure leave the law behind, and the solver drops the
+laws of the measures it reports.
 
 ``PhiMoments`` hands the tabulated moments to the ODE as not-a-knot cubic
 splines in t = log1p(q).  ``_not_a_knot`` fits them on plain floats with
@@ -47,7 +57,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .arrivals import HarvestParams
-from .errors import DomainError, MomentRangeError, UsageError
+from .errors import DomainError, MomentRangeError, NumericOverflowError, UsageError
 from .measures import PolicyGrid, StationaryMeasure
 from .rates import RateFunction, rate
 
@@ -112,81 +122,145 @@ class SystemState:
         return len(self.nodes)
 
 
-def _node_laws(state: SystemState, skip: int | None = None):
-    """Each distinct law of the nodes (but ``skip``) on its measure grid.
+class _Law:
+    """A discrete law of powers in units of n0 and its transform rows.
 
-    A law's powers are [0, p(x_0+), p(x_1), ...] and its weights [pi_0, node
-    weights...]: the atom is the zero-power point.  Nodes that hold the same
-    policy and measure objects, as every node of a tied state does, share
-    one law.  Returns the laws' powers and weights and, per node in node
+    Holds the powers, the weights normalized by their mass, the mass, and
+    two rows over the kernel's t nodes t_i = _T_TOP e^(-_H i):
+    D(t_i) = sum_a w_a expm1(-t_i p_a), which every sum needs, and
+    E(t_i) = sum_a w_a e^(-t_i p_a), which moment sums need.  ``rows``
+    computes them on demand in fixed blocks of ``step`` t nodes counted from
+    row 0, and grows them when a later call needs more t nodes.  A BLAS
+    matrix-vector product may round the last rows of a block by another
+    kernel, so a row's bits depend on its block; with fixed blocks a row
+    has the same bits whichever call first needed it.
+    """
+
+    def __init__(self, powers, weights):
+        self.p = np.asarray(powers, dtype=float)
+        if not ((0.0 <= self.p) & (self.p < np.inf)).all():
+            raise DomainError("total power must be finite and nonnegative")
+        weights = np.asarray(weights, dtype=float)
+        self.mass = float(np.sum(weights))
+        self.w = weights / self.mass if self.mass else weights
+        self.top = float(self.p.max())
+        self.step = max(1, _BLOCK // self.p.size)
+        self.d = self.e = np.empty(0)
+
+    def _block(self, lo, moment):
+        """E (``moment``) or D on the ``step`` t nodes from row ``lo``."""
+        t = _T_TOP * np.exp(-_H * np.arange(lo, lo + self.step))
+        args = np.multiply.outer(t, -self.p)
+        return (np.exp(args) if moment else np.expm1(args, out=args)) @ self.w
+
+    def rows(self, count, moments=False):
+        """(E, D) on at least the first ``count`` t nodes; E only with ``moments``."""
+        if self.d.size < count:
+            self.d = np.concatenate(
+                [self.d] + [self._block(lo, False) for lo in range(self.d.size, count, self.step)])
+        if moments and self.e.size < count:
+            self.e = np.concatenate(
+                [self.e] + [self._block(lo, True) for lo in range(self.e.size, count, self.step)])
+        return self.e, self.d
+
+
+def _law_of(policy: PolicyGrid, measure: StationaryMeasure, n0: float) -> _Law:
+    """The law of a node on its measure grid, kept on the measure.
+
+    Its powers are [0, p(x_0+), p(x_1), ...] / n0 and its weights [pi_0, node
+    weights...]: the atom is the zero-power point.  The measure keeps the
+    last law it served, with its transform rows, for as long as it lives
+    (``StationaryMeasure`` leaves it out of copies, pickles and ``==``);
+    another policy or noise level replaces it.  The law is not rebuilt when
+    the measure's arrays are changed in place: build a new measure instead.
+    """
+    kept = measure.__dict__.get("_law")
+    if kept is None or kept[0] is not policy or kept[1] != n0:
+        law = _Law(np.concatenate(([0.0], policy.density_side_on(measure.grid))) / n0,
+                   np.concatenate(([measure.atom], measure.node_weights())))
+        kept = (policy, n0, law)
+        object.__setattr__(measure, "_law", kept)
+    return kept[2]
+
+
+def drop_laws(measures) -> None:
+    """Forget the laws (and their transform rows) kept on these measures."""
+    for meas in measures:
+        meas.__dict__.pop("_law", None)
+
+
+def _node_laws(state: SystemState, skip: int | None = None):
+    """Each distinct law of the nodes (but ``skip``) and each node's law index.
+
+    Nodes that hold the same policy and measure objects, as every node of a
+    tied state does, share one law.  Returns the laws and, per node in node
     order, the index of its law.
     """
-    powers, weights, order, seen = [], [], [], {}
+    laws, order, seen = [], [], {}
     for k, nd in enumerate(state.nodes):
         if k != skip:
             key = (id(nd.policy), id(nd.measure))
             if key not in seen:
-                seen[key] = len(powers)
-                meas = nd.measure
-                powers.append(np.concatenate(([0.0], nd.policy.density_side_on(meas.grid))))
-                weights.append(np.concatenate(([meas.atom], meas.node_weights())))
+                seen[key] = len(laws)
+                laws.append(_law_of(nd.policy, nd.measure, state.rate.n0))
             order.append(seen[key])
-    return powers, weights, order
+    return laws, order
 
 
-def _tensor_sums(n0, powers, weights, base, moments=False, order=None):
+def _tensor_sums(n0, laws, base, moments=False, order=None):
     """Sum of r(base + sum powers) * prod weights, and of r' and r'' with ``moments``.
 
-    ``powers`` and ``weights`` give the distinct laws and ``order`` the law
-    of each node, in node order (by default one node per law).  ``base`` is
-    a scalar or a 1-d array of scalar power offsets; each sum has one entry
-    per offset, and the sums come as the rows of one array.  Each sum is one
-    of the Laplace integrals of the module docstring, over u = ln t by the
-    trapezoid rule, with E e^(-tx) = e^(-tq) prod_k L_k(t) for q = base / n0.
-    Each law is normalized by its mass; the nodes' masses' product and the
-    constants 0.5 / ln 2, 0.5 / (ln 2 n0) and -0.5 / (ln 2 n0^2) multiply
-    the finished sums.  The rate sum never cancels: D_k = L_k - 1 =
+    ``laws`` are the distinct ``_Law``s, powers in units of n0, and
+    ``order`` the law of each node, in node order (by default one node per
+    law).  ``base`` is a scalar or a 1-d array of scalar power offsets; each
+    sum has one entry per offset, and the sums come as the rows of one
+    array.  Each sum is one of the Laplace integrals of the module
+    docstring, over u = ln t by the trapezoid rule, with
+    E e^(-tx) = e^(-tq) prod_k L_k(t) for q = base / n0.  Each law is
+    normalized by its mass; the nodes' masses' product and the constants
+    0.5 / ln 2, 0.5 / (ln 2 n0) and -0.5 / (ln 2 n0^2) multiply the finished
+    sums.  The rate sum never cancels: D_k = L_k - 1 =
     sum_a w_a expm1(-t p_a) <= 0 is accumulated as
     delta <- delta (1 + D_k) + D_k, so that delta = prod_k L_k - 1, and
     1 - E e^(-tx) = -(delta + (1 + delta) expm1(-tq)).  The derivative sums
-    take the plain product of the L_k, whose terms are all positive.  Each
-    law's transforms are taken once per block of t nodes and applied once
+    take the plain product of the L_k = E_k, whose terms are all positive.
+    Each law's rows come from the law (``_Law.rows``) and are applied once
     per node, in node order, so the sums round as they would with one law
-    per node.  The t nodes are walked in blocks of at most ``_BLOCK``
-    elements per law.  A total power below the smallest normal float
+    per node.  The t nodes of the base part are walked in blocks of at most
+    ``_BLOCK`` elements.  A total power below the smallest normal float
     (2.2e-308 n0) makes t x subnormal, and its rate sum is then accurate
-    only to a few subnormal units, not relatively.
+    only to a few subnormal units, not relatively.  A total power whose t
+    range leaves the float range (about 4.5e288 n0) raises
+    ``NumericOverflowError``.
     """
     if order is None:
-        order = range(len(powers))
+        order = range(len(laws))
     base = np.atleast_1d(np.asarray(base, dtype=float)) / n0
-    powers = [np.asarray(p, dtype=float) / n0 for p in powers]
-    if not all(((0.0 <= a) & (a < np.inf)).all() for a in [base, *powers]):
+    if not ((0.0 <= base) & (base < np.inf)).all():
         raise DomainError("total power must be finite and nonnegative")
     sums = np.zeros((3 if moments else 1, base.size))
-    law_masses = [float(np.sum(w)) for w in weights]
-    masses = [law_masses[i] for i in order]
+    masses = [laws[i].mass for i in order]
     if not all(masses):
         return sums
-    laws = [(p, np.asarray(w, dtype=float) / mass)
-            for p, w, mass in zip(powers, weights, law_masses)]
-    x_max = float(base.max(initial=0.0)) + sum(float(powers[i].max()) for i in order)
-    count = math.ceil(math.log(_T_TOP * max(x_max, 1.0) / _T_FLOOR) / _H) + 1
-    width = max([base.size] + [p.size for p in powers])
+    x_max = float(base.max(initial=0.0)) + sum(laws[i].top for i in order)
+    span = _T_TOP * max(x_max, 1.0) / _T_FLOOR
+    if not span < math.inf:
+        raise NumericOverflowError(f"total power {x_max:.6g} n0 is too large for the "
+                                   "rate sums' t nodes")
+    count = math.ceil(math.log(span) / _H) + 1
+    rows = [law.rows(count, moments) for law in laws]
+    width = max([base.size] + [law.p.size for law in laws])
     step = max(1, _BLOCK // width)
     for lo in range(0, count, step):
-        t = _T_TOP * np.exp(-_H * np.arange(lo, min(lo + step, count)))
+        hi = min(lo + step, count)
+        t = _T_TOP * np.exp(-_H * np.arange(lo, hi))
         delta = np.zeros(t.size)
         prod = np.ones(t.size)
-        transforms = []
-        for p, w in laws:
-            args = np.multiply.outer(t, -p)
-            e = np.exp(args) @ w if moments else None
-            transforms.append((e, np.expm1(args, out=args) @ w))
         for i in order:
-            e, d = transforms[i]
+            e, d = rows[i]
             if moments:
-                prod *= e
+                prod *= e[lo:hi]
+            d = d[lo:hi]
             delta = delta * (1.0 + d) + d
         c = _H * np.exp(-t)
         args = np.multiply.outer(-t, base)
@@ -207,8 +281,8 @@ def sum_throughput(state: SystemState) -> float:
     One transform per distinct law, applied in node order, for any node
     count: the nodes of a tied state share one.
     """
-    powers, weights, order = _node_laws(state)
-    return float(_tensor_sums(state.rate.n0, powers, weights, 0.0, order=order)[0, 0])
+    laws, order = _node_laws(state)
+    return float(_tensor_sums(state.rate.n0, laws, 0.0, order=order)[0, 0])
 
 
 def _not_a_knot(x, ys):
@@ -325,6 +399,8 @@ class PhiMoments:
         """
         if self.provider is None:
             raise UsageError("this tabulation has no provider to extend with")
+        if math.isnan(new_qmax):
+            raise DomainError("moment extension target must be a number", field="new_qmax")
         new_qmax = min(new_qmax, QMAX_CAP)
         if new_qmax <= self.qmax:
             return self
@@ -439,11 +515,11 @@ def phi_moments(state: SystemState, j: int, q_grid) -> PhiMoments:
     if not 0 <= j < m:
         raise UsageError(f"node index {j} out of range for {m} nodes")
     q = np.unique(np.asarray(q_grid, dtype=float))
-    powers, weights, order = _node_laws(state, skip=j)
+    laws, order = _node_laws(state, skip=j)
     n0 = state.rate.n0
 
     def tabulate(knots):
-        return _tensor_sums(n0, powers, weights, knots, moments=True, order=order)
+        return _tensor_sums(n0, laws, knots, moments=True, order=order)
 
     phi, dphi, d2phi = tabulate(q)
     return PhiMoments(q=q, phi=phi, dphi=dphi, d2phi=d2phi, provider=tabulate)

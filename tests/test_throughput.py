@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import ehmac as eh
+import ehmac.solver as solver
 import ehmac.throughput as th
 from ehmac.errors import (DomainError, MomentRangeError, NonAdmissibleTrajectoryError,
                           NumericOverflowError, UsageError)
@@ -299,6 +301,13 @@ class TestTailExtension:
             np.testing.assert_allclose(getattr(ext, name), getattr(fresh, name),
                                        rtol=1e-12, atol=0.0, err_msg=name)
 
+    def test_nan_target_rejected(self, rf):
+        state = eh.SystemState(nodes=(constant_node(), constant_node()), rate=rf)
+        phi = eh.phi_moments(state, 0, np.linspace(0.0, 5.0, 41))
+        with pytest.raises(DomainError) as err:
+            phi.extended(math.nan)
+        assert err.value.field == "new_qmax"
+
 
 def sloped_node(lam, zeta, capacity, fn, n):
     hp = eh.HarvestParams(lam, zeta, capacity)
@@ -405,7 +414,8 @@ class TestFoldedLawOracle:
     def test_throughput_and_moments(self, nodes, chunk):
         atoms = [meas.atom for _, _, meas in nodes]
         assert len(set(atoms)) == len(atoms) and min(atoms) > 0.01
-        state = eh.SystemState(nodes=nodes, rate=RF)
+        # fresh copies: a law takes its block size when it is first built
+        state = eh.SystemState(nodes=copy.deepcopy(nodes), rate=RF)
         knots = np.array([0.0, 0.3, 1.1, 2.5, 6.0])
         with mock.patch.object(th, "_BLOCK", chunk):
             total = eh.sum_throughput(state)
@@ -458,19 +468,108 @@ class TestSharedLaws:
         copies = eh.SystemState(nodes=tuple(copy.deepcopy(laws[i]) for i in pattern),
                                 rate=RF)
         m = len(pattern)
-        assert th._node_laws(shared)[2] == pattern
-        assert th._node_laws(copies)[2] == list(range(m))
+        assert th._node_laws(shared)[1] == pattern
+        assert th._node_laws(copies)[1] == list(range(m))
         assert eh.sum_throughput(shared) == eh.sum_throughput(copies)
         knots = np.linspace(0.0, 4.0, 9)
         for j in range(m):
             others = [i for k, i in enumerate(pattern) if k != j]
             # the laws are numbered in order of first use
-            assert th._node_laws(shared, skip=j)[2] == [sorted(set(others), key=others.index)
+            assert th._node_laws(shared, skip=j)[1] == [sorted(set(others), key=others.index)
                                                          .index(i) for i in others]
             got, want = (eh.phi_moments(state, j, knots).extended(300.0)
                          for state in (shared, copies))
             for name in ("q", "phi", "dphi", "d2phi"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (j, name)
+
+
+def count_blocks():
+    """Patch ``_Law._block`` to record (law, first row, moment) per computed block."""
+    computed, block = [], th._Law._block
+
+    def counting(law, lo, moment):
+        computed.append((law, lo, moment))  # keeps the law alive: ids stay unique
+        return block(law, lo, moment)
+
+    return computed, mock.patch.object(th._Law, "_block", counting)
+
+
+class TestLawRows:
+    """Each law computes its transform rows once, in fixed blocks, and a warm
+    law gives the bits of a cold one."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(shared_patterns(), st.sampled_from([None, 0.5, 1e6]),
+           st.sampled_from([th._BLOCK, 97, 1000]))
+    @example(([SPEC_A, SPEC_B], [0, 1, 0]), 1e6, 97)
+    @example(([SPEC_A, SPEC_B], [0, 1, 1]), 0.5, 97)
+    def test_warm_equals_cold(self, case, warm_top, chunk):
+        # warm_top None warms the rate rows alone, over the shortest t range
+        # of any call; 0.5 and 1e6 warm both rows over a shorter and a longer
+        # range than the moment calls below need
+        specs, pattern = case
+        laws = [sloped_node(lam, zeta, cap, lambda x, a=a, b=b: a + b * x, n)
+                for lam, zeta, cap, a, b, n in specs]
+        m = len(pattern)
+
+        def outputs(state):
+            tables = [eh.phi_moments(state, j, np.linspace(0.0, 4.0, 9)).extended(300.0)
+                      for j in range(m)]
+            return [eh.sum_throughput(state)] + [getattr(phi, name).tolist() for phi in tables
+                                                 for name in ("q", "phi", "dphi", "d2phi")]
+
+        with mock.patch.object(th, "_BLOCK", chunk):
+            warm = eh.SystemState(nodes=tuple(laws[i] for i in pattern), rate=RF)
+            cold = eh.SystemState(nodes=copy.deepcopy(warm.nodes), rate=RF)
+            if warm_top is None:
+                eh.sum_throughput(warm)
+            else:
+                for j in range(m):
+                    eh.phi_moments(warm, j, np.linspace(0.0, warm_top, 5))
+            assert all(law.d.size == 0 for law in th._node_laws(cold)[0])
+            assert outputs(warm) == outputs(cold)
+        # the rows themselves, which roundoff in the last rows of a block
+        # would change without moving the sums
+        for a, b in zip(th._node_laws(warm)[0], th._node_laws(cold)[0]):
+            assert a.d.size and b.d.size
+            for x, y in ((a.d, b.d), (a.e, b.e)):
+                k = min(x.size, y.size)
+                assert np.array_equal(x[:k], y[:k])
+
+    def test_one_sweep_computes_each_block_once(self, rf):
+        nodes = [eh.HarvestParams(1.0, 1.0, 1.0), eh.HarvestParams(1.5, 1.0, 1.7),
+                 eh.HarvestParams(1.0, 1.5, 2.5)]
+        cfg = eh.SolverConfig(p0plus=0.001, grid_n=64, max_outer=1)
+        computed, patch = count_blocks()
+        reads = []
+        rows = th._Law.rows
+
+        def reading(law, count, moments=False):
+            reads.append(law)
+            return rows(law, count, moments)
+
+        solver._start.cache_clear()
+        with patch, mock.patch.object(th._Law, "rows", reading):
+            eh.solve_mac_gauss_seidel(nodes, rf, cfg)
+        keys = [(id(law), lo, moment) for law, lo, moment in computed]
+        assert keys and len(set(keys)) == len(keys)
+        # and the rows are reused: far fewer laws than reads
+        assert len({id(law) for law in reads}) < len(reads) / 2
+
+    def test_extension_computes_only_new_blocks(self, rf):
+        state = eh.SystemState(nodes=(constant_node(n=64), constant_node(level=1.5),
+                                      constant_node(level=2.5, n=128)), rate=rf)
+        phi = eh.phi_moments(state, 0, np.linspace(0.0, 5.0, 41))
+        laws = th._node_laws(state, skip=0)[0]
+        held = {(id(law), moment): (law.e if moment else law.d).size
+                for law in laws for moment in (False, True)}
+        computed, patch = count_blocks()
+        with patch:
+            phi.extended(1e100)
+        assert computed
+        for law, lo, moment in computed:
+            assert any(law is held_law for held_law in laws)
+            assert lo >= held[id(law), moment]
 
 
 @st.composite
@@ -496,6 +595,12 @@ def ragged_case(sizes, bases, chunk, n0=1.0):
     powers = [np.linspace(0.1 * k, 3.0 - k, n) for k, n in enumerate(sizes)]
     weights = [np.linspace(1.0 - 0.2 * k, 0.2 + 0.1 * k, n) for k, n in enumerate(sizes)]
     return powers, weights, n0, np.linspace(0.0, 2.0, bases), chunk
+
+
+def tensor_sums(n0, powers, weights, base, moments=False):
+    """``_tensor_sums`` over fresh laws of raw powers and weights."""
+    laws = [th._Law(np.asarray(p, dtype=float) / n0, w) for p, w in zip(powers, weights)]
+    return th._tensor_sums(n0, laws, base, moments=moments)
 
 
 class TestTensorSums:
@@ -524,7 +629,7 @@ class TestTensorSums:
     def test_matches_full_tensor(self, case):
         powers, weights, n0, base, chunk = case
         with mock.patch.object(th, "_BLOCK", chunk):
-            got = th._tensor_sums(n0, powers, weights, base, moments=True)
+            got = tensor_sums(n0, powers, weights, base, moments=True)
         rf = eh.RateFunction(n0)
         funcs = (lambda a: eh.rate(rf, a),
                  lambda a: eh.rate_deriv(rf, a, 1),
@@ -544,20 +649,46 @@ class TestTensorSums:
             exact = np.ldexp([math.fsum(t.ravel().tolist()) for t in terms], sum(shifts))
             np.testing.assert_allclose(sums, exact, rtol=1e-13, atol=0.0)
         with mock.patch.object(th, "_BLOCK", chunk):
-            (rate_only,) = th._tensor_sums(n0, powers, weights, base)
+            (rate_only,) = tensor_sums(n0, powers, weights, base)
         assert np.array_equal(rate_only, got[0])
 
     def test_negative_power_rejected(self):
         one = [np.array([0.0, 1.0])], [np.array([0.5, 0.5])]
         with pytest.raises(DomainError, match="nonnegative"):
-            th._tensor_sums(1.0, *one, np.array([0.5, -1e-3]), moments=True)
+            tensor_sums(1.0, *one, np.array([0.5, -1e-3]), moments=True)
         with pytest.raises(DomainError, match="nonnegative"):
-            th._tensor_sums(1.0, [np.array([0.0, -1.0])], one[1], 0.0)
+            tensor_sums(1.0, [np.array([0.0, -1.0])], one[1], 0.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError, match="finite"):
-                th._tensor_sums(1.0, [np.array([0.0, bad])], one[1], 0.0)
+                tensor_sums(1.0, [np.array([0.0, bad])], one[1], 0.0)
             with pytest.raises(DomainError, match="finite"):
-                th._tensor_sums(1.0, *one, np.array([0.5, bad]), moments=True)
+                tensor_sums(1.0, *one, np.array([0.5, bad]), moments=True)
+
+    def test_largest_total_power(self, rf):
+        # the t nodes reach down to _T_FLOOR / x_max, so the total power x_max
+        # (in units of n0) evaluates while _T_TOP x_max / _T_FLOOR is finite
+        top = sys.float_info.max / th._T_TOP * th._T_FLOOR
+        while th._T_TOP * math.nextafter(top, math.inf) / th._T_FLOOR < math.inf:
+            top = math.nextafter(top, math.inf)
+        while not th._T_TOP * top / th._T_FLOOR < math.inf:
+            top = math.nextafter(top, 0.0)
+        assert 4.4e288 < top < 4.5e288
+        hp = eh.HarvestParams(1.0, 1.0, 1.0)
+
+        def lone(level):
+            pol = eh.constant_policy(level, 1.0, 64)
+            return eh.SystemState(nodes=((hp, pol, eh.measure_closed_form(pol, hp)),), rate=rf)
+
+        assert eh.sum_throughput(lone(4e288)) > 0.0
+        assert eh.sum_throughput(lone(top)) > 0.0
+        for level in (math.nextafter(top, math.inf), 5e288):
+            with pytest.raises(NumericOverflowError, match="too large"):
+                eh.sum_throughput(lone(level))
+
+    def test_moment_knots_beyond_the_t_range(self, rf):
+        state = eh.SystemState(nodes=(constant_node(), constant_node()), rate=rf)
+        with pytest.raises(NumericOverflowError, match="too large"):
+            eh.phi_moments(state, 0, np.geomspace(1e-3, 1e300, 50))
 
 
 @st.composite
