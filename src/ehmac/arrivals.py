@@ -123,6 +123,12 @@ def survival(dist: PacketDistribution, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+# Arrivals one ``sample_arrivals`` call may plan (1.25 lam horizon): its first
+# block of gaps alone takes 8 GB here, far past the memory of the trajectory
+# walk it feeds, which keeps about ten floats per arrival and node.
+ARRIVAL_CAP = 10**9
+
+
 def _stream(seed: int, node: int, replication: int) -> np.random.Generator:
     """Splittable per-(node, replication) stream so evaluation order is moot."""
     ss = np.random.SeedSequence(seed, spawn_key=(node, replication))
@@ -136,11 +142,17 @@ def sample_arrivals(params: HarvestParams, dist: PacketDistribution, horizon: fl
     Returns (times, energies) as float arrays, deterministic under
     (seed, node, replication).  A horizon that is not positive and finite, or
     a seed, node or replication that is not a nonnegative integer, raises
-    ``DomainError`` naming the argument.
+    ``DomainError`` naming the argument, and so does a rate and horizon that
+    plan more than ``ARRIVAL_CAP`` arrivals, before anything is allocated.
     """
     if not 0.0 < horizon < math.inf:
         raise DomainError(f"horizon must be positive and finite, got {horizon}",
                           field="horizon")
+    planned = 1.25 * params.lam * horizon
+    if not planned <= ARRIVAL_CAP:
+        raise DomainError(f"arrival rate {params.lam:.6g} over horizon {horizon:.6g} plans "
+                          f"{planned:.6g} arrivals, above the cap of {ARRIVAL_CAP}",
+                          field="lam")
     check_integers(seed=seed, node=node, replication=replication)
     for name, value in (("seed", seed), ("node", node), ("replication", replication)):
         if value < 0:
@@ -150,7 +162,7 @@ def sample_arrivals(params: HarvestParams, dist: PacketDistribution, horizon: fl
     t = 0.0
     if params.lam == 0.0:
         return np.empty(0), np.empty(0)
-    block = max(16, int(1.25 * params.lam * horizon) + 32)
+    block = max(16, int(planned) + 32)
     while t <= horizon:
         gaps = rng.exponential(1.0 / params.lam, size=block)
         cum = t + np.cumsum(gaps)

@@ -20,13 +20,6 @@ SCHEMA_VERSION = 1
 ENV_PREFIX = "EHMAC_"
 
 
-def _parse_float(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "1", "on"):
@@ -38,7 +31,7 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_float_list(text: str):
     items = [s for s in (part.strip() for part in text.split(",")) if s]
-    return tuple(_parse_float(s) for s in items)
+    return tuple(float(s) for s in items)
 
 
 def _parse_str_list(text: str):
@@ -143,7 +136,7 @@ def _coerce(name: str, raw: str):
     if isinstance(proto, int):
         return int(raw.strip())
     if isinstance(proto, float):
-        return _parse_float(raw)
+        return float(raw)
     if isinstance(proto, tuple):
         return (_parse_str_list(raw) if name in _LIST_KEYS_STR
                 else _parse_float_list(raw))

@@ -111,18 +111,25 @@ class PolicyInterp:
         p = np.asarray(p_density_side, dtype=float)
         if x.shape != p.shape:
             raise DomainError("grid and policy arrays must have equal length")
-        if np.any(p <= 0.0):
+        if not (p > 0.0).all():  # NaN included
             raise DomainError("release rate must be positive on (0, L]")
         self.x = x
         self.p = p
         self.extend = extend
         self._inv_h = 1.0 / grid_spacing(x)
-        self._psq = p * p
-        self._b = np.diff(self._psq) / np.diff(x)  # slope of p^2 per cell
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._psq = p * p
+            self._b = np.diff(self._psq) / np.diff(x)  # slope of p^2 per cell
+            # time to drain from each node to empty
+            self.tau_nodes = np.concatenate(([0.0], np.cumsum(inv_power_cells(x, p))))
+        if not (np.isfinite(self._psq).all() and np.isfinite(self._b).all()):
+            raise DomainError(f"release rate {p.max():.6g} is too large: its square "
+                              "or the slope of its square leaves the float range")
+        if not np.isfinite(self.tau_nodes).all():
+            raise DomainError(f"release rate {p.min():.6g} is too small: the drain "
+                              "time to empty leaves the float range")
         # per cell, the node with the lower rate: the right one where p falls
         self._low = np.arange(x.size - 1) + (p[1:] < p[:-1])
-        # time to drain from each node to empty
-        self.tau_nodes = np.concatenate(([0.0], np.cumsum(inv_power_cells(x, p))))
         self._tau_inner = self.tau_nodes[1:-1]
 
     def locate(self, levels):

@@ -339,10 +339,11 @@ def el_ode_solve(phi, params: HarvestParams, config: SolverConfig) -> PolicyGrid
     """Integrate the necessary-condition ODE into an admissible policy grid.
 
     ``phi`` is a PhiMoments tabulation (or ExactRateMoments for a lone
-    node).  If the trajectory outgrows the tabulated range once, the
-    tabulation is extended and the integration retried; a second overrun is
-    an error.  A non-increasing result is admissible but flagged, since such
-    policies are conjectured suboptimal (they stop countering overflow).
+    node).  While the trajectory outgrows the tabulated range, the
+    tabulation is extended and the integration retried; an overrun of a
+    table at ``QMAX_CAP``, or a query below the table, is an error.  A
+    non-increasing result is admissible but flagged, since such policies are
+    conjectured suboptimal (they stop countering overflow).
     """
     cap = params.capacity
     if math.isinf(cap):
@@ -350,17 +351,21 @@ def el_ode_solve(phi, params: HarvestParams, config: SolverConfig) -> PolicyGrid
                          "unbounded batteries use constant policies")
     x = uniform_grid(cap, config.grid_n)
     args = (params.lam, params.zeta, config.k_const, x, config.ode_substeps, config.p0plus)
-    try:
-        values = _integrate(phi, *args)
-    except MomentRangeError as err:
-        if phi.provider is None:
-            raise
-        # project the remaining doubly-exponential growth to size the
-        # extension; one retry per the contract
-        p_fail = max(float(err.argument or 2.0), 2.0)
-        grow = math.exp(min(params.zeta * cap, 6.0))
-        target = math.exp(min(math.log(p_fail) * grow * 1.5, math.log(QMAX_CAP)))
-        values = _integrate(phi.extended(target), *args)
+    grow = math.exp(min(params.zeta * cap, 6.0))
+    while True:
+        try:
+            values = _integrate(phi, *args)
+            break
+        except MomentRangeError as err:
+            if phi.provider is None or not err.argument > phi.qmax:
+                raise
+            # project the remaining doubly-exponential growth from the latest
+            # failing power to size the next extension
+            p_fail = max(float(err.argument), 2.0)
+            target = math.exp(min(math.log(p_fail) * grow * 1.5, math.log(QMAX_CAP)))
+            if not target > phi.qmax:  # the table has reached its cap
+                raise
+            phi = phi.extended(target)
     full = np.concatenate(([0.0], values[1:]))
     if np.any(np.diff(values) <= 0.0):
         warnings.warn("necessary-condition solution is not strictly increasing; "
@@ -406,8 +411,9 @@ def _start(nodes: tuple, rf: RateFunction, starts: tuple):
     once per distinct key and the last one is kept.  Its arrays are
     read-only, so no caller can change a later solve.  The moments keep
     the segment their last query used, and the measures keep their node
-    laws (see ``throughput._law_of``), whose transform rows grow as later
-    solves need more t nodes; no result depends on either.
+    laws (see ``throughput._law_of``) until a solve reports them; a law's
+    transform rows grow as later solves need more t nodes, and a dropped
+    law is rebuilt with the same bits, so no result depends on either.
     """
     policies = tuple(initial_policy(hp.capacity, *start) for hp, start in zip(nodes, starts))
     measures = tuple(measure_closed_form(pol, hp) for pol, hp in zip(policies, nodes))
@@ -451,8 +457,8 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
         raise UsageError("coordinate ascent needs finite batteries")
     free = 1 if tied else m  # node k runs policy k % free
     starts = tuple((cfg.grid_n, cfg.p0plus, cfg.init_policy) for cfg in configs[:free])
-    policies, start_measures, utility, start_phi = _start(tuple(nodes), rf, starts)
-    policies, measures = list(policies), list(start_measures)
+    policies, measures, utility, start_phi = _start(tuple(nodes), rf, starts)
+    policies, measures = list(policies), list(measures)
 
     def state_of():
         return _system_state(nodes, rf, policies, measures)
@@ -504,9 +510,9 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
         if theta < theta_tol:
             termination = "theta"
             break
-    # the report's measures leave their laws' transform rows behind; the
-    # start's keep theirs for the next solve that shares the start
-    drop_laws(meas for meas in measures if all(meas is not s for s in start_measures))
+    # the report's measures leave their laws' transform rows behind; a start
+    # measure rebuilds its law for the next solve, with the same bits
+    drop_laws(measures)
     return SolveReport(policies=policies, measures=measures, utilities=utilities,
                        termination=termination, policy_history=history)
 

@@ -21,15 +21,16 @@ The nodes are independent, so the mean of e^(-tx) over their product law
 is the product of one transform per law, L_k(t) = sum_a w_a e^(-t p_a).  A
 sum over (n + 2)^(m - 1) points becomes m - 1 transforms on a few hundred t
 nodes, for any node count.  Nodes that hold the same policy and measure
-objects, as all nodes of a tied (symmetric) state do, have one law: the
-kernel takes one transform per distinct law, applied in node order, so
-the sums round as with one transform per node.  The trapezoid rule in
-ln t converges geometrically (L. N. Trefethen and J. A. C. Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014); at
-the step used here the sums agree with ``math.fsum`` over the full tensor
-to about 5e-15 relative.  The t nodes are walked in blocks that hold a
-bounded number of elements.  The rate functions of ``rates`` stay the
-scalar and array API; the sums do not call them.
+objects, as all nodes of a tied (symmetric) state do, share one law
+object: its transform is taken once and applied once per node, in node
+order, so the sums round as with one transform per node.  The trapezoid
+rule in ln t converges geometrically (L. N. Trefethen and J. A. C.
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+56(3), 2014); at the step used here the sums agree with ``math.fsum`` over
+the full tensor to about 5e-15 relative.  The t nodes of the base part
+are walked in blocks that hold a bounded number of elements.  The rate
+functions of ``rates`` stay the scalar and array API; the sums do not call
+them.
 
 A law keeps its transforms (``_Law``): the measure it comes from holds it
 for as long as the measure lives, so the laws of the nodes a
@@ -133,7 +134,9 @@ class _Law:
     row 0, and grows them when a later call needs more t nodes.  A BLAS
     matrix-vector product may round the last rows of a block by another
     kernel, so a row's bits depend on its block; with fixed blocks a row
-    has the same bits whichever call first needed it.
+    has the same bits whichever call first needed it.  The price is the
+    rest of the last block, rows no sum reads: 11 % of the rows held on a
+    solve_asym3 benchmark case set, 4 % on a table2 cell.
     """
 
     def __init__(self, powers, weights):
@@ -190,84 +193,70 @@ def drop_laws(measures) -> None:
 
 
 def _node_laws(state: SystemState, skip: int | None = None):
-    """Each distinct law of the nodes (but ``skip``) and each node's law index.
+    """The law of each node but ``skip``, in node order.
 
     Nodes that hold the same policy and measure objects, as every node of a
-    tied state does, share one law.  Returns the laws and, per node in node
-    order, the index of its law.
+    tied state does, get the same ``_Law`` object (see ``_law_of``).
     """
-    laws, order, seen = [], [], {}
-    for k, nd in enumerate(state.nodes):
-        if k != skip:
-            key = (id(nd.policy), id(nd.measure))
-            if key not in seen:
-                seen[key] = len(laws)
-                laws.append(_law_of(nd.policy, nd.measure, state.rate.n0))
-            order.append(seen[key])
-    return laws, order
+    n0 = state.rate.n0
+    return [_law_of(nd.policy, nd.measure, n0) for k, nd in enumerate(state.nodes) if k != skip]
 
 
-def _tensor_sums(n0, laws, base, moments=False, order=None):
+def _tensor_sums(n0, laws, base, moments=False):
     """Sum of r(base + sum powers) * prod weights, and of r' and r'' with ``moments``.
 
-    ``laws`` are the distinct ``_Law``s, powers in units of n0, and
-    ``order`` the law of each node, in node order (by default one node per
-    law).  ``base`` is a scalar or a 1-d array of scalar power offsets; each
-    sum has one entry per offset, and the sums come as the rows of one
-    array.  Each sum is one of the Laplace integrals of the module
-    docstring, over u = ln t by the trapezoid rule, with
-    E e^(-tx) = e^(-tq) prod_k L_k(t) for q = base / n0.  Each law is
-    normalized by its mass; the nodes' masses' product and the constants
-    0.5 / ln 2, 0.5 / (ln 2 n0) and -0.5 / (ln 2 n0^2) multiply the finished
-    sums.  The rate sum never cancels: D_k = L_k - 1 =
+    ``laws`` are the nodes' ``_Law``s, powers in units of n0, one per node
+    in node order; a law shared by several nodes is applied once per node,
+    so the sums round as with one law per node.  ``base`` is a scalar or a
+    1-d array of scalar power offsets; each sum has one entry per offset,
+    and the sums come as the rows of one array.  Each sum is one of the
+    Laplace integrals of the module docstring, over u = ln t by the
+    trapezoid rule, with E e^(-tx) = e^(-tq) prod_k L_k(t) for q = base / n0.
+    Each law is normalized by its mass; the nodes' masses' product and the
+    constants 0.5 / ln 2, 0.5 / (ln 2 n0) and -0.5 / (ln 2 n0^2) multiply the
+    finished sums.  The rate sum never cancels: D_k = L_k - 1 =
     sum_a w_a expm1(-t p_a) <= 0 is accumulated as
     delta <- delta (1 + D_k) + D_k, so that delta = prod_k L_k - 1, and
     1 - E e^(-tx) = -(delta + (1 + delta) expm1(-tq)).  The derivative sums
     take the plain product of the L_k = E_k, whose terms are all positive.
-    Each law's rows come from the law (``_Law.rows``) and are applied once
-    per node, in node order, so the sums round as they would with one law
-    per node.  The t nodes of the base part are walked in blocks of at most
-    ``_BLOCK`` elements.  A total power below the smallest normal float
-    (2.2e-308 n0) makes t x subnormal, and its rate sum is then accurate
-    only to a few subnormal units, not relatively.  A total power whose t
-    range leaves the float range (about 4.5e288 n0) raises
-    ``NumericOverflowError``.
+    The laws' rows come from the laws (``_Law.rows``); the t nodes of the
+    base part are walked in blocks of at most ``_BLOCK`` elements.  A total
+    power below the smallest normal float (2.2e-308 n0) makes t x
+    subnormal, and its rate sum is then accurate only to a few subnormal
+    units, not relatively.  A total power whose t range leaves the float
+    range (about 4.5e288 n0) raises ``NumericOverflowError``.
     """
-    if order is None:
-        order = range(len(laws))
     base = np.atleast_1d(np.asarray(base, dtype=float)) / n0
     if not ((0.0 <= base) & (base < np.inf)).all():
         raise DomainError("total power must be finite and nonnegative")
     sums = np.zeros((3 if moments else 1, base.size))
-    masses = [laws[i].mass for i in order]
+    masses = [law.mass for law in laws]
     if not all(masses):
         return sums
-    x_max = float(base.max(initial=0.0)) + sum(laws[i].top for i in order)
+    x_max = float(base.max(initial=0.0)) + sum(law.top for law in laws)
     span = _T_TOP * max(x_max, 1.0) / _T_FLOOR
     if not span < math.inf:
         raise NumericOverflowError(f"total power {x_max:.6g} n0 is too large for the "
                                    "rate sums' t nodes")
     count = math.ceil(math.log(span) / _H) + 1
-    rows = [law.rows(count, moments) for law in laws]
-    width = max([base.size] + [law.p.size for law in laws])
-    step = max(1, _BLOCK // width)
+    t = _T_TOP * np.exp(-_H * np.arange(count))
+    c = _H * np.exp(-t)
+    delta, prod = np.zeros(count), np.ones(count)
+    for law in laws:
+        e, d = law.rows(count, moments)
+        if moments:
+            prod *= e[:count]
+        delta = delta * (1.0 + d[:count]) + d[:count]
+    tc, dc = t * c * prod, (1.0 + delta) * c
+    # the base part's matrix products round block by block: the block step
+    # stays, law sizes included, only so that every sum keeps its bits
+    step = max(1, _BLOCK // max([base.size] + [law.p.size for law in laws]))
     for lo in range(0, count, step):
         hi = min(lo + step, count)
-        t = _T_TOP * np.exp(-_H * np.arange(lo, hi))
-        delta = np.zeros(t.size)
-        prod = np.ones(t.size)
-        for i in order:
-            e, d = rows[i]
-            if moments:
-                prod *= e[lo:hi]
-            d = d[lo:hi]
-            delta = delta * (1.0 + d) + d
-        c = _H * np.exp(-t)
-        args = np.multiply.outer(-t, base)
+        args = np.multiply.outer(-t[lo:hi], base)
         if moments:
-            tc = t * c * prod
-            sums[1:] += np.array([tc, t * tc]) @ np.exp(args)
-        sums[0] -= delta @ c + ((1.0 + delta) * c) @ np.expm1(args, out=args)
+            sums[1:] += np.array([tc[lo:hi], t[lo:hi] * tc[lo:hi]]) @ np.exp(args)
+        sums[0] -= delta[lo:hi] @ c[lo:hi] + dc[lo:hi] @ np.expm1(args, out=args)
     const = 0.5 / _LN2 * np.array([[1.0], [1.0 / n0], [-1.0 / (n0 * n0)]])
     # the masses' mantissas, then their power of two: a sum that lands among
     # the subnormals is rounded once
@@ -278,11 +267,10 @@ def _tensor_sums(n0, laws, base, moments=False, order=None):
 def sum_throughput(state: SystemState) -> float:
     """Mean of r(total transmitted power) under the product stationary law.
 
-    One transform per distinct law, applied in node order, for any node
-    count: the nodes of a tied state share one.
+    One transform per law, applied once per node, for any node count: the
+    nodes of a tied state share one law and its rows.
     """
-    laws, order = _node_laws(state)
-    return float(_tensor_sums(state.rate.n0, laws, 0.0, order=order)[0, 0])
+    return float(_tensor_sums(state.rate.n0, _node_laws(state), 0.0)[0, 0])
 
 
 def _not_a_knot(x, ys):
@@ -515,11 +503,11 @@ def phi_moments(state: SystemState, j: int, q_grid) -> PhiMoments:
     if not 0 <= j < m:
         raise UsageError(f"node index {j} out of range for {m} nodes")
     q = np.unique(np.asarray(q_grid, dtype=float))
-    laws, order = _node_laws(state, skip=j)
+    laws = _node_laws(state, skip=j)
     n0 = state.rate.n0
 
     def tabulate(knots):
-        return _tensor_sums(n0, laws, knots, moments=True, order=order)
+        return _tensor_sums(n0, laws, knots, moments=True)
 
     phi, dphi, d2phi = tabulate(q)
     return PhiMoments(q=q, phi=phi, dphi=dphi, d2phi=d2phi, provider=tabulate)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import ehmac as eh
+from ehmac import arrivals
 from ehmac.errors import DomainError
 
 
@@ -100,6 +101,16 @@ class TestSampleArrivals:
         times, _ = eh.sample_arrivals(hp, dist, 500.0, seed=1)
         assert np.all(np.diff(times) > 0.0)
         assert times[-1] <= 500.0
+
+    # far past the cap, lam * horizon past the float range, and just past the cap
+    @pytest.mark.parametrize("lam, horizon", [(1e300, 200.0), (1e300, 1e10),
+                                              (1e7, 80.0 * (1 + 1e-12))])
+    def test_planned_count_beyond_the_cap_rejected(self, lam, horizon):
+        assert not 1.25 * lam * horizon <= arrivals.ARRIVAL_CAP
+        dist = eh.PacketDistribution.exponential(1.0)
+        with pytest.raises(DomainError, match="above the cap") as err:
+            eh.sample_arrivals(eh.HarvestParams(lam, 1.0), dist, horizon, seed=0)
+        assert err.value.field == "lam"
 
     def test_zero_horizon_rejected(self):
         hp = eh.HarvestParams(1.0, 1.0)

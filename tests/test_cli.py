@@ -507,6 +507,21 @@ class TestSimulateCommand:
         assert err.startswith("error[E_DOMAIN]") and "no stationary law" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines", [
+        "node_count = 2\npolicy_level = 1e200\n",  # the rate's square overflows
+        "policy_level = 1e-320\n",  # its drain time to empty overflows
+        "lam = 1e300\npolicy_level = 1.5\n",  # more arrivals than a sample may plan
+    ], ids=["huge_rate", "tiny_rate", "huge_arrival_rate"])
+    def test_out_of_range_run_writes_nothing(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 2.0\nhorizon = 200\n" + lines,
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_DOMAIN]") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("schema_version = 1\ncapacities = inf\nnode_count = 1\n"

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import ehmac as eh
 from ehmac.errors import DomainError
-from ehmac.grids import grid_spacing, uniform_grid
+from ehmac.grids import PolicyInterp, grid_spacing, uniform_grid
 from ehmac.measures import load_policy
 
 
@@ -73,6 +74,17 @@ class TestLocate:
                     reader(levels)
             # roundoff below empty is read in the first cell
             assert reader(-1e-12 * interp.x[-1]) == pytest.approx(reader(0.0), abs=1e-11)
+
+    @pytest.mark.parametrize("span, rates, match", [
+        (2.0, np.full(9, 1e200), "1e\\+200 is too large"),  # p^2 overflows
+        (1e-3, np.geomspace(1.0, 1e153, 9), "1e\\+153 is too large"),  # its slope does
+        (2.0, np.full(9, 1e-320), "is too small"),  # the drain times do
+    ], ids=["square", "slope", "drain_time"])
+    def test_rates_beyond_the_float_range_rejected(self, span, rates, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match):
+                PolicyInterp(uniform_grid(span, 8), rates)
 
 
 def same_bits(got, want):

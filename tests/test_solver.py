@@ -128,27 +128,40 @@ class TestNecessaryConditionOde:
         with pytest.raises(UsageError):
             eh.el_ode_solve(phi, eh.HarvestParams(1.0, 1.0), cfg)
 
-    def test_second_overrun_propagates(self, rf):
-        # exact-rate moments on [0, 2] with a provider: the one extension
-        # reaches 5.629, and the policy overruns it at p = 5.637
+    @staticmethod
+    def short_exact_table(rf, extensions):
+        """Exact-rate moments on [0, 2] whose provider logs each extension's top."""
         def exact(knots):
             knots = np.asarray(knots, dtype=float)
             return (eh.rate(rf, knots), eh.rate_deriv(rf, knots, 1),
                     eh.rate_deriv(rf, knots, 2))
-
-        extensions = []
 
         def provider(knots):
             extensions.append(float(np.max(knots)))
             return exact(knots)
 
         q = np.linspace(0.0, 2.0, 9)
-        phi = eh.PhiMoments(q, *exact(q), provider=provider)
+        return eh.PhiMoments(q, *exact(q), provider=provider)
+
+    def test_repeated_overruns_extend_again(self, rf):
+        # the first extension reaches 5.629 and the policy overruns it at
+        # p = 5.637; a second extension, sized from that power, lets it solve
+        extensions = []
+        phi = self.short_exact_table(rf, extensions)
+        cfg = eh.SolverConfig(k_const=2.0, p0plus=0.01, grid_n=64)
+        pol = eh.el_ode_solve(phi, hp_of(0.5), cfg)
+        assert len(extensions) == 2
+        assert 2.0 < extensions[0] < pol.values[-1] <= extensions[1]
+
+    def test_overrun_at_the_cap_propagates(self, rf, monkeypatch):
+        extensions = []
+        phi = self.short_exact_table(rf, extensions)
+        monkeypatch.setattr(solver, "QMAX_CAP", 4.0)
         cfg = eh.SolverConfig(k_const=2.0, p0plus=0.01, grid_n=64)
         with pytest.raises(MomentRangeError) as err:
             eh.el_ode_solve(phi, hp_of(0.5), cfg)
         assert len(extensions) == 1
-        assert 2.0 < extensions[0] < err.value.argument
+        assert 2.0 < extensions[0] <= 4.0 < err.value.argument
 
     def test_tabulated_moments_auto_extend(self, rf):
         # a tabulation that is too short gets extended once and succeeds

@@ -353,7 +353,7 @@ class TestMomentOracle:
                 "B": sloped_node(0.7, 1.3, 2.0, lambda x: 0.2 + 0.5 * x, 32)}
         nodes = tuple(laws[c] for c in pattern)
         state = eh.SystemState(nodes=nodes, rate=rf)
-        assert len(th._node_laws(state)[0]) == len(set(pattern))
+        assert_shared_as(th._node_laws(state), pattern)
         self.check_every_node(rf, nodes)
 
     def check_every_node(self, rf, nodes):
@@ -361,6 +361,14 @@ class TestMomentOracle:
         total = eh.sum_throughput(state)
         for j in range(len(nodes)):
             assert self.moment_mean(state, j) == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
+def assert_shared_as(laws, pattern):
+    """Nodes k and l hold the same ``_Law`` object exactly when pattern[k] == pattern[l]."""
+    pattern = list(pattern)
+    assert len(laws) == len(pattern)
+    assert [[a is b for b in laws] for a in laws] == [[x == y for y in pattern]
+                                                      for x in pattern]
 
 
 RF = eh.RateFunction(1.0)
@@ -468,15 +476,16 @@ class TestSharedLaws:
         copies = eh.SystemState(nodes=tuple(copy.deepcopy(laws[i]) for i in pattern),
                                 rate=RF)
         m = len(pattern)
-        assert th._node_laws(shared)[1] == pattern
-        assert th._node_laws(copies)[1] == list(range(m))
+        assert_shared_as(th._node_laws(shared), pattern)
+        assert_shared_as(th._node_laws(copies), range(m))
         assert eh.sum_throughput(shared) == eh.sum_throughput(copies)
+        for a, b in zip(th._node_laws(shared), th._node_laws(copies)):
+            for x, y in ((a.p, b.p), (a.w, b.w), (a.d, b.d)):
+                assert np.array_equal(x, y)
         knots = np.linspace(0.0, 4.0, 9)
         for j in range(m):
             others = [i for k, i in enumerate(pattern) if k != j]
-            # the laws are numbered in order of first use
-            assert th._node_laws(shared, skip=j)[1] == [sorted(set(others), key=others.index)
-                                                         .index(i) for i in others]
+            assert_shared_as(th._node_laws(shared, skip=j), others)
             got, want = (eh.phi_moments(state, j, knots).extended(300.0)
                          for state in (shared, copies))
             for name in ("q", "phi", "dphi", "d2phi"):
@@ -526,11 +535,11 @@ class TestLawRows:
             else:
                 for j in range(m):
                     eh.phi_moments(warm, j, np.linspace(0.0, warm_top, 5))
-            assert all(law.d.size == 0 for law in th._node_laws(cold)[0])
+            assert all(law.d.size == 0 for law in th._node_laws(cold))
             assert outputs(warm) == outputs(cold)
         # the rows themselves, which roundoff in the last rows of a block
         # would change without moving the sums
-        for a, b in zip(th._node_laws(warm)[0], th._node_laws(cold)[0]):
+        for a, b in zip(th._node_laws(warm), th._node_laws(cold)):
             assert a.d.size and b.d.size
             for x, y in ((a.d, b.d), (a.e, b.e)):
                 k = min(x.size, y.size)
@@ -560,7 +569,7 @@ class TestLawRows:
         state = eh.SystemState(nodes=(constant_node(n=64), constant_node(level=1.5),
                                       constant_node(level=2.5, n=128)), rate=rf)
         phi = eh.phi_moments(state, 0, np.linspace(0.0, 5.0, 41))
-        laws = th._node_laws(state, skip=0)[0]
+        laws = th._node_laws(state, skip=0)
         held = {(id(law), moment): (law.e if moment else law.d).size
                 for law in laws for moment in (False, True)}
         computed, patch = count_blocks()

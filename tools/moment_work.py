@@ -8,8 +8,9 @@ table2 cell L = 3, K = 0 (one two-node tied solve).  For each it prints the
 rows of the transforms D and E (see ``throughput._Law``) that the laws
 computed and the rows the tensor sums read from them, each also in elements
 (rows times law points), and a SHA-256 of the solves' utility traces.  A law
-computes a row once and keeps it while its measure lives, so the rows read
-but not computed are the ones reused.  Imports ``ehmac`` from ``src`` and the
+computes a row once and keeps it until its measure goes or a solve reports
+the measure, so the rows read but not computed are the ones reused; the
+nodes of a tied solve share one law, and each of them reads it.  Imports ``ehmac`` from ``src`` and the
 case set from ``benchmarks/workloads.py`` beside this script.
 """
 
