@@ -77,9 +77,10 @@ def _solve_cell(args):
 
 
 def _summary_row(cfg: ExperimentConfig, cap, k, p0, utility):
+    """One summary row; its ratio is empty where the ceiling is 0 (no arrivals)."""
     bound = _bound_for(cfg, cap)
     return (cap, round(k, 6), p0, f"{utility:.6f}", f"{bound:.6f}",
-            f"{utility / bound:.4f}")
+            f"{utility / bound:.4f}" if bound else "")
 
 
 def _cell_tag(cap, k, p0, init):

@@ -389,14 +389,21 @@ def export_policy(policy: PolicyGrid, path):
 
 
 def load_policy(path) -> PolicyGrid:
-    """Read a policy written by ``export_policy``."""
+    """Read a policy written by ``export_policy``.
+
+    A file that is not UTF-8 text, or whose header or rows do not parse,
+    raises DomainError naming the path.
+    """
     p0plus = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") and "p0plus" in line:
-                p0plus = float(line.split("=", 1)[1])
-                break
-    data = np.loadtxt(path, ndmin=2)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("#") and "p0plus" in line:
+                    p0plus = float(line.split("=", 1)[1])
+                    break
+        data = np.loadtxt(path, ndmin=2)
+    except ValueError as err:   # UnicodeDecodeError included
+        raise DomainError(f"unreadable policy file {path}: {err}") from err
     if data.shape[1] != 2:
         raise DomainError(f"expected two columns in {path}")
     if p0plus is None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericOverflowError, UsageError
 
 _LN2 = math.log(2.0)
 
@@ -38,12 +38,24 @@ def _check_nonnegative(x):
     return arr
 
 
+def over_n0(x, n0):
+    """``x / n0``; a finite power whose quotient overflows raises NumericOverflowError."""
+    if n0 >= 1.0:   # cannot overflow; skips the checks' cost in the solver's kernel calls
+        return x / n0
+    with np.errstate(over="ignore"):
+        q = x / n0
+    if (np.isinf(q) & np.isfinite(x)).any():
+        raise NumericOverflowError(f"a power over the noise level n0 = {n0!r} overflows")
+    return q
+
+
 def rate(rf: RateFunction, x):
     """Rate in bits per unit time at total power ``x``.
 
-    Accepts scalars or arrays; negative or NaN power raises DomainError.
+    Accepts scalars or arrays; negative or NaN power raises DomainError, and
+    a power whose ratio to n0 overflows raises NumericOverflowError.
     """
-    out = 0.5 * np.log1p(_check_nonnegative(x) / rf.n0) / _LN2
+    out = 0.5 * np.log1p(over_n0(_check_nonnegative(x), rf.n0)) / _LN2
     return float(out) if np.ndim(x) == 0 else out
 
 

@@ -57,7 +57,7 @@ compares the counts with come from ``measures.crossing_rates``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class SimConfig:
     seed: int = 0
     burn_in: float = 0.0
     level_probes: tuple = ()
-    track_events: bool = False
 
     def __post_init__(self):
         check_integers(replications=self.replications, seed=self.seed)
@@ -147,13 +146,11 @@ class TrajectoryStats:
     up_rate_se: np.ndarray
     down_count: np.ndarray
     up_count: np.ndarray
-    event_log: list = field(default_factory=list, repr=False)
     # work counts summed over replications: arrivals inside the window per
     # node, merged-timeline intervals, and those the joint-rate sampler read
-    window_arrivals: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64))
-    merged_intervals: int = 0
-    sampled_intervals: int = 0
+    window_arrivals: np.ndarray
+    merged_intervals: int
+    sampled_intervals: int
 
     def to_text(self) -> str:
         lines = [f"window = {self.window!r}",
@@ -280,8 +277,7 @@ def _walk_rows(interp, capacity, t_prev, t_next, energy, rows, last, level, walk
             lv = post_r
 
 
-def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
-                     log, node, work=None):
+def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon, node, work=None):
     """Walk over arrivals with exact drains, clipped to the window.
 
     The walk has one row per arrival plus a closing row at the horizon (its
@@ -310,10 +306,10 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
     on floats, so the long busy periods of an unbounded battery that seldom
     empties cost a Python loop's time, not one numpy step per row.
 
-    The segment arrays, the window clipping and the event log are then
-    built with numpy from the rows.  The rows are written into the buffers
-    of ``work`` (a ``_Workspace``; a fresh one when None), so the returned
-    arrays are views that stay valid until the next walk of ``node`` there.
+    The segment arrays and the window clipping are then built with numpy
+    from the rows.  The rows are written into the buffers of ``work`` (a
+    ``_Workspace``; a fresh one when None), so the returned arrays are views
+    that stay valid until the next walk of ``node`` there.
     """
     rows = times.size + 1
     if work is None:
@@ -369,19 +365,6 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
     # window rows: those ending after the burn-in; only the first can start
     # before it
     w = int(np.searchsorted(t_next, burn_in, side="right"))
-    if log is not None:
-        # per row, the drain's "empty" entry precedes the row's arrival; the
-        # row straddling the burn-in can empty before it
-        empty = w + np.flatnonzero((t_stop[w:] > t_prev[w:]) & (end[w:] == 0.0)
-                                   & (t_stop[w:] >= burn_in))
-        arrival = np.arange(a, times.size)
-        order = np.argsort(np.concatenate((2 * empty, 2 * arrival + 1)))
-        when = np.concatenate((t_stop[empty], times[a:]))[order]
-        value = np.concatenate((np.zeros(empty.size), post_arr))[order]
-        log.extend((t, node, "empty" if i < empty.size else "arrival", v)
-                   for t, i, v in zip(when.tolist(), order.tolist(), value.tolist()))
-    # the segments are views of the window rows: the burn-in clip writes into
-    # the row arrays, so it comes after the log has read them
     seg_start = t_prev[w:]
     seg_level = start[w:]
     seg_tau = tau[w:]
@@ -620,7 +603,6 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
     cdf_acc = [np.zeros(p.size) for p in probes_cdf]
     down = np.zeros((reps, m, probes_cross.size))
     up = np.zeros((reps, m, probes_cross.size))
-    log = [] if config.track_events else None
     arrivals = np.zeros(m, dtype=np.int64)
     merged = sampled = 0
     work = _Workspace()
@@ -631,7 +613,7 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
             times, energies = sample_arrivals(params, dist, config.horizon,
                                               config.seed, node=k, replication=rep)
             run = _walk_trajectory(interps[k], params.capacity, times, energies,
-                                   config.burn_in, config.horizon, log, k, work)
+                                   config.burn_in, config.horizon, k, work)
             runs.append(run)
             arrivals[k] += run.pre_arrival.size
             atom[rep, k] = float(np.sum(run.idle_dur)) / window
@@ -676,7 +658,7 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
         up_rate=np.mean(up, axis=0), up_rate_se=se(up),
         down_count=np.sum(down, axis=0) * window,
         up_count=np.sum(up, axis=0) * window,
-        event_log=log or [], window_arrivals=arrivals,
+        window_arrivals=arrivals,
         merged_intervals=merged, sampled_intervals=sampled)
 
 

@@ -60,7 +60,7 @@ import numpy as np
 from .arrivals import HarvestParams
 from .errors import DomainError, MomentRangeError, NumericOverflowError, UsageError
 from .measures import PolicyGrid, StationaryMeasure
-from .rates import RateFunction, rate
+from .rates import RateFunction, over_n0, rate
 
 __all__ = [
     "Node",
@@ -179,7 +179,7 @@ def _law_of(policy: PolicyGrid, measure: StationaryMeasure, n0: float) -> _Law:
     """
     kept = measure.__dict__.get("_law")
     if kept is None or kept[0] is not policy or kept[1] != n0:
-        law = _Law(np.concatenate(([0.0], policy.density_side_on(measure.grid))) / n0,
+        law = _Law(over_n0(np.concatenate(([0.0], policy.density_side_on(measure.grid))), n0),
                    np.concatenate(([measure.atom], measure.node_weights())))
         kept = (policy, n0, law)
         object.__setattr__(measure, "_law", kept)
@@ -226,7 +226,7 @@ def _tensor_sums(n0, laws, base, moments=False):
     units, not relatively.  A total power whose t range leaves the float
     range (about 4.5e288 n0) raises ``NumericOverflowError``.
     """
-    base = np.atleast_1d(np.asarray(base, dtype=float)) / n0
+    base = over_n0(np.atleast_1d(np.asarray(base, dtype=float)), n0)
     if not ((0.0 <= base) & (base < np.inf)).all():
         raise DomainError("total power must be finite and nonnegative")
     sums = np.zeros((3 if moments else 1, base.size))

@@ -6,17 +6,21 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ehmac
 from ehmac import cli
 from ehmac.config import (ExperimentConfig, PRESETS, apply_env_overrides,
                           load_config, parse_config_text)
 from ehmac.errors import ConfigError, NonAdmissibleTrajectoryError
+from ehmac.solver import INIT_POLICIES
 
 
 def run(argv):
@@ -41,6 +45,37 @@ def _slow_scan(marks, args):
     time.sleep(0.3)
     (marks / f"scan_{cap:g}").touch()
     return 0.0, 0.0, []
+
+
+def _config_values(name):
+    """Values of the type of the config field ``name``."""
+    proto = getattr(ExperimentConfig(), name)
+    # the edge values that a text round trip loses first, often
+    floats = st.one_of(st.sampled_from([-0.0, math.inf, -math.inf, 5e-324, -2.2e-308]),
+                       st.floats(allow_nan=False))
+    if isinstance(proto, bool):
+        return st.booleans()
+    if isinstance(proto, int):
+        return st.integers(-2 ** 70, 2 ** 70)
+    if isinstance(proto, float):
+        return floats
+    if name == "init_policies":
+        return st.lists(st.sampled_from(INIT_POLICIES), unique=True).map(tuple)
+    if isinstance(proto, tuple):
+        return st.lists(floats, max_size=4).map(tuple)
+    # a path: '#' starts a comment, ',' is kept out as in a list, and a line
+    # break or surrounding space would not survive the line reader
+    return st.text(st.characters(blacklist_characters="#,",
+                                 blacklist_categories=("Cc", "Cs", "Zl", "Zp"))).filter(
+        lambda s: s == s.strip())
+
+
+def _render(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(v if isinstance(v, str) else repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
 
 
 class TestConfigParsing:
@@ -72,6 +107,26 @@ class TestConfigParsing:
     def test_env_override(self):
         raw = apply_env_overrides({"grid_n": 128}, env={"EHMAC_GRID_N": "256"})
         assert raw["grid_n"] == 256
+
+    def test_hash_starts_a_comment_anywhere(self):
+        raw = parse_config_text("policy_file = runs/#3/policy.csv\n")
+        assert raw["policy_file"] == "runs/"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_key_round_trips(self, data):
+        # each key's value rendered as text comes back with its type and
+        # bits, from a config file and from an EHMAC_ variable alike
+        lines, env, want = [], {}, {}
+        for f in fields(ExperimentConfig):
+            value = data.draw(_config_values(f.name), f.name)
+            text = _render(value)
+            lines.append(f"{f.name} = {text}")
+            env["EHMAC_" + f.name.upper()] = text
+            want[f.name] = value
+        for got in (parse_config_text("\n".join(lines) + "\n"),
+                    apply_env_overrides({}, env=env)):
+            assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
 
     @pytest.mark.parametrize("key, value", [
         pytest.param("lam", -1.0, id="lam"),
@@ -274,6 +329,38 @@ class TestSolveCommand:
         assert run(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
                     "--workers", "2"]) == 1
         assert len(list(tmp_path.glob("scan_*"))) < len(caps) // 2
+
+
+CELL_CFG = ("schema_version = 1\ncapacities = 2.0\ngrid_n = 64\nk_values = 0.0\n"
+            "best_k = false\n")
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve"])
+def test_zero_arrival_rate_leaves_the_ratio_empty(tmp_path, monkeypatch, command):
+    # the ceiling r(0) is 0: the ratio cell stays empty, as in a bound row
+    monkeypatch.setenv("EHMAC_LAM", "0")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CELL_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "summary.csv")
+    assert len(rows) == 2 and rows[1][3:] == ["0.000000", "0.000000", ""]
+
+
+@pytest.mark.parametrize("command", ["bound", "sweep"])
+def test_power_over_a_tiny_noise_level_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                      command):
+    # every power over n0 = 1e-320 overflows: bound printed inf ceilings, and
+    # sweep blamed a finite total power
+    monkeypatch.setenv("EHMAC_N0", "1e-320")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CELL_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[E_OVERFLOW]") and len(err.splitlines()) == 1
+    assert "n0 = 1e-320" in err
+    assert not out.exists()
 
 
 def test_runtime_loads_no_scipy(tmp_path):
@@ -493,6 +580,23 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", str(cfg), "--out",
                     str(tmp_path / "o")]) == 1
         assert "error[E_IO]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"# p0plus = abc\n0 1\n1 1\n", b"# p0plus = 0.5\n0 1\n1 x\n",
+        b"# p0plus = 0.5\n0 1\n1 1 1\n", b"# p0plus = 0.5\n0 1\n\xff\xfe 1\n",
+    ], ids=["header", "row", "ragged_row", "not_utf8"])
+    def test_unreadable_policy_file_writes_nothing(self, tmp_path, capsys, content):
+        pol = tmp_path / "pol.csv"
+        pol.write_bytes(content)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 2.0\nnode_count = 2\n"
+                       f"policy_file = {pol}\nhorizon = 200\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_DOMAIN]") and len(err.splitlines()) == 1
+        assert str(pol) in err
+        assert not out.exists()
 
     def test_nonstationary_policy_writes_nothing(self, tmp_path, capsys):
         # a release rate of 0.5 against a mean input rate of 1: the battery

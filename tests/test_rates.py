@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ehmac as eh
-from ehmac.errors import DomainError, UsageError
+from ehmac.errors import DomainError, NumericOverflowError, UsageError
 
 
 class TestRateValues:
@@ -32,6 +33,17 @@ class TestRateValues:
         out = eh.rate(rf, np.array([0.0, 1.0, 3.0]))
         assert out.shape == (3,)
         assert out[0] == 0.0 and out[2] == pytest.approx(1.0)
+
+    def test_power_over_a_tiny_noise_level_overflows(self):
+        rf_tiny = eh.RateFunction(n0=1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (2.0, np.array([0.0, 2.0])):
+                with pytest.raises(NumericOverflowError, match="n0 = 1e-320"):
+                    eh.rate(rf_tiny, x)
+            # an infinite power stays an infinite rate, and zero power a zero one
+            assert eh.rate(rf_tiny, math.inf) == math.inf
+            assert eh.rate(rf_tiny, 0.0) == 0.0
 
     def test_bad_noise_level(self):
         with pytest.raises(DomainError):

@@ -2,8 +2,6 @@ import importlib
 import json
 import math
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -281,8 +279,7 @@ def _pin_pair():
     nodes = [(finite, eh.policy_from_function(lambda x: 0.2 + x * x, 2.0, 64), exp_dist()),
              (unbounded, eh.policy_from_function(lambda x: 0.2 + 0.5 * x, 6.0, 48),
               exp_dist())]
-    cfg = eh.SimConfig(horizon=600.0, replications=2, seed=11, burn_in=25.0,
-                       track_events=True)
+    cfg = eh.SimConfig(horizon=600.0, replications=2, seed=11, burn_in=25.0)
     return nodes, cfg
 
 
@@ -308,12 +305,7 @@ PIN_CASES = {
                 [0.19446552290264094, 0.5043365469016174, 0.7328575772299404,
                  0.8626755033368995, 0.9359413391296, 0.9679190671865641,
                  0.9839340442484017, 0.9912408044728028]],
-        "down_rate": [[], []], "up_rate": [[], []],
-        "events": {"arrival": 2843, "empty": 151},
-        "event_time_sum": 937444.4101198815,
-        "event_head": [(26.402090398512154, 0, "arrival", 0.16455089186696498),
-                       (27.189815127882596, 0, "empty", 0.0),
-                       (28.961061442002404, 0, "arrival", 2.0)]}),
+        "down_rate": [[], []], "up_rate": [[], []]}),
     "single": (_pin_single, {
         "throughput": 0.4257998585634636, "throughput_se": 0.004012088523215468,
         "atom": [0.2528740237842981], "mean_power": [0.9482729577533074],
@@ -323,8 +315,7 @@ PIN_CASES = {
                  0.8341069814993649, 0.9067833321088059, 0.9530412293856043,
                  0.9822532514696065, 0.999999999999978]],
         "down_rate": [[0.39966555183946484, 0.44581939799331105, 0.2747491638795987]],
-        "up_rate": [[0.39983277591973243, 0.44581939799331105, 0.2747491638795987]],
-        "events": {}, "event_time_sum": 0.0, "event_head": []}),
+        "up_rate": [[0.39983277591973243, 0.44581939799331105, 0.2747491638795987]]}),
 }
 
 
@@ -340,15 +331,6 @@ def test_seeded_digest_pinned(case, rf):
     # the pinned CDF was read on 8 levels per node: every 32nd of the 256
     np.testing.assert_allclose(stats.cdf[:, 31::32], want["cdf"], rtol=PIN_ROUNDOFF,
                                atol=0.0, err_msg="cdf")
-    log = stats.event_log
-    assert dict(Counter(entry[2] for entry in log)) == want["events"]
-    assert math.fsum(entry[0] for entry in log) == pytest.approx(want["event_time_sum"],
-                                                                 rel=PIN_ROUNDOFF)
-    assert len(log[:3]) == len(want["event_head"])
-    for got, ref in zip(log[:3], want["event_head"]):
-        assert got[1:3] == ref[1:3]
-        assert got[0] == pytest.approx(ref[0], rel=PIN_ROUNDOFF)
-        assert got[3] == pytest.approx(ref[3], rel=PIN_ROUNDOFF)
 
 
 class TestSimulate:
@@ -396,22 +378,6 @@ class TestSimulate:
         # energy balance: input = radiated + overflow + residual charge
         assert stats.mean_power[0] + stats.overflow_rate[0] == pytest.approx(
             1.0, abs=0.05)
-
-    def test_event_log_gated(self, rf):
-        hp, pol = constant_setup()
-        cfg = eh.SimConfig(horizon=50.0, seed=6, track_events=True)
-        stats = eh.simulate([(hp, pol, exp_dist())], rf, cfg)
-        kinds = {entry[2] for entry in stats.event_log}
-        assert "arrival" in kinds and "empty" in kinds
-        cfg2 = eh.SimConfig(horizon=50.0, seed=6)
-        assert eh.simulate([(hp, pol, exp_dist())], rf, cfg2).event_log == []
-
-    def test_event_log_starts_at_burn_in(self, rf):
-        # the row straddling the burn-in empties before it here, at t = 7.22
-        nodes, cfg = _pin_single()
-        cfg = replace(cfg, track_events=True)
-        log = eh.simulate(nodes, rf, cfg).event_log
-        assert log and min(entry[0] for entry in log) >= cfg.burn_in
 
     def test_throughput_matches_stationary_expectation(self, rf):
         hp, pol = constant_setup(level=2.0)
@@ -608,8 +574,7 @@ class TestWindowStatistics:
         interp = pol.interp()
         times, energies = sample_arrivals(hp, exp_dist(), 400.0, 21)
         burn_in = 0.5 * (times[56] + times[57])
-        run = sim._walk_trajectory(interp, hp.capacity, times, energies, burn_in, 400.0,
-                                   None, 0)
+        run = sim._walk_trajectory(interp, hp.capacity, times, energies, burn_in, 400.0, 0)
         assert run.seg_start[0] == burn_in and run.drain_dur[0] > 0.0
         want = interp.tau(run.seg_level)
         assert np.array_equal(run.seg_tau.view(np.int64), want.view(np.int64))
@@ -658,7 +623,7 @@ class TestCrossingBalance:
         assert ups[0] > ups[1] > ups[2]
 
 
-def scalar_walk(interp, capacity, times, energies, burn_in, horizon, log, node):
+def scalar_walk(interp, capacity, times, energies, burn_in, horizon):
     """Oracle: the walk as one Python loop over arrivals with scalar drain maps."""
     xs = interp.x.tolist()
     ps = interp.p.tolist()
@@ -722,15 +687,6 @@ def scalar_walk(interp, capacity, times, energies, burn_in, horizon, log, node):
     post_arr = post[a:-1]
     overflow = float(np.sum(pre_arr + energies[a:] - post_arr))
     w = int(np.searchsorted(t_next, burn_in, side="right"))
-    if log is not None:
-        empty = w + np.flatnonzero((t_stop[w:] > t_prev[w:]) & (end[w:] == 0.0)
-                                   & (t_stop[w:] >= burn_in))
-        arrival = np.arange(a, times.size)
-        order = np.argsort(np.concatenate((2 * empty, 2 * arrival + 1)))
-        when = np.concatenate((t_stop[empty], times[a:]))[order]
-        value = np.concatenate((np.zeros(empty.size), post_arr))[order]
-        log.extend((t, node, "empty" if i < empty.size else "arrival", v)
-                   for t, i, v in zip(when.tolist(), order.tolist(), value.tolist()))
     seg_start = t_prev[w:]
     seg_level = start[w:]
     seg_tau = tau[w:]
@@ -765,13 +721,10 @@ def assert_runs_identical(want, got):
 
 
 def assert_walks_identical(interp, capacity, times, energies, burn_in, horizon):
-    """The lockstep walk against the oracle: every row and log entry bitwise."""
-    log_want, log_got = [], []
-    want = scalar_walk(interp, capacity, times, energies, burn_in, horizon, log_want, 3)
-    got = sim._walk_trajectory(interp, capacity, times, energies, burn_in, horizon,
-                               log_got, 3)
+    """The lockstep walk against the oracle: every row bitwise."""
+    want = scalar_walk(interp, capacity, times, energies, burn_in, horizon)
+    got = sim._walk_trajectory(interp, capacity, times, energies, burn_in, horizon, 3)
     assert_runs_identical(want, got)
-    assert log_want == log_got
     return want
 
 
@@ -860,7 +813,7 @@ class TestLockstepWalk:
             extend=math.isinf(capacity))
         times, energies = sample_arrivals(eh.HarvestParams(1.0, 1.0, capacity), exp_dist(),
                                           200.0, 17)
-        probe = scalar_walk(interp, capacity, times, energies, 0.0, 200.0, None, 0)
+        probe = scalar_walk(interp, capacity, times, energies, 0.0, 200.0)
         j = int(np.flatnonzero(probe.drain_dur > 0.5)[3])
         burn_in = probe.seg_start[j] + 0.5 * probe.drain_dur[j]
         run = assert_walks_identical(interp, capacity, times, energies, burn_in, 200.0)
@@ -979,16 +932,13 @@ class TestWalkWorkspace:
         sizes, shared = {}, []
 
         def checked(*args):
-            node, log = args[7], args[6]
+            node = args[6]
             if node in previous:
                 # valid through every walk and the joint integral since
                 assert_runs_identical(*previous[node][::-1])
-            mark = len(log)
             run = walk(*args)
-            want_log = []
-            want = walk(*args[:6], want_log, node)
+            want = walk(*args[:7])
             assert_runs_identical(want, run)
-            assert log[mark:] == want_log
             if node in previous:
                 shared.append(all(np.shares_memory(getattr(previous[node][0], name),
                                                    getattr(run, name))
@@ -1000,7 +950,7 @@ class TestWalkWorkspace:
         monkeypatch.setattr(sim, "_walk_trajectory", checked)
         nodes = _workspace_nodes(kind)
         eh.simulate(nodes, rf, eh.SimConfig(horizon=400.0, replications=3, seed=6,
-                                            burn_in=50.0, track_events=True))
+                                            burn_in=50.0))
         for run, want in previous.values():
             assert_runs_identical(want, run)
         assert len(sizes) == len(nodes)
@@ -1096,7 +1046,7 @@ def _node_runs(nodes, burn_in, horizon, seed):
         times, energies = sample_arrivals(params, exp_dist(), horizon, seed, node=k)
         interps.append(interp)
         runs.append(sim._walk_trajectory(interp, params.capacity, times, energies,
-                                         burn_in, horizon, None, k))
+                                         burn_in, horizon, k))
     return interps, runs
 
 

@@ -699,6 +699,14 @@ class TestTensorSums:
         with pytest.raises(NumericOverflowError, match="too large"):
             eh.phi_moments(state, 0, np.geomspace(1e-3, 1e300, 50))
 
+    def test_moment_knot_over_a_tiny_noise_level(self):
+        # the laws' powers over n0 = 1e-300 are finite, a knot's is not; it
+        # failed as a power that is not finite
+        state = eh.SystemState(nodes=(constant_node(), constant_node()),
+                               rate=eh.RateFunction(1e-300))
+        with pytest.raises(NumericOverflowError, match="n0 = 1e-300"):
+            eh.phi_moments(state, 0, np.array([0.0, 1e10]))
+
 
 @st.composite
 def moment_tables(draw):

@@ -70,7 +70,7 @@ def bias(nodes, horizon: float, seed: int) -> float:
         times, energies = ehmac.sample_arrivals(params, EXP1, horizon, seed, node=k)
         interps.append(interp)
         runs.append(sim._walk_trajectory(interp, params.capacity, times, energies,
-                                         BURN_IN, horizon, None, k))
+                                         BURN_IN, horizon, k))
     default, _, _ = sim._joint_rate_integral(interps, runs, RF, BURN_IN, horizon)
     fine, _, _ = sim._joint_rate_integral(interps, runs, RF, BURN_IN, horizon,
                                           rule=FINE_RULE, chunk=256)
