@@ -140,13 +140,14 @@ def cmd_solve(cfg: ExperimentConfig, outdir: Path):
     """Solve the configured grid, writing policies, measures and traces.
 
     Each capacity's best-K scan follows that capacity's cells; with
-    ``workers > 1`` the scans run in the pool beside the cells.
+    ``workers > 1`` the scans run in the pool beside the cells.  Each cell's
+    files are written as it finishes, each write making its own directory,
+    so a failing first cell leaves no ``outdir``.
     """
     if any(math.isinf(cap) for cap in cfg.capacities):
         raise UsageError("solve needs finite capacities")
     if cfg.best_k:
         _require_first(cfg, "p0plus_values", "init_policies")
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     per_cap = len(cfg.k_values) * len(cfg.p0plus_values) * len(cfg.init_policies)
     with _runner(cfg) as run:
@@ -165,6 +166,7 @@ def cmd_solve(cfg: ExperimentConfig, outdir: Path):
                 k_best, u_best, table = next(scans)
                 rows.append(_summary_row(cfg, cap, k_best, cfg.p0plus_values[0],
                                          u_best))
+                outdir.mkdir(parents=True, exist_ok=True)
                 with open(outdir / f"ksearch_L{cap:g}.csv", "w", newline="",
                           encoding="utf-8") as fh:
                     writer = csv.writer(fh)

@@ -60,11 +60,18 @@ def rate(rf: RateFunction, x):
 
 
 def rate_deriv(rf: RateFunction, x, order=1):
-    """First or second derivative of the rate at total power ``x``."""
+    """First or second derivative of the rate at total power ``x``.
+
+    A derivative beyond the float range (a tiny n0 near zero power) raises
+    NumericOverflowError, as ``rate`` does.
+    """
     arr = _check_nonnegative(x)
     if order not in (1, 2):
         raise UsageError(f"derivative order must be 1 or 2, got {order}")
-    out = (1.0 if order == 1 else -1.0) / ((rf.n0 + arr) ** order * (2.0 * _LN2))
+    with np.errstate(over="ignore", divide="ignore"):
+        out = (1.0 if order == 1 else -1.0) / ((rf.n0 + arr) ** order * (2.0 * _LN2))
+    if np.isinf(out).any():
+        raise NumericOverflowError(f"a rate derivative at n0 = {rf.n0!r} overflows")
     return float(out) if np.ndim(x) == 0 else out
 
 

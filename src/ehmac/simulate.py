@@ -25,7 +25,13 @@ whose start was wrong are walked again.  The rows come out bitwise equal to
 a one-row-at-a-time loop.  They are written into grow-only buffers that
 every replication of one ``simulate`` call reuses, one per node and one all
 nodes share for the rows only the walk reads, so a ``NodeRun``'s arrays are
-views, valid until the next replication.
+views, valid until the next replication.  A ``NodeRun`` keeps only what the
+walk decides: a segment's drain and idle lengths are differences of its
+times (it drains iff its drain end exceeds its start), and the window's time
+at zero is one float, summed while the arrival times are still at hand.
+Each per-node statistic is named once, in ``_NODE_STATS`` or
+``_CROSSING_STATS``, which drive both the per-replication table of
+``simulate`` and ``TrajectoryStats.to_record``.
 
 Each node's own transmitted bits also integrate in closed form along drains:
 the time integral of r(p) over a drain is the level integral of r(p) / p,
@@ -82,8 +88,8 @@ class SimConfig:
 
     def __post_init__(self):
         check_integers(replications=self.replications, seed=self.seed)
-        if not self.burn_in >= 0.0:
-            raise DomainError(f"burn-in must be nonnegative, got {self.burn_in}",
+        if not 0.0 <= self.burn_in < math.inf:
+            raise DomainError(f"burn-in must be finite and nonnegative, got {self.burn_in}",
                               field="burn_in")
         if not self.horizon > self.burn_in:
             raise DomainError("horizon must exceed the burn-in time", field="horizon")
@@ -99,11 +105,13 @@ class SimConfig:
 class NodeRun:
     """Per-node trajectory record of one replication, clipped to the window.
 
-    Each drain segment starts at ``seg_start`` from ``seg_level``, drains for
-    ``drain_dur`` down to ``seg_end_level`` (0 when the battery empties) and
-    then idles for ``idle_dur`` until the next arrival.  ``seg_tau`` is the
-    drain time to empty from ``seg_level``, the walk's own policy coordinate:
-    at ``seg_start + s`` the battery releases at p(``seg_tau`` - s).
+    Each drain segment starts at ``seg_start`` from ``seg_level``, drains
+    until ``drain_end`` down to ``seg_end_level`` (0 when the battery empties)
+    and then idles until the next arrival; a segment drains at all iff
+    ``drain_end > seg_start``.  ``seg_tau`` is the drain time to empty from
+    ``seg_level``, the walk's own policy coordinate: at ``seg_start + s`` the
+    battery releases at p(``seg_tau`` - s).  ``idle_time`` is the window's
+    time at zero, the idle stretches summed.
 
     The arrays are views of the walk's row buffers, which ``simulate`` reuses
     for every replication, so they stay valid until the next replication.
@@ -114,10 +122,10 @@ class NodeRun:
     seg_tau: np.ndarray
     seg_end_level: np.ndarray
     drain_end: np.ndarray     # wall time the drain stops; bitwise equal to the
-    drain_dur: np.ndarray     # merged-timeline cut at that instant
-    idle_dur: np.ndarray
+                              # merged-timeline cut at that instant
     pre_arrival: np.ndarray
     post_arrival: np.ndarray
+    idle_time: float
     overflow: float
 
 
@@ -178,8 +186,11 @@ class TrajectoryStats:
                 "sampled_intervals": self.sampled_intervals}
 
 
-_NODE_FIELDS = ("atom", "atom_se", "mean_power", "mean_power_se", "power_variance",
-                "power_variance_se", "overflow_rate", "overflow_rate_se")
+# per-node statistics that ``simulate`` records per replication and reduces
+# to a mean and a standard error; the crossing rates also have a probe axis
+_NODE_STATS = ("atom", "mean_power", "power_variance", "overflow_rate")
+_CROSSING_STATS = ("down_rate", "up_rate")
+_NODE_FIELDS = tuple(name + se for name in _NODE_STATS for se in ("", "_se"))
 
 
 # An unbounded battery has no level that bounds its drain time, so its walk
@@ -316,7 +327,7 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon, node, 
         work = _Workspace()
     # the rows the NodeRun keeps live in the node's own buffer, the rows only
     # the walk reads in one buffer that every node shares
-    t_prev, start, tau, end, post, t_stop, drain_dur, idle_dur = work.rows(node, 8, rows)
+    t_prev, start, tau, end, post, t_stop = work.rows(node, 6, rows)
     t_next, energy = work.rows("shared", 2, rows)
     t_prev[0] = 0.0
     t_prev[1:] = times
@@ -378,12 +389,10 @@ def _walk_trajectory(interp, capacity, times, energies, burn_in, horizon, node, 
             seg_level[0] = seg_tau[0] = 0.0
             drain_end[0] = burn_in
         seg_start[0] = burn_in
-    drain_dur = np.subtract(drain_end, seg_start, out=drain_dur[w:])
-    idle_dur = np.subtract(t_next[w:], drain_end, out=idle_dur[w:])
     return NodeRun(seg_start=seg_start, seg_level=seg_level, seg_tau=seg_tau,
                    seg_end_level=seg_end_level, drain_end=drain_end,
-                   drain_dur=drain_dur, idle_dur=idle_dur, pre_arrival=pre_arr,
-                   post_arrival=post_arr, overflow=overflow)
+                   pre_arrival=pre_arr, post_arrival=post_arr,
+                   idle_time=float(np.sum(t_next[w:] - drain_end)), overflow=overflow)
 
 
 def _live_levels(run: NodeRun):
@@ -393,7 +402,7 @@ def _live_levels(run: NodeRun):
     The sort leaves the order among tied start levels open; ties carry equal
     tau, so no prefix sum sees that order.
     """
-    live = run.drain_dur > 0.0
+    live = run.drain_end > run.seg_start
     a = run.seg_level[live]
     order = np.argsort(a)
     return a[order], run.seg_tau[live][order], np.sort(run.seg_end_level[live])
@@ -410,10 +419,9 @@ def _occupancy_cdf(interp, run: NodeRun, levels, probes, window):
     a, ta, b = levels
     pref_ta = np.concatenate(([0.0], np.cumsum(ta)))
     pref_tb = np.concatenate(([0.0], np.cumsum(interp.tau(b))))
-    atom_time = float(np.sum(run.idle_dur))
     cnt_a = np.searchsorted(a, probes, side="right")   # drains fully below q
     cnt_b = np.searchsorted(b, probes, side="left")    # drain floors below q
-    below = (atom_time + pref_ta[cnt_a] - pref_tb[cnt_b]
+    below = (run.idle_time + pref_ta[cnt_a] - pref_tb[cnt_b]
              + interp.tau(probes) * (cnt_b - cnt_a))
     return below / window
 
@@ -540,7 +548,7 @@ def _joint_rate_integral(interps, runs, rf: RateFunction, burn_in, horizon,
     # the segments are clipped to the window, so every cut lies inside it
     cuts = [np.asarray([burn_in, horizon])]
     for run in runs:
-        empties = (run.seg_end_level == 0.0) & (run.drain_dur > 0.0)
+        empties = (run.seg_end_level == 0.0) & (run.drain_end > run.seg_start)
         cuts += [run.seg_start, run.drain_end[empties]]
     t = np.unique(np.concatenate(cuts))
     # a node drains through the interval iff it starts before the drain ends
@@ -596,13 +604,9 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
 
     reps = config.replications
     thr = np.empty(reps)
-    atom = np.empty((reps, m))
-    mean_p = np.empty((reps, m))
-    var_p = np.empty((reps, m))
-    over = np.empty((reps, m))
+    per_rep = {name: np.zeros((reps, m)) for name in _NODE_STATS}
+    per_rep |= {name: np.zeros((reps, m, probes_cross.size)) for name in _CROSSING_STATS}
     cdf_acc = [np.zeros(p.size) for p in probes_cdf]
-    down = np.zeros((reps, m, probes_cross.size))
-    up = np.zeros((reps, m, probes_cross.size))
     arrivals = np.zeros(m, dtype=np.int64)
     merged = sampled = 0
     work = _Workspace()
@@ -616,19 +620,19 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
                                    config.burn_in, config.horizon, k, work)
             runs.append(run)
             arrivals[k] += run.pre_arrival.size
-            atom[rep, k] = float(np.sum(run.idle_dur)) / window
-            energy_out = float(np.sum(run.seg_level - run.seg_end_level))
-            mean_p[rep, k] = energy_out / window
+            mean_p = float(np.sum(run.seg_level - run.seg_end_level)) / window
             sq = float(np.sum(interps[k].power_integral(run.seg_level)
                               - interps[k].power_integral(run.seg_end_level)))
-            var_p[rep, k] = sq / window - mean_p[rep, k] ** 2
-            over[rep, k] = run.overflow / window
+            row = {"atom": run.idle_time / window, "mean_power": mean_p,
+                   "power_variance": sq / window - mean_p ** 2,
+                   "overflow_rate": run.overflow / window}
             levels = _live_levels(run)
             cdf_acc[k] += _occupancy_cdf(interps[k], run, levels, probes_cdf[k], window)
             if probes_cross.size:
-                d, u = _crossing_counts(run, levels, probes_cross)
-                down[rep, k] = d / window
-                up[rep, k] = u / window
+                counts = _crossing_counts(run, levels, probes_cross)
+                row.update(zip(_CROSSING_STATS, (c / window for c in counts)))
+            for name, value in row.items():
+                per_rep[name][rep, k] = value
             del levels   # the sorted copies are not held through the joint integral
         bits, n_merged, n_sampled = _joint_rate_integral(
             interps, runs, rf, config.burn_in, config.horizon)
@@ -644,22 +648,19 @@ def simulate(nodes, rf: RateFunction, config: SimConfig) -> TrajectoryStats:
             return np.zeros(arr.shape[1:])
         return np.std(arr, axis=0, ddof=1) / math.sqrt(reps)
 
+    fields = {}
+    for name, arr in per_rep.items():
+        fields[name] = np.mean(arr, axis=0)
+        fields[name + "_se"] = se(arr)
     return TrajectoryStats(
         window=window, replications=reps,
-        throughput=float(np.mean(thr)),
-        throughput_se=float(se(thr)),
-        atom=np.mean(atom, axis=0), atom_se=se(atom),
-        mean_power=np.mean(mean_p, axis=0), mean_power_se=se(mean_p),
-        power_variance=np.mean(var_p, axis=0), power_variance_se=se(var_p),
-        overflow_rate=np.mean(over, axis=0), overflow_rate_se=se(over),
+        throughput=float(np.mean(thr)), throughput_se=float(se(thr)),
         cdf_levels=np.asarray(probes_cdf), cdf=np.asarray(cdf_acc) / reps,
         crossing_levels=probes_cross,
-        down_rate=np.mean(down, axis=0), down_rate_se=se(down),
-        up_rate=np.mean(up, axis=0), up_rate_se=se(up),
-        down_count=np.sum(down, axis=0) * window,
-        up_count=np.sum(up, axis=0) * window,
-        window_arrivals=arrivals,
-        merged_intervals=merged, sampled_intervals=sampled)
+        down_count=np.sum(per_rep["down_rate"], axis=0) * window,
+        up_count=np.sum(per_rep["up_rate"], axis=0) * window,
+        window_arrivals=arrivals, merged_intervals=merged, sampled_intervals=sampled,
+        **fields)
 
 
 def crossing_balance(stats: TrajectoryStats, measure: StationaryMeasure,

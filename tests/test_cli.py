@@ -223,6 +223,25 @@ class TestSolveCommand:
         assert (cell / "measure_node0.csv").exists()
         assert "termination" in (cell / "report.txt").read_text(encoding="utf-8")
 
+    def test_later_failing_cell_keeps_the_cells_before_it(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # each cell is written as it finishes; the summary only at the end
+        solve_cell = cli._solve_cell
+
+        def second_fails(args):
+            if args[1] == 2.0:
+                _failing_cell(args)
+            return solve_cell(args)
+
+        monkeypatch.setattr(cli, "_solve_cell", second_fails)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 1.0, 2.0\nk_values = 0\n"
+                       "p0plus_values = 0.01\ngrid_n = 64\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error[")
+        assert sorted(p.name for p in out.iterdir()) == ["L1_K0_p00.01"]
+
     def test_empty_best_k_interval_rejected_at_load(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("schema_version = 1\ncapacities = 1.0\nk_values = 0\n"
@@ -347,11 +366,11 @@ def test_zero_arrival_rate_leaves_the_ratio_empty(tmp_path, monkeypatch, command
     assert len(rows) == 2 and rows[1][3:] == ["0.000000", "0.000000", ""]
 
 
-@pytest.mark.parametrize("command", ["bound", "sweep"])
+@pytest.mark.parametrize("command", ["bound", "sweep", "solve"])
 def test_power_over_a_tiny_noise_level_writes_nothing(tmp_path, capsys, monkeypatch,
                                                       command):
-    # every power over n0 = 1e-320 overflows: bound printed inf ceilings, and
-    # sweep blamed a finite total power
+    # every power over n0 = 1e-320 overflows: bound printed inf ceilings,
+    # sweep blamed a finite total power, and solve left an empty --out
     monkeypatch.setenv("EHMAC_N0", "1e-320")
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CELL_CFG, encoding="utf-8")
@@ -486,6 +505,16 @@ class TestLoadErrors:
         assert not out.exists()
         with pytest.raises(ConfigError, match="k_step"):
             ExperimentConfig(k_min=-1e12).validate()
+
+    def test_infinite_burn_in_names_burn_in(self, tmp_path, capsys, monkeypatch):
+        # the simulator settings blamed the horizon for an infinite burn-in
+        monkeypatch.setenv("EHMAC_BURN_IN", "inf")
+        out = tmp_path / "out"
+        assert run(["bound", "--preset", "table1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
+        assert "burn_in" in err and "horizon" not in err
+        assert not out.exists()
 
     def test_env_override_names_the_key(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EHMAC_THETA_TOL", "-1")

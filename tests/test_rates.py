@@ -83,6 +83,19 @@ class TestRateDerivatives:
         with pytest.raises(UsageError):
             eh.rate_deriv(rf, 1.0, 3)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_derivative_at_a_tiny_noise_level_overflows(self, order):
+        # 1 / (n0 + x) ** order at n0 = 1e-320, x = 0 returned +-inf with a
+        # numpy RuntimeWarning
+        rf_tiny = eh.RateFunction(n0=1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (0.0, np.array([0.0, 2.0])):
+                with pytest.raises(NumericOverflowError, match="n0 = 1e-320"):
+                    eh.rate_deriv(rf_tiny, x, order)
+            # an infinite power has a zero derivative
+            assert eh.rate_deriv(rf_tiny, math.inf, order) == 0.0
+
     def test_monotone_and_concave_samples(self, rf):
         rng = np.random.default_rng(7)
         xs = rng.uniform(0.0, 50.0, size=500)

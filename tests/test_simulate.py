@@ -51,6 +51,13 @@ class TestSimConfig:
             eh.SimConfig(horizon=50.0, seed=value)
         assert err.value.field == "seed"
 
+    @pytest.mark.parametrize("burn_in", [math.inf, -math.inf, math.nan])
+    def test_non_finite_burn_in_names_burn_in(self, burn_in):
+        # an infinite burn-in was blamed on the horizon
+        with pytest.raises(DomainError, match="burn-in must be finite") as err:
+            eh.SimConfig(horizon=10.0, burn_in=burn_in)
+        assert err.value.field == "burn_in"
+
     def test_numpy_integers_accepted(self):
         cfg = eh.SimConfig(horizon=50.0, replications=np.int64(2), seed=np.uint32(7))
         assert (cfg.replications, cfg.seed) == (2, 7)
@@ -527,9 +534,8 @@ def window_runs(draw):
     idle_dur[-1] += 0.5
     seg_start = np.concatenate(([0.0], np.cumsum(drain_dur + idle_dur)[:-1]))
     run = sim.NodeRun(seg_start=seg_start, seg_level=a, seg_tau=seg_tau, seg_end_level=b,
-                      drain_end=seg_start + drain_dur, drain_dur=drain_dur,
-                      idle_dur=idle_dur, pre_arrival=b[:-1], post_arrival=a[1:],
-                      overflow=0.0)
+                      drain_end=seg_start + drain_dur, pre_arrival=b[:-1],
+                      post_arrival=a[1:], idle_time=float(np.sum(idle_dur)), overflow=0.0)
     probes = np.asarray(sorted(set(
         draw(st.lists(st.sampled_from(nodes + a.tolist() + b.tolist()), max_size=12))
         + draw(st.lists(st.floats(0.0, span), max_size=6)))))
@@ -543,15 +549,15 @@ class TestWindowStatistics:
     @given(window_runs())
     def test_match_per_segment_sums(self, case):
         interp, run, probes = case
-        window = float(np.sum(run.drain_dur) + np.sum(run.idle_dur))
+        window = float(np.sum(run.drain_end - run.seg_start)) + run.idle_time
         # a drain from a to b spends tau(clip(q, b, a)) - tau(b) at or below q
-        want = [math.fsum([float(np.sum(run.idle_dur))]
+        want = [math.fsum([run.idle_time]
                           + [interp.tau(min(max(q, b), a)) - interp.tau(b)
                              for a, b in zip(run.seg_level.tolist(),
                                              run.seg_end_level.tolist())]) / window
                 for q in probes.tolist()]
         levels = sim._live_levels(run)
-        live = run.drain_dur > 0.0
+        live = run.drain_end > run.seg_start
         # the tau a stable sort would gather, so no sum depends on the sort kind
         np.testing.assert_array_equal(
             levels[1], run.seg_tau[live][np.argsort(run.seg_level[live], kind="stable")])
@@ -575,9 +581,46 @@ class TestWindowStatistics:
         times, energies = sample_arrivals(hp, exp_dist(), 400.0, 21)
         burn_in = 0.5 * (times[56] + times[57])
         run = sim._walk_trajectory(interp, hp.capacity, times, energies, burn_in, 400.0, 0)
-        assert run.seg_start[0] == burn_in and run.drain_dur[0] > 0.0
+        assert run.seg_start[0] == burn_in and run.drain_end[0] > burn_in
         want = interp.tau(run.seg_level)
         assert np.array_equal(run.seg_tau.view(np.int64), want.view(np.int64))
+
+
+class TestWindowBookkeeping:
+    """The window's idle time and live segments, on real walks."""
+
+    @pytest.mark.parametrize("start", ["at_zero", "inside_a_drain", "while_empty"])
+    @pytest.mark.parametrize("capacity", [2.0, math.inf], ids=["finite", "unbounded"])
+    def test_idle_time_and_drains_fill_the_window(self, capacity, start):
+        interp = eh.policy_from_function(lambda x: 0.2 + x * x, 2.0, 64).interp(
+            extend=math.isinf(capacity))
+        times, energies = sample_arrivals(eh.HarvestParams(1.0, 1.0, capacity), exp_dist(),
+                                          200.0, 17)
+        probe = sim._walk_trajectory(interp, capacity, times, energies, 0.0, 200.0, 0)
+        drains = probe.drain_end - probe.seg_start
+        idles = np.append(probe.seg_start[1:], 200.0) - probe.drain_end
+        if start == "inside_a_drain":
+            j = int(np.flatnonzero(drains > 0.5)[3])
+            burn_in = probe.seg_start[j] + 0.5 * drains[j]
+        elif start == "while_empty":
+            j = int(np.flatnonzero(idles > 0.5)[3])
+            burn_in = probe.drain_end[j] + 0.5 * idles[j]
+        else:
+            burn_in = 0.0
+        run = sim._walk_trajectory(interp, capacity, times, energies, burn_in, 200.0, 0)
+        assert run.seg_start[0] == burn_in
+        assert (run.drain_end[0] > burn_in) == (start == "inside_a_drain")
+        window = run.idle_time + float(np.sum(run.drain_end - run.seg_start))
+        assert window == pytest.approx(200.0 - burn_in, rel=1e-12, abs=0.0)
+        # only a window start at zero or while empty leaves a segment that
+        # never drains: the live test is the sign of the drain's length
+        live = run.drain_end > run.seg_start
+        assert np.array_equal(live, run.drain_end - run.seg_start > 0.0)
+        assert np.flatnonzero(~live).tolist() == ([] if start == "inside_a_drain" else [0])
+        a, ta, b = sim._live_levels(run)
+        assert np.array_equal(a, np.sort(run.seg_level[live]))
+        assert np.array_equal(ta, interp.tau(a))
+        assert np.array_equal(b, np.sort(run.seg_end_level[live]))
 
 
 class TestCrossingBalance:
@@ -702,20 +745,22 @@ def scalar_walk(interp, capacity, times, energies, burn_in, horizon):
         seg_start[0] = burn_in
     return sim.NodeRun(seg_start=seg_start, seg_level=seg_level, seg_tau=seg_tau,
                        seg_end_level=seg_end_level, drain_end=drain_end,
-                       drain_dur=drain_end - seg_start, idle_dur=t_next[w:] - drain_end,
-                       pre_arrival=pre_arr, post_arrival=post_arr, overflow=overflow)
+                       pre_arrival=pre_arr, post_arrival=post_arr,
+                       idle_time=float(np.sum(t_next[w:] - drain_end)), overflow=overflow)
 
 
 RUN_FIELDS = ("seg_start", "seg_level", "seg_tau", "seg_end_level", "drain_end",
-              "drain_dur", "idle_dur", "pre_arrival", "post_arrival")
+              "pre_arrival", "post_arrival")
 
 
 def assert_runs_identical(want, got):
-    """Every array of two ``NodeRun`` bitwise, and the overflow with its sign."""
+    """Every array of two ``NodeRun`` bitwise, the idle time bitwise, and the
+    overflow with its sign."""
     for name in RUN_FIELDS:
         a, b = getattr(want, name), getattr(got, name)
         assert a.shape == b.shape, name
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    assert want.idle_time.hex() == got.idle_time.hex()
     assert math.copysign(1.0, want.overflow) == math.copysign(1.0, got.overflow)
     assert want.overflow == got.overflow
 
@@ -814,8 +859,8 @@ class TestLockstepWalk:
         times, energies = sample_arrivals(eh.HarvestParams(1.0, 1.0, capacity), exp_dist(),
                                           200.0, 17)
         probe = scalar_walk(interp, capacity, times, energies, 0.0, 200.0)
-        j = int(np.flatnonzero(probe.drain_dur > 0.5)[3])
-        burn_in = probe.seg_start[j] + 0.5 * probe.drain_dur[j]
+        j = int(np.flatnonzero(probe.drain_end - probe.seg_start > 0.5)[3])
+        burn_in = probe.seg_start[j] + 0.5 * (probe.drain_end[j] - probe.seg_start[j])
         run = assert_walks_identical(interp, capacity, times, energies, burn_in, 200.0)
         assert run.seg_start[0] == burn_in and 0.0 < run.seg_tau[0] < probe.seg_tau[j]
 
@@ -827,7 +872,7 @@ class TestLockstepWalk:
         times = np.array([1.0, 1.0 + 2.0 ** -51, 2.0])
         energies = np.array([5.0, 0.5, 0.1])
         run = assert_walks_identical(interp, 1.0, times, energies, 0.0, 10.0)
-        assert 0.0 < run.drain_dur[1] and run.seg_end_level[1] == 1.0
+        assert run.seg_start[1] < run.drain_end[1] and run.seg_end_level[1] == 1.0
 
     def test_zero_packet_after_an_empty_row(self):
         # the row after the first arrival empties and then adds nothing, so
@@ -1009,7 +1054,8 @@ def merged_timeline(runs, burn_in, horizon):
     cuts = [np.asarray([burn_in, horizon])]
     for run in runs:
         cuts.append(run.seg_start)
-        cuts.append(run.drain_end[(run.seg_end_level == 0.0) & (run.drain_dur > 0.0)])
+        cuts.append(run.drain_end[(run.seg_end_level == 0.0)
+                                  & (run.drain_end > run.seg_start)])
     t = np.unique(np.concatenate(cuts))
     return t[(t >= burn_in) & (t <= horizon)]
 
@@ -1079,7 +1125,7 @@ class TestJointIntervalSkip:
         assert len({(m, s) for _, m, s in results}) == 1
         assert 0 < sampled < merged
         if nodes == "three_one_idle":
-            assert runs[1].drain_dur.sum() == 0.0   # idle throughout
+            assert np.all(runs[1].drain_end == runs[1].seg_start)   # idle throughout
 
     @pytest.mark.parametrize("nodes", sorted(NODES))
     def test_segment_index_from_the_merged_timeline(self, nodes):
