@@ -91,16 +91,19 @@ def _cell_tag(cap, k, p0, init):
 
 
 @contextmanager
-def _runner(cfg: ExperimentConfig):
-    """A ``map`` for the grid's jobs: the built-in one, or a process pool's.
+def _runner(cfg: ExperimentConfig, jobs: int):
+    """A ``map`` for a grid of ``jobs`` jobs: the built-in one, or a process pool's.
 
     The built-in ``map`` runs a job in this process when the caller reads its
-    result; with ``workers > 1`` ``pool.map`` submits every job at once and
-    yields the results in order.  If the caller raises, the pool drops the
-    jobs that have not started, so the error does not wait for them.
+    result; with ``workers`` and ``jobs`` both above 1 a pool of
+    min(workers, jobs) processes takes them, and ``pool.map`` submits every
+    job at once and yields the results in order.  If the caller raises, the
+    pool drops the jobs that have not started, so the error does not wait
+    for them.
     """
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, jobs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 yield pool.map
             except BaseException:
@@ -110,15 +113,14 @@ def _runner(cfg: ExperimentConfig):
         yield map
 
 
-def _solved_cells(cfg: ExperimentConfig, run):
-    """Every (capacity, K, p(0+), init) cell with its report, through ``run``.
+def _grid_cells(cfg: ExperimentConfig):
+    """The job of every (capacity, K, p(0+), init) cell.
 
     Cells come capacity-major, then in k/p0/init order.
     """
-    cells = [(cfg, cap, k, p0, init)
-             for cap in cfg.capacities for k in cfg.k_values
-             for p0 in cfg.p0plus_values for init in cfg.init_policies]
-    return zip(cells, run(_solve_cell, cells))
+    return [(cfg, cap, k, p0, init)
+            for cap in cfg.capacities for k in cfg.k_values
+            for p0 in cfg.p0plus_values for init in cfg.init_policies]
 
 
 def _require_first(cfg: ExperimentConfig, *names):
@@ -150,8 +152,10 @@ def cmd_solve(cfg: ExperimentConfig, outdir: Path):
         _require_first(cfg, "p0plus_values", "init_policies")
     rows = []
     per_cap = len(cfg.k_values) * len(cfg.p0plus_values) * len(cfg.init_policies)
-    with _runner(cfg) as run:
-        solved = _solved_cells(cfg, run)
+    cells = _grid_cells(cfg)
+    # a best-K scan per capacity runs beside the cells
+    with _runner(cfg, len(cells) + len(cfg.capacities) * cfg.best_k) as run:
+        solved = zip(cells, run(_solve_cell, cells))
         if cfg.best_k:
             scans = run(_best_k_scan, [(cfg, cap) for cap in cfg.capacities])
         for cap in cfg.capacities:
@@ -178,9 +182,10 @@ def cmd_solve(cfg: ExperimentConfig, outdir: Path):
 
 def cmd_sweep(cfg: ExperimentConfig, outdir: Path | None):
     """Summary-only solve grid."""
-    with _runner(cfg) as run:
+    cells = _grid_cells(cfg)
+    with _runner(cfg, len(cells)) as run:
         rows = [_summary_row(cfg, cap, k, p0, rep.utility)
-                for (_, cap, k, p0, _), rep in _solved_cells(cfg, run)]
+                for (_, cap, k, p0, _), rep in zip(cells, run(_solve_cell, cells))]
     _write_summary(None if outdir is None else outdir / "summary.csv", rows)
     return rows
 
@@ -206,9 +211,12 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
         policy = _solve_cell((cfg, cap, cfg.k_values[0], cfg.p0plus_values[0],
                               cfg.init_policies[0])).policies[0]
     dist = PacketDistribution.exponential(cfg.zeta)
-    # simulate checks the policy before it walks, so a rejected one writes nothing
+    # everything is computed before the first write, so a failure writes nothing
     stats = simulate([(hp, policy, dist)] * cfg.node_count, cfg.rate_function(),
                      cfg.sim_config())
+    measure = measure_closed_form(policy, hp)
+    records = (crossing_balance(stats, measure, policy, hp, dist)
+               if stats.crossing_levels.size else None)
     outdir.mkdir(parents=True, exist_ok=True)
     if solved:
         export_policy(policy, outdir / "policy_solved.csv")
@@ -218,10 +226,8 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
     np.savetxt(outdir / "cdf_node0.csv",
                np.column_stack([stats.cdf_levels[0], stats.cdf[0]]),
                header="columns = level, occupancy_cdf")
-    measure = measure_closed_form(policy, hp)
     export_measure(measure, outdir / "measure_analytic.csv")
-    if stats.crossing_levels.size:
-        records = crossing_balance(stats, measure, policy, hp, dist)
+    if records:
         with open(outdir / "crossing_balance.csv", "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))

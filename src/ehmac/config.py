@@ -18,6 +18,7 @@ from .solver import SolverConfig, check_k_scan
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "EHMAC_"
+WORKERS_CAP = 256  # worker processes a run may ask for; a pool forks them all at once
 
 
 def _parse_bool(text: str) -> bool:
@@ -109,6 +110,9 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(f"invalid value for {name}: {getattr(self, name)!r}",
                                   field=name)
+        if self.workers > WORKERS_CAP:
+            raise ConfigError(f"invalid value for workers: {self.workers}, above the cap "
+                              f"of {WORKERS_CAP}", field="workers")
         try:
             check_k_scan(self.k_min, self.k_max, self.k_step, self.k_coarse)
             self.rate_function()

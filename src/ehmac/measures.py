@@ -53,9 +53,12 @@ __all__ = [
 
 _NORM_TOL = 1e-9
 # An unbounded battery's level axis is truncated where the density tail
-# integral falls below _TAIL_TOL; the span doubles up to _MAX_DOUBLINGS times.
+# integral falls below _TAIL_TOL.  Beyond the policy's grid the release rate
+# is constant, so that tail is exactly exponential and fixes the span; a span
+# of more than _MAX_CELLS cells raises before its grid is built (one law on
+# 2**25 cells took about 8 s and 3.5 GiB at peak on a 2-core, 7 GiB machine).
 _TAIL_TOL = 1e-8
-_MAX_DOUBLINGS = 40
+_MAX_CELLS = 2**25
 
 
 @dataclass(frozen=True)
@@ -202,9 +205,9 @@ def _require_normalized(measure: StationaryMeasure):
         raise DomainError("measure is not normalized")
 
 
-def _closed_form_on_grid(x: np.ndarray, pd: np.ndarray, lam: float, zeta: float):
-    """Atom, density, masses from the integrating-factor formula on one grid."""
-    cells = lam * inv_power_cells(x, pd)
+def _closed_form_on_grid(x: np.ndarray, pd: np.ndarray, params: HarvestParams):
+    """The law from the integrating-factor formula on one grid."""
+    cells = params.lam * inv_power_cells(x, pd)
     with np.errstate(over="ignore"):
         cum = np.concatenate(([0.0], np.cumsum(cells)))
     if not np.all(np.isfinite(cum)):
@@ -212,16 +215,13 @@ def _closed_form_on_grid(x: np.ndarray, pd: np.ndarray, lam: float, zeta: float)
         raise NumericOverflowError(
             f"cumulative 1/p integral left the floating range at level {x[bad]:.6g}",
             where=float(x[bad]))
-    log_density = cum - zeta * x  # log of density * p / (lam * atom)
-    xmid = 0.5 * (x[:-1] + x[1:])
-    log_cell = cum[1:] - zeta * xmid
+    log_density = cum - params.zeta * x  # log of density * p / (lam * atom)
+    log_cell = cum[1:] - params.zeta * (0.5 * (x[:-1] + x[1:]))  # at the cell midpoints
     shift = max(float(np.max(log_cell)), float(np.max(log_density)), 0.0)
     raw_masses = np.exp(log_cell - shift) * (-np.expm1(-cells))
     denom = math.exp(-shift) + float(np.sum(raw_masses))
-    atom = math.exp(-shift) / denom
-    masses = raw_masses / denom
-    density = lam * np.exp(log_density - shift) / pd / denom
-    return atom, density, masses
+    return StationaryMeasure(grid=x, atom=math.exp(-shift) / denom, cell_masses=raw_masses / denom,
+                             density=params.lam * np.exp(log_density - shift) / pd / denom)
 
 
 def check_admissible(policy: PolicyGrid, params: HarvestParams,
@@ -266,35 +266,54 @@ def _up_rate(lam, atom, h, kern, f, dq=0.0, top=0.0):
 def measure_closed_form(policy: PolicyGrid, params: HarvestParams) -> StationaryMeasure:
     """Stationary measure under exponential packets from the closed form.
 
-    For an unbounded battery the level axis is truncated where the density
-    tail integral falls below ``_TAIL_TOL``, doubling the span until stable;
-    the policy continues at its last sampled value beyond its own grid.
+    For an unbounded battery the policy continues at its top rate p_top
+    beyond its own span L, so there the density is exactly exponential with
+    the rate decay = zeta - lam / p_top, which ``check_admissible`` makes
+    positive up to roundoff, and the cells' masses form a geometric series.
+    The level axis is cut where the density tail integral falls below
+    ``_TAIL_TOL``: at L when the law on the policy's n cells meets it; else
+    at the level where that series says a cut law meets it, rounded up to
+    L 2**k for the smallest k >= 1, on n 2**k cells (the same step).  A tail
+    that does not decay on the cells (decay <= 0 after roundoff, or rate h or
+    decay h underflowing to 0), or a cut above ``_MAX_CELLS`` cells, raises
+    NumericOverflowError before the larger grid is built.
     """
-    lam, zeta = params.lam, params.zeta
     check_admissible(policy, params)
     if not params.is_infinite:
-        x = policy.grid
-        pd = policy.density_side_values()
-        atom, density, masses = _closed_form_on_grid(x, pd, lam, zeta)
-        return StationaryMeasure(grid=x, atom=atom, density=density, cell_masses=masses)
+        return _closed_form_on_grid(policy.grid, policy.density_side_values(), params)
+    rate, h, span = params.lam / float(policy.values[-1]), policy.h, policy.capacity
+    decay = params.zeta - rate   # rate = lam / p_top
 
-    # beyond the truncation the density decays at least at rate zeta - lam/p,
-    # which the stationarity rule makes positive up to roundoff
-    decay = zeta - lam / float(policy.values[-1])
-    interp = policy.interp(extend=True)
-    span = policy.capacity
-    n = policy.n
-    for _ in range(_MAX_DOUBLINGS):
-        x = uniform_grid(span, n)
-        pd = np.concatenate(([policy.p0plus], interp.value(x[1:])))
-        atom, density, masses = _closed_form_on_grid(x, pd, lam, zeta)
-        if decay > 0.0 and density[-1] / decay < _TAIL_TOL:
-            return StationaryMeasure(grid=x, atom=atom, density=density,
-                                     cell_masses=masses)
-        span *= 2.0
-        n *= 2
-    raise NumericOverflowError("truncation span for the unbounded battery did not "
-                               "stabilize", where=span)
+    def law(k):
+        x = uniform_grid(span * 2.0**k, policy.n * 2**k)
+        pd = policy.interp(extend=True).value(x[1:])
+        return _closed_form_on_grid(x, np.concatenate(([policy.p0plus], pd)), params)
+
+    measure = law(0)
+    d = float(measure.density[-1])
+    if decay > 0.0 and d / decay < _TAIL_TOL:
+        return measure
+    # roundoff can leave decay <= 0, and on cells so fine that rate h or
+    # decay h underflows to 0 the cut lies beyond any cell count
+    if not min(rate, decay) * h > 0.0:
+        raise NumericOverflowError("the unbounded battery's tail does not decay", where=span)
+    # The law cut at L has density d there.  Beyond L each cell scales the
+    # density by exp(-decay h) and holds its foot's density times
+    # exp((rate - zeta / 2) h) (1 - exp(-rate h)) / rate, so the mass beyond a
+    # node is its density times A, that over 1 - exp(-decay h).  The
+    # untruncated law has density d / (1 + A d) at L, and a law cut at S has
+    # its top density below decay _TAIL_TOL once S passes `cut`.  A d is
+    # taken as its log, so that no step overflows on coarse cells.
+    log_ad = (math.log(d) + (rate - 0.5 * params.zeta) * h + math.log(-math.expm1(-rate * h))
+              - math.log(rate) - math.log(-math.expm1(-decay * h)))
+    cut = span + math.log1p((d / decay / _TAIL_TOL - 1.0)
+                            * math.exp(-np.logaddexp(0.0, log_ad))) / decay
+    # a NaN or infinite cut reads as 2**64 doublings, which the cap refuses
+    k = max(1, math.ceil(math.log2(min(2.0**64, cut / span))))
+    if policy.n * 2**k > _MAX_CELLS:
+        raise NumericOverflowError(f"cutting the unbounded battery at level {cut:.6g} needs "
+                                   f"{policy.n * 2**k} cells, above {_MAX_CELLS}", where=cut)
+    return law(k)
 
 
 def measure_volterra(policy: PolicyGrid, params: HarvestParams,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import ehmac
 from ehmac import cli
-from ehmac.config import (ExperimentConfig, PRESETS, apply_env_overrides,
+from ehmac.config import (ExperimentConfig, PRESETS, WORKERS_CAP, apply_env_overrides,
                           load_config, parse_config_text)
 from ehmac.errors import ConfigError, NonAdmissibleTrajectoryError
 from ehmac.solver import INIT_POLICIES
@@ -45,6 +45,35 @@ def _slow_scan(marks, args):
     time.sleep(0.3)
     (marks / f"scan_{cap:g}").touch()
     return 0.0, 0.0, []
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size, runs the jobs here."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools a command starts, none of which forks a process."""
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool.sizes
 
 
 def _config_values(name):
@@ -152,6 +181,8 @@ class TestConfigParsing:
         pytest.param("divergence_tol", -1.0, id="divergence_tol"),
         pytest.param("divergence_tol", math.nan, id="divergence_tol_nan"),
         pytest.param("policy_level", -2.0, id="policy_level"),
+        pytest.param("workers", 0, id="workers"),
+        pytest.param("workers", WORKERS_CAP + 1, id="workers_above_cap"),
         pytest.param("capacities", (1.0, 0.0), id="capacities_zero"),
         pytest.param("capacities", (-1.0,), id="capacities_negative"),
     ])
@@ -330,6 +361,21 @@ class TestSolveCommand:
         assert len(files) > 10
         for rel in files:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("best_k, sizes", [
+        ("false", []),  # one cell runs in this process
+        ("true", [2]),  # the cell and its capacity's best-K scan
+    ])
+    def test_pool_counts_cells_and_scans(self, tmp_path, pool_sizes, best_k, sizes):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = 0.5\nk_values = 0\n"
+                       f"grid_n = 64\nbest_k = {best_k}\nk_min = -0.2\nk_max = 0.0\n"
+                       "k_step = 0.1\nk_coarse = 0.1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out", str(out),
+                    "--workers", "8"]) == 0
+        assert pool_sizes == sizes
+        assert (out / "ksearch_L0.5.csv").exists() == (best_k == "true")
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the workers must inherit the patched jobs")
@@ -546,6 +592,36 @@ class TestSweepCommand:
                     "--workers", "2"]) == 0
         assert read_csv(out1 / "summary.csv") == read_csv(out2 / "summary.csv")
 
+    @pytest.mark.parametrize("caps, workers, sizes", [
+        ("2.0", 8, []),  # one job runs in this process
+        ("0.5, 1.0, 2.0", 8, [3]),  # never more processes than jobs
+        ("0.5, 1.0, 2.0", 2, [2]),
+    ])
+    def test_pool_never_outnumbers_the_jobs(self, tmp_path, pool_sizes, caps, workers,
+                                            sizes):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"schema_version = 1\ncapacities = {caps}\ngrid_n = 64\n"
+                       "k_values = 0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out),
+                    "--workers", str(workers)]) == 0
+        assert pool_sizes == sizes
+        assert len(read_csv(out / "summary.csv")) == 1 + caps.count(",") + 1
+
+    def test_workers_above_the_cap_exit_at_load(self, tmp_path, capsys, monkeypatch,
+                                               pool_sizes):
+        # a pool forks all its processes at the first job, so a huge count is
+        # refused before any job starts
+        monkeypatch.setenv("EHMAC_WORKERS", str(WORKERS_CAP + 1))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(CELL_CFG, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and len(err.splitlines()) == 1
+        assert f"above the cap of {WORKERS_CAP}" in err
+        assert pool_sizes == [] and not out.exists()
+
 
 class TestSimulateCommand:
     def test_constant_policy_run(self, tmp_path):
@@ -625,6 +701,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error[E_DOMAIN]") and len(err.splitlines()) == 1
         assert str(pol) in err
+        assert not out.exists()
+
+    def test_unresolvable_tail_writes_nothing(self, tmp_path, capsys):
+        # a top rate 1e-6 above the mean input rate: the analytic law would
+        # need about 1e9 cells, and it fails after the simulation ran
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("schema_version = 1\ncapacities = inf\nnode_count = 1\n"
+                       "policy_level = 1.000001\nhorizon = 200\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_OVERFLOW]") and len(err.splitlines()) == 1
+        assert "cells" in err
         assert not out.exists()
 
     def test_nonstationary_policy_writes_nothing(self, tmp_path, capsys):

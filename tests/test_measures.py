@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehmac as eh
+from ehmac import measures
 from ehmac.errors import DomainError, NumericOverflowError
+from ehmac.grids import uniform_grid
 
 
 def exp_dist(zeta=1.0):
@@ -130,6 +133,146 @@ class TestClosedForm:
             atoms[n] = eh.measure_closed_form(pol, hp).atom
         ratio = (atoms[512] - atoms[1024]) / (atoms[1024] - atoms[2048])
         assert ratio == pytest.approx(4.0, abs=0.5)
+
+
+def _doubling_reference(policy, params):
+    """The span search that ``measure_closed_form`` used before its closed form.
+
+    Kept to pin the closed form's bits: it doubled the span and the cell
+    count until the density tail integral fell below ``_TAIL_TOL``, at most
+    40 times.  The kernel now takes the battery and returns the measure; the
+    loop is otherwise as it was.  It must not be run on a tail that does not
+    decay: its last grids would take terabytes.
+    """
+    lam, zeta = params.lam, params.zeta
+    measures.check_admissible(policy, params)
+    decay = zeta - lam / float(policy.values[-1])
+    interp = policy.interp(extend=True)
+    span = policy.capacity
+    n = policy.n
+    for _ in range(40):
+        x = uniform_grid(span, n)
+        pd = np.concatenate(([policy.p0plus], interp.value(x[1:])))
+        measure = measures._closed_form_on_grid(x, pd, params)
+        if decay > 0.0 and measure.density[-1] / decay < measures._TAIL_TOL:
+            return measure
+        span *= 2.0
+        n *= 2
+    raise NumericOverflowError("truncation span for the unbounded battery did not "
+                               "stabilize", where=span)
+
+
+def _unbounded_cases(count=240, seed=20261021):
+    """Seeded policies on unbounded batteries, with a case label each.
+
+    Shapes cycle through constant, rising, falling and bumpy; half the
+    grids are the shared ``uniform_grid`` and half are ``arange`` grids
+    that differ from it in the last bits.  Top rates run from 1.001 to 20
+    times the mean input rate (every tenth case at 1.001).  Grids run from
+    one cell to 256, and from fine steps to coarse ones (zeta h up to 60),
+    where the cut law's tail mass is far from its continuous value 1 /
+    decay.  The cell count is halved until the tail bound L + ln(1e8) /
+    decay keeps the cut grid within 2**20 cells.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        lam, zeta = (float(v) for v in rng.uniform(0.2, 5.0, 2))
+        margin = 1.001 if i % 10 == 0 else 1.0 + float(10.0 ** rng.uniform(-3.0, math.log10(19.0)))
+        span = float(rng.uniform(0.05, 60.0)) / zeta
+        n = int(rng.choice([1, 2, 4, 16, 64, 256]))
+        decay = zeta * (1.0 - 1.0 / margin)
+        while n > 1 and 2 * n * (1.0 + 18.43 / (decay * span)) > 2**20:
+            n //= 2
+        t = np.linspace(0.0, 1.0, n + 1)
+        shape = ["constant", "rising", "falling", "bumpy"][i % 4]
+        if shape == "constant":
+            g = np.ones(n + 1)
+        elif shape == "rising":
+            a = rng.uniform(0.05, 1.0)
+            g = a + (1.0 - a) * t
+        elif shape == "falling":
+            b = rng.uniform(1.0, 4.0)
+            g = b - (b - 1.0) * t
+        else:
+            g = np.exp(rng.normal(0.0, 0.5, n + 1))
+            g[-1] = 1.0
+        top = margin * lam / zeta
+        values = top * g
+        values[0] = 0.0
+        shared = bool(rng.random() < 0.5)
+        grid = uniform_grid(span, n) if shared else np.arange(n + 1) * (span / n)
+        policy = eh.PolicyGrid(grid=grid, values=values,
+                               p0plus=float(values[1] * rng.uniform(0.1, 1.0)))
+        yield policy, eh.HarvestParams(lam, zeta), (shape, shared, margin)
+
+
+class TestUnboundedTruncation:
+    """The cut of an unbounded battery's level axis comes from its exact tail."""
+
+    def test_bits_match_the_doubling_search(self):
+        doublings, shapes, grids, margins = set(), set(), set(), []
+        for policy, hp, (shape, shared, margin) in _unbounded_cases():
+            want = _doubling_reference(policy, hp)
+            got = eh.measure_closed_form(policy, hp)
+            for name in ("grid", "density", "cell_masses"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.atom == want.atom
+            assert got.n <= 2**20
+            doublings.add(got.n // policy.n)
+            shapes.add(shape)
+            grids.add(shared)
+            margins.append(margin)
+        assert 1 in doublings and len(doublings) >= 10, sorted(doublings)
+        assert shapes == {"constant", "rising", "falling", "bumpy"}
+        assert grids == {True, False}
+        assert min(margins) == 1.001 and max(margins) > 10.0
+
+    def test_returned_law_meets_the_tail_tolerance(self):
+        for policy, hp, _ in _unbounded_cases(count=80, seed=7):
+            got = eh.measure_closed_form(policy, hp)
+            decay = hp.zeta - hp.lam / float(policy.values[-1])
+            assert got.density[-1] / decay < measures._TAIL_TOL
+            assert got.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+    def test_cut_beyond_the_cell_cap_raises_before_building_it(self, monkeypatch):
+        # a top rate 1e-6 above the mean input: the tail asks for 512 * 2**21
+        # cells, about 8.6 GB per float array
+        hp = eh.HarvestParams(1.0, 1.0)
+        policy = eh.constant_policy(1.000001, 12.0, 512)
+        built = []
+        monkeypatch.setattr(measures, "uniform_grid",
+                            lambda span, n: built.append((span, n)) or uniform_grid(span, n))
+        start = time.perf_counter()
+        with pytest.raises(NumericOverflowError) as err:
+            eh.measure_closed_form(policy, hp)
+        assert time.perf_counter() - start < 0.1
+        assert built == [(policy.capacity, policy.n)]
+        assert f"{512 * 2**21} cells" in str(err.value)
+        assert measures._MAX_CELLS >= 2**25
+
+    @pytest.mark.parametrize("lam, zeta", [(1.0, 1.0), (0.1, 2.1)],
+                             ids=["cut_above_the_cap", "no_decay_after_roundoff"])
+    def test_top_rate_one_ulp_above_the_mean_input(self, monkeypatch, lam, zeta):
+        # admissible by one ulp: decay is 2**-52 at (1, 1), and at (0.1, 2.1)
+        # roundoff makes it 0 or less, where the search once doubled until
+        # memory ran out
+        hp = eh.HarvestParams(lam, zeta)
+        top = float(np.nextafter(hp.mean_input_rate, np.inf))
+        policy = eh.constant_policy(top, 12.0 / zeta, 64)
+        built = []
+        monkeypatch.setattr(measures, "uniform_grid",
+                            lambda span, n: built.append((span, n)) or uniform_grid(span, n))
+        with pytest.raises(NumericOverflowError):
+            eh.measure_closed_form(policy, hp)
+        assert built == [(policy.capacity, policy.n)]
+
+    def test_cells_too_fine_for_the_tail_raise_a_typed_error(self):
+        # zeta h = 1e-330 underflows rate h and decay h to 0, where the tail
+        # formula's logs would raise ValueError: the cut lies beyond any grid
+        hp = eh.HarvestParams(1e-300, 1e-300)
+        policy = eh.constant_policy(2.0, 1e-28, 100)
+        with pytest.raises(NumericOverflowError, match="does not decay"):
+            eh.measure_closed_form(policy, hp)
 
 
 class TestVolterra:
