@@ -211,10 +211,11 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
         policy = _solve_cell((cfg, cap, cfg.k_values[0], cfg.p0plus_values[0],
                               cfg.init_policies[0])).policies[0]
     dist = PacketDistribution.exponential(cfg.zeta)
-    # everything is computed before the first write, so a failure writes nothing
+    # everything is computed before the first write, so a failure writes nothing;
+    # the analytic law first, so a policy without one is refused before the run
+    measure = measure_closed_form(policy, hp)
     stats = simulate([(hp, policy, dist)] * cfg.node_count, cfg.rate_function(),
                      cfg.sim_config())
-    measure = measure_closed_form(policy, hp)
     records = (crossing_balance(stats, measure, policy, hp, dist)
                if stats.crossing_levels.size else None)
     outdir.mkdir(parents=True, exist_ok=True)

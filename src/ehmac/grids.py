@@ -24,8 +24,9 @@ correction step each way: ``grid_spacing`` admits a grid only when every
 node lies within h/2 of i*h, so the floor is off by at most one.  It takes
 the in-cell rate from the cell's lower-rate node, sqrt(p_j**2 + b*(x - x_j)),
 where both terms are nonnegative: from the other node the sum cancels on a
-steeply falling cell and loses digits.  ``PolicyInterp.scalar_maps`` takes
-the same steps on one float, for callers that read one level at a time.
+steeply falling cell and loses digits.  ``PolicyInterp.scalar_maps`` reads
+one float at a time and finds the same cell by bisection, so only ``locate``
+relies on the h/2 bound.
 """
 
 from __future__ import annotations
@@ -99,24 +100,21 @@ def power_cells(p0, p1, dx):
 
 
 class PolicyInterp:
-    """Evaluates a gridded policy and its drain maps between nodes.
+    """Evaluates a ``PolicyGrid`` and its drain maps between nodes.
 
-    ``extend`` allows levels beyond the last node, continuing the policy at
-    its final value (used when an unbounded battery is simulated through a
-    truncation of the level axis).
+    The grid, its spacing and the positive, finite rates come checked from
+    the ``PolicyGrid``, with p(0+) in place of the node value at 0; what is
+    checked here is that p**2, its slope and the drain times stay in the
+    float range.  ``extend`` allows levels beyond the last node, continuing
+    the policy at its final value (used when an unbounded battery is
+    simulated through a truncation of the level axis).
     """
 
-    def __init__(self, x: np.ndarray, p_density_side: np.ndarray, extend: bool = False):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p_density_side, dtype=float)
-        if x.shape != p.shape:
-            raise DomainError("grid and policy arrays must have equal length")
-        if not (p > 0.0).all():  # NaN included
-            raise DomainError("release rate must be positive on (0, L]")
-        self.x = x
-        self.p = p
+    def __init__(self, policy, extend: bool = False):
+        x = self.x = policy.grid
+        p = self.p = policy.density_side_values()
         self.extend = extend
-        self._inv_h = 1.0 / grid_spacing(x)
+        self._inv_h = 1.0 / policy.h
         with np.errstate(over="ignore", invalid="ignore"):
             self._psq = p * p
             self._b = np.diff(self._psq) / np.diff(x)  # slope of p^2 per cell
@@ -199,9 +197,11 @@ class PolicyInterp:
         microsecond.  Each does the IEEE operations of ``locate`` and ``tau``,
         or of ``tau_inverse``, in the same order, with the same NaN,
         below-empty and beyond-grid guards, so it returns the same float.
-        They read four lists of the node arrays: p**2 is taken at the node,
-        the lower-rate node by comparison, and the interior tau nodes as a
-        range of the tau list.  Built on first use and kept with the policy.
+        Both find their cell by bisection: ``tau`` the last level node at or
+        below the level, the cell ``locate`` returns, and ``tau_inverse`` the
+        last interior tau node at or below the time.  They read four lists of
+        the node arrays: p**2 is taken at the node, the lower-rate node by
+        comparison.  Built on first use and kept with the policy.
         """
         xs = self.x.tolist()
         ps = self.p.tolist()
@@ -210,7 +210,6 @@ class PolicyInterp:
         x_top, p_top, tau_top = xs[-1], ps[-1], taus[-1]
         tol = SPAN_TOL * max(x_top, 1.0)
         last = len(xs) - 2
-        inv_h = self._inv_h
         extend = self.extend
 
         def tau(level):
@@ -222,15 +221,7 @@ class PolicyInterp:
                 raise DomainError("level beyond the policy grid")
             if level >= x_top:
                 return tau_top + over / p_top
-            i = int(clipped * inv_h)
-            if i > last:
-                i = last
-            elif i < 0:
-                i = 0
-            if xs[i] > clipped and i > 0:
-                i -= 1
-            if xs[i + 1] <= clipped and i < last:
-                i += 1
+            i = bisect.bisect_right(xs, clipped, 1, last + 1) - 1
             j = i + 1 if ps[i + 1] < ps[i] else i
             sq = ps[j] * ps[j] + bs[i] * (clipped - xs[j])
             if sq < 0.0:

@@ -111,7 +111,7 @@ class PolicyGrid:
         return p
 
     def interp(self, extend: bool = False) -> PolicyInterp:
-        return PolicyInterp(self.grid, self.density_side_values(), extend=extend)
+        return PolicyInterp(self, extend=extend)
 
     def density_side_on(self, grid: np.ndarray) -> np.ndarray:
         """Density-side samples at the nodes of another level grid.
@@ -205,23 +205,30 @@ def _require_normalized(measure: StationaryMeasure):
         raise DomainError("measure is not normalized")
 
 
+def _require_finite(values: np.ndarray, x: np.ndarray, what: str):
+    """Raise NumericOverflowError at the first level where ``values`` is not finite."""
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmax(~np.isfinite(values)))
+        raise NumericOverflowError(
+            f"{what} left the floating range at level {x[bad]:.6g}", where=float(x[bad]))
+
+
 def _closed_form_on_grid(x: np.ndarray, pd: np.ndarray, params: HarvestParams):
     """The law from the integrating-factor formula on one grid."""
-    cells = params.lam * inv_power_cells(x, pd)
     with np.errstate(over="ignore"):
+        cells = params.lam * inv_power_cells(x, pd)
         cum = np.concatenate(([0.0], np.cumsum(cells)))
-    if not np.all(np.isfinite(cum)):
-        bad = int(np.argmax(~np.isfinite(cum)))
-        raise NumericOverflowError(
-            f"cumulative 1/p integral left the floating range at level {x[bad]:.6g}",
-            where=float(x[bad]))
+    _require_finite(cum, x, "cumulative 1/p integral")
     log_density = cum - params.zeta * x  # log of density * p / (lam * atom)
     log_cell = cum[1:] - params.zeta * (0.5 * (x[:-1] + x[1:]))  # at the cell midpoints
     shift = max(float(np.max(log_cell)), float(np.max(log_density)), 0.0)
     raw_masses = np.exp(log_cell - shift) * (-np.expm1(-cells))
     denom = math.exp(-shift) + float(np.sum(raw_masses))
-    return StationaryMeasure(grid=x, atom=math.exp(-shift) / denom, cell_masses=raw_masses / denom,
-                             density=params.lam * np.exp(log_density - shift) / pd / denom)
+    # a subnormal rate, p(0+) at level 0 included, can leave f = lam atom / p infinite
+    with np.errstate(over="ignore"):
+        density = params.lam * np.exp(log_density - shift) / pd / denom
+    _require_finite(density, x, "density")
+    return StationaryMeasure(x, math.exp(-shift) / denom, density, raw_masses / denom)
 
 
 def check_admissible(policy: PolicyGrid, params: HarvestParams,
@@ -338,14 +345,17 @@ def measure_volterra(policy: PolicyGrid, params: HarvestParams,
     # S(x_i - x_k) read as S(x_(i-k)) on the uniform grid
     surv = survival(dist, x)
     f = np.zeros(x.size)
-    f[0] = lam * surv[0] / pd[0]
-    for i in range(1, x.size):
-        denom = pd[i] - 0.5 * lam * h * surv[0]
-        if denom <= 0.0:
-            raise DomainError(
-                f"marching step unstable at level {x[i]:.6g}: grid too coarse for "
-                f"release rate {pd[i]:.3g}")
-        f[i] = _up_rate(lam, 1.0, h, surv[i::-1], f[: i + 1]) / denom
+    # a subnormal p(0+) leaves f_0 infinite, and the march carries it
+    with np.errstate(over="ignore", invalid="ignore"):
+        f[0] = lam * surv[0] / pd[0]
+        for i in range(1, x.size):
+            denom = pd[i] - 0.5 * lam * h * surv[0]
+            if denom <= 0.0:
+                raise DomainError(
+                    f"marching step unstable at level {x[i]:.6g}: grid too coarse for "
+                    f"release rate {pd[i]:.3g}")
+            f[i] = _up_rate(lam, 1.0, h, surv[i::-1], f[: i + 1]) / denom
+    _require_finite(f, x, "marched density")
     masses = 0.5 * h * (f[:-1] + f[1:])
     total = 1.0 + float(np.sum(masses))
     return StationaryMeasure(grid=x, atom=1.0 / total, density=f / total,

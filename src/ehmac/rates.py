@@ -40,8 +40,6 @@ def _check_nonnegative(x):
 
 def over_n0(x, n0):
     """``x / n0``; a finite power whose quotient overflows raises NumericOverflowError."""
-    if n0 >= 1.0:   # cannot overflow; skips the checks' cost in the solver's kernel calls
-        return x / n0
     with np.errstate(over="ignore"):
         q = x / n0
     if (np.isinf(q) & np.isfinite(x)).any():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -20,7 +21,8 @@ from ehmac import cli
 from ehmac.config import (ExperimentConfig, PRESETS, WORKERS_CAP, apply_env_overrides,
                           load_config, parse_config_text)
 from ehmac.errors import ConfigError, NonAdmissibleTrajectoryError
-from ehmac.solver import INIT_POLICIES
+from ehmac.measures import load_policy
+from ehmac.solver import INIT_POLICIES, solve_symmetric_mac
 
 
 def run(argv):
@@ -38,6 +40,10 @@ def _failing_cell(args):
 
 def _no_scan(*args, **kwargs):
     raise AssertionError("a best-K scan started")
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("a simulation started")
 
 
 def _slow_scan(marks, args):
@@ -703,9 +709,31 @@ class TestSimulateCommand:
         assert str(pol) in err
         assert not out.exists()
 
-    def test_unresolvable_tail_writes_nothing(self, tmp_path, capsys):
+    def test_solves_its_own_policy(self, tmp_path):
+        # neither policy_file nor policy_level: the run takes the first
+        # cell's solved policy and writes it beside the statistics
+        path = tmp_path / "sim.cfg"
+        path.write_text("schema_version = 1\ncapacities = 1\ngrid_n = 64\nhorizon = 500\n",
+                        encoding="utf-8")
+        out = tmp_path / "simout"
+        assert run(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        cfg = load_config(path, env={})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = solve_symmetric_mac(cfg.node_count, cfg.harvest(1.0), cfg.rate_function(),
+                                         cfg.solver_config(cfg.p0plus_values[0],
+                                                           cfg.init_policies[0],
+                                                           cfg.k_values[0]))
+        want, got = report.policies[0], load_policy(out / "policy_solved.csv")
+        assert got.p0plus == want.p0plus
+        for a, b in ((got.grid, want.grid), (got.values, want.values)):
+            assert a.tobytes() == b.tobytes()
+        assert (out / "stats.json").exists() and (out / "measure_analytic.csv").exists()
+
+    def test_unresolvable_tail_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a top rate 1e-6 above the mean input rate: the analytic law would
-        # need about 1e9 cells, and it fails after the simulation ran
+        # need about 1e9 cells, and it fails before the simulation runs
+        monkeypatch.setattr(cli, "simulate", _no_simulation)
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("schema_version = 1\ncapacities = inf\nnode_count = 1\n"
                        "policy_level = 1.000001\nhorizon = 200\n", encoding="utf-8")
@@ -729,19 +757,19 @@ class TestSimulateCommand:
         assert err.startswith("error[E_DOMAIN]") and "no stationary law" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("lines", [
-        "node_count = 2\npolicy_level = 1e200\n",  # the rate's square overflows
-        "policy_level = 1e-320\n",  # its drain time to empty overflows
-        "lam = 1e300\npolicy_level = 1.5\n",  # more arrivals than a sample may plan
+    @pytest.mark.parametrize("lines, code", [
+        ("node_count = 2\npolicy_level = 1e200\n", "E_DOMAIN"),  # the rate's square overflows
+        ("policy_level = 1e-320\n", "E_OVERFLOW"),  # its law's 1/p integral overflows
+        ("lam = 1e300\npolicy_level = 1.5\n", "E_DOMAIN"),  # more arrivals than a sample may plan
     ], ids=["huge_rate", "tiny_rate", "huge_arrival_rate"])
-    def test_out_of_range_run_writes_nothing(self, tmp_path, capsys, lines):
+    def test_out_of_range_run_writes_nothing(self, tmp_path, capsys, lines, code):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("schema_version = 1\ncapacities = 2.0\nhorizon = 200\n" + lines,
                        encoding="utf-8")
         out = tmp_path / "o"
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error[E_DOMAIN]") and len(err.splitlines()) == 1
+        assert err.startswith(f"error[{code}]") and len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ehmac as eh
 from ehmac.errors import DomainError
-from ehmac.grids import PolicyInterp, grid_spacing, uniform_grid
+from ehmac.grids import grid_spacing, uniform_grid
 from ehmac.measures import load_policy
 
 
@@ -84,7 +84,8 @@ class TestLocate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=match):
-                PolicyInterp(uniform_grid(span, 8), rates)
+                eh.PolicyGrid(uniform_grid(span, 8), np.concatenate(([0.0], rates[1:])),
+                              p0plus=rates[0]).interp()
 
 
 def same_bits(got, want):

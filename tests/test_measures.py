@@ -117,6 +117,24 @@ class TestClosedForm:
             eh.measure_closed_form(pol, hp)
         assert err.value.where is not None
 
+    @pytest.mark.parametrize("route, policy, where", [
+        ("closed_form", lambda: eh.constant_policy(1e-320, 2.0, 512), 2.0 / 512),
+        ("closed_form", lambda: eh.policy_from_function(lambda x: 1 + x, 2.0, 64,
+                                                        p0plus=1e-320), 0.0),
+        ("volterra", lambda: eh.policy_from_function(lambda x: 1 + x, 2.0, 64,
+                                                     p0plus=1e-320), 0.0),
+    ], ids=["closed_form_rates", "closed_form_p0plus", "volterra_p0plus"])
+    def test_subnormal_rate_raises_one_typed_error(self, route, policy, where):
+        # 1 / p leaves the float range: the first level where it does is
+        # named, and no numpy warning leaks (the suite makes one an error)
+        hp = eh.HarvestParams(1.0, 1.0, 2.0)
+        with pytest.raises(NumericOverflowError, match="floating range at level") as err:
+            if route == "closed_form":
+                eh.measure_closed_form(policy(), hp)
+            else:
+                eh.measure_volterra(policy(), hp, exp_dist())
+        assert err.value.where == where
+
     def test_unbounded_requires_supercritical_tail(self):
         hp = eh.HarvestParams(1.0, 1.0)
         pol = eh.constant_policy(0.9, 10.0, 128)  # below the mean input rate

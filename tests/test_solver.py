@@ -301,6 +301,29 @@ class TestSymmetricSolve:
         assert len(report.policies) == 1
         assert report.policies[0].p0plus in cfg.p0plus_candidates
 
+    def test_search_skips_a_failing_candidate(self, rf, monkeypatch):
+        # K = -1.5 drives the release rate to zero in both sweeps; the search
+        # skips it and keeps K = 0's update, which beats the incumbent
+        failed = []
+
+        def recording(phi, params, cfg, ode=solver.el_ode_solve):
+            try:
+                return ode(phi, params, cfg)
+            except NonAdmissibleTrajectoryError:
+                failed.append(cfg.k_const)
+                raise
+
+        monkeypatch.setattr(solver, "el_ode_solve", recording)
+        cfg = eh.SolverConfig(k_const=0.0, p0plus=0.01, grid_n=128, init_policy="constant",
+                              k_candidates=(-1.5, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = eh.solve_symmetric_mac(2, hp_of(2.0), rf, cfg)
+        assert failed == [-1.5, -1.5]
+        assert report.utility > report.initial_utility
+        trace = report.utilities
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
+
 
 class TestGaussSeidel:
     def test_symmetric_agreement(self, rf):
