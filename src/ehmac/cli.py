@@ -45,8 +45,12 @@ def _bound_for(cfg: ExperimentConfig, capacity: float) -> float:
     return bound([cfg.harvest(capacity)] * cfg.node_count, cfg.rate_function())
 
 
-def _write_summary(path: Path | None, rows):
-    """Write the summary CSV to ``path``, making its directory, or to stdout."""
+def _write_summary(path: Path | None, rows, header=SUMMARY_COLUMNS):
+    """Write a CSV table, ``header`` then ``rows``, to ``path`` or to stdout.
+
+    The one CSV writer of the CLI: the summaries, the best-K scan tables and
+    the crossing report.  A ``path`` gets its directory made.
+    """
     if path is None:
         out = nullcontext(sys.stdout)
     else:
@@ -54,7 +58,7 @@ def _write_summary(path: Path | None, rows):
         out = open(path, "w", newline="", encoding="utf-8")
     with out as fh:
         writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -170,12 +174,8 @@ def cmd_solve(cfg: ExperimentConfig, outdir: Path):
                 k_best, u_best, table = next(scans)
                 rows.append(_summary_row(cfg, cap, k_best, cfg.p0plus_values[0],
                                          u_best))
-                outdir.mkdir(parents=True, exist_ok=True)
-                with open(outdir / f"ksearch_L{cap:g}.csv", "w", newline="",
-                          encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(("K", "utility"))
-                    writer.writerows((f"{k:.4f}", f"{u:.6f}") for k, u in table)
+                _write_summary(outdir / f"ksearch_L{cap:g}.csv", header=("K", "utility"),
+                               rows=((f"{k:.4f}", f"{u:.6f}") for k, u in table))
     _write_summary(outdir / "summary.csv", rows)
     return rows
 
@@ -229,11 +229,8 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path):
                header="columns = level, occupancy_cdf")
     export_measure(measure, outdir / "measure_analytic.csv")
     if records:
-        with open(outdir / "crossing_balance.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
-            writer.writeheader()
-            writer.writerows(records)
+        _write_summary(outdir / "crossing_balance.csv",
+                       [rec.values() for rec in records], header=records[0].keys())
     return stats
 
 

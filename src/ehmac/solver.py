@@ -581,25 +581,28 @@ def el_residual(policy: PolicyGrid, phi, params: HarvestParams, k_const: float):
 
 def constant_policy_stats(params: HarvestParams, rho: float):
     """Atom, mean power and power variance of the constant policy
-    p = lam/zeta + rho on an unbounded battery."""
+    p = lam/zeta + rho on an unbounded battery; an infinite rho gives the
+    limit, atom 1."""
     if not params.is_infinite:
         raise UsageError("constant-policy statistics assume an unbounded battery")
     if not rho > 0.0:
         raise DomainError(f"excess release rate must be positive, got {rho}")
     mean_in = params.mean_input_rate
-    atom = rho / (mean_in + rho)
-    return atom, mean_in, mean_in * rho
+    atom = 1.0 if math.isinf(rho) else rho / (mean_in + rho)
+    return atom, mean_in, mean_in * rho if mean_in else 0.0
 
 
 def check_k_scan(k_min: float, k_max: float, step: float = 0.01,
                  coarse_step: float | None = 0.05) -> int:
     """Check a ``best_k_search`` range and return the solves it plans.
 
-    The count is the coarse grid's points plus those of a whole refined
-    bracket (a flat scan: the grid's points), each np.arange's length
-    ceil((stop - start) / step), taken without building the grid.  Raises
-    DomainError, naming the rejected argument, on a non-finite or empty
-    range, a bad step, or a plan above ``K_SCAN_CAP`` solves.
+    The scan's coarse step is ``coarse_step``, or ``step`` where that is None
+    or not above ``step``.  The count is the coarse grid's points, plus those
+    of a whole refined bracket when the coarse step is above ``step``, each
+    np.arange's length ceil((stop - start) / step), taken without building
+    the grid.  Raises DomainError, naming the rejected argument, on a
+    non-finite or empty range, a bad step, or a plan above ``K_SCAN_CAP``
+    solves.
     """
     for name, value in (("k_min", k_min), ("k_max", k_max)):
         if not math.isfinite(value):
@@ -615,11 +618,10 @@ def check_k_scan(k_min: float, k_max: float, step: float = 0.01,
         n = (hi + 0.5 * h - lo) / h
         return math.ceil(n) if n < math.inf else math.inf
 
-    if coarse_step is None or coarse_step <= step:
-        count = points(k_min, k_max, step)
-    else:
-        count = (points(k_min, k_max, coarse_step)
-                 + points(0.0, min(k_max - k_min, 2.0 * coarse_step), step))
+    coarse = step if coarse_step is None or coarse_step <= step else coarse_step
+    count = points(k_min, k_max, coarse)
+    if coarse > step:
+        count += points(0.0, min(k_max - k_min, 2.0 * coarse), step)
     if count > K_SCAN_CAP:
         raise DomainError(f"a scan of [{k_min:g}, {k_max:g}] plans {count:g} solves, "
                           f"above the cap of {K_SCAN_CAP}", field="step")
@@ -631,14 +633,20 @@ def best_k_search(m: int, params: HarvestParams, rf: RateFunction,
                   step: float = 0.01, coarse_step: float | None = 0.05):
     """Locate the equation constant maximizing the symmetric utility.
 
-    Scans [k_min, k_max] at ``coarse_step`` and refines the best bracket at
-    ``step`` (set coarse_step=None for a flat scan at ``step``).  Returns
-    (k_best, utility_best, table) where table rows are (k, utility) for every
-    solve attempted; failed solves score as -inf.
+    Scans [k_min, k_max] at the coarse step of ``check_k_scan``, and where
+    that is above ``step`` refines the best coarse K's bracket at ``step``
+    (coarse_step=None scans at ``step`` alone).  Returns (k_best,
+    utility_best, table) where table rows are (k, utility) for every solve
+    attempted; a failed solve scores as -inf.  If every solve fails, the
+    last failure's error type is raised, chained from that failure (kept
+    without its traceback).
     """
     check_k_scan(k_min, k_max, step, coarse_step)
+    coarse = step if coarse_step is None or coarse_step <= step else coarse_step
+    failure = None
 
     def evaluate(ks):
+        nonlocal failure
         rows = []
         for k in ks:
             cfg = replace(config, k_const=float(k))
@@ -648,25 +656,24 @@ def best_k_search(m: int, params: HarvestParams, rf: RateFunction,
                     rep = solve_symmetric_mac(m, params, rf, cfg)
                     rows.append((float(k), rep.utility))
                 except (NonAdmissibleTrajectoryError, NumericOverflowError,
-                        SolverDivergenceError):
+                        SolverDivergenceError) as err:
+                    # the last failure, without its frames: they would keep the
+                    # failed solve's state alive through the rest of the scan
+                    failure = err.with_traceback(None)
                     rows.append((float(k), -math.inf))
         return rows
 
-    table = []
-    if coarse_step is None or coarse_step <= step:
-        grid = np.arange(k_min, k_max + 0.5 * step, step)
-        table.extend(evaluate(grid))
-    else:
-        coarse = np.arange(k_min, k_max + 0.5 * coarse_step, coarse_step)
-        rows = evaluate(coarse)
-        table.extend(rows)
-        k0 = max(rows, key=lambda r: r[1])[0]
-        lo = max(k_min, k0 - coarse_step)
-        hi = min(k_max, k0 + coarse_step)
-        fine = np.arange(lo, hi + 0.5 * step, step)
+    table = evaluate(np.arange(k_min, k_max + 0.5 * coarse, coarse))
+    if coarse > step:
+        k0 = max(table, key=lambda r: r[1])[0]
+        lo = max(k_min, k0 - coarse)
+        hi = min(k_max, k0 + coarse)
         seen = {round(k, 9) for k, _ in table}
-        fine = [k for k in fine if round(float(k), 9) not in seen]
-        table.extend(evaluate(fine))
+        table += evaluate(k for k in np.arange(lo, hi + 0.5 * step, step)
+                          if round(float(k), 9) not in seen)
     k_best, u_best = max(table, key=lambda r: r[1])
+    if u_best == -math.inf:
+        raise type(failure)(f"no equation constant in [{k_min:g}, {k_max:g}] gives a "
+                            f"solve: {failure}") from failure
     table.sort(key=lambda r: r[0])
     return k_best, u_best, table

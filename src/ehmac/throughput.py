@@ -473,7 +473,11 @@ class PhiMoments:
 
 
 class ExactRateMoments:
-    """Moment evaluator for a lone transmitter: phi collapses to the rate."""
+    """Moment evaluator for a lone transmitter: phi collapses to the rate.
+
+    A power whose ratio to n0 or whose phi' leaves the float range raises
+    NumericOverflowError with ``rates.over_n0``'s message.
+    """
 
     def __init__(self, rf: RateFunction):
         self._n0 = rf.n0
@@ -486,7 +490,10 @@ class ExactRateMoments:
             raise MomentRangeError(f"rate queried at negative power {p:.6g}", argument=p)
         n0p = self._n0 + p
         d1 = 1.0 / (2.0 * self._ln2 * n0p)
-        return 0.5 * math.log1p(p / self._n0) / self._ln2, d1, -d1 / n0p
+        q = p / self._n0
+        if q == math.inf or d1 == math.inf:  # as rate and rate_deriv on a tiny n0
+            raise NumericOverflowError(f"a power over the noise level n0 = {self._n0!r} overflows")
+        return 0.5 * math.log1p(q) / self._ln2, d1, -d1 / n0p
 
     def live_segment(self):
         """No table, so no segment: every query goes through ``eval3``."""

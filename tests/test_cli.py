@@ -279,6 +279,23 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error[")
         assert sorted(p.name for p in out.iterdir()) == ["L1_K0_p00.01"]
 
+    @pytest.mark.parametrize("k_values, written", [("", []), ("0", ["L1_K0_p00.001"])])
+    def test_scan_with_no_solve_is_an_error(self, tmp_path, capsys, k_values, written):
+        # every K in [-6, -5] fails: exit 1 with one error line rather than a
+        # -inf best row; a cell before the scan stays, and no summary is written
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"schema_version = 1\ncapacities = 1.0\nk_values = {k_values}\n"
+                       "grid_n = 64\nbest_k = true\nk_min = -6\nk_max = -5\n"
+                       "k_step = 0.5\nk_coarse = 0.5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error[E_NONADMISSIBLE]: no equation constant in [-6, -5] gives a solve: "
+            "release rate driven to zero near level 0\n")
+        assert (sorted(p.name for p in out.iterdir()) if out.exists() else []) == written
+
     def test_empty_best_k_interval_rejected_at_load(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("schema_version = 1\ncapacities = 1.0\nk_values = 0\n"

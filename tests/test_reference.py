@@ -138,3 +138,24 @@ def test_top_rate_of_the_steepest_case(references):
     for grid_n, want in ((512, -6.9e-5), (2048, -8.0e-6)):
         got = _solve(3.0, 0.5, grid_n).policies[0].values[-1] / p_top - 1.0
         assert 1.0 / 1.5 <= got / want <= 1.5, (grid_n, got)
+
+
+# L: the fixed point J* = U(L, K = -J*), which is also max over K of U
+FIXED_POINTS = {0.5: 0.1750794804, 1.0: 0.2603815624, 2.0: 0.3507400323, 3.0: 0.3973448977}
+
+
+@pytest.mark.parametrize("capacity", list(FIXED_POINTS), ids=[f"L{c:g}" for c in FIXED_POINTS])
+def test_best_k_scan_lands_at_the_fixed_point(capacity):
+    # K* = -zeta U* (the solver docstring): the scan's best K is -J* up to its
+    # step, and its best U is at most the grid's error below J* (measured
+    # 6.3e-6 / 8.0e-6 / 1.3e-5 / 3.7e-5 at grid 512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j_star = scipy_optimize.brentq(lambda j: j - lone_node_reference(capacity, -j)[0],
+                                       0.1, 0.5, xtol=1e-13, rtol=1e-13)
+    assert j_star == pytest.approx(FIXED_POINTS[capacity], rel=0.0, abs=1e-9)
+    k_best, u_best, _ = eh.best_k_search(1, eh.HarvestParams(LAM, ZETA, capacity),
+                                         eh.RateFunction(N0),
+                                         eh.SolverConfig(p0plus=P0, grid_n=512), -1.0, 0.0)
+    assert 0.0 <= j_star - u_best <= 5e-5
+    assert abs(k_best + ZETA * j_star) <= 0.01

@@ -562,6 +562,15 @@ class TestConstantPolicyStats:
         assert mean == pytest.approx(2.0)
         assert var == pytest.approx(1.0)
 
+    def test_infinite_excess_is_the_limit(self):
+        # the atom tends to 1 and the variance to lam / zeta * rho (0 at lam = 0)
+        assert eh.constant_policy_stats(eh.HarvestParams(1.0, 1.0), math.inf) == (
+            1.0, 1.0, math.inf)
+        assert eh.constant_policy_stats(eh.HarvestParams(0.0, 1.0), math.inf) == (
+            1.0, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            eh.constant_policy_stats(eh.HarvestParams(1.0, 1.0), math.nan)
+
     def test_preconditions(self):
         with pytest.raises(UsageError):
             eh.constant_policy_stats(eh.HarvestParams(1.0, 1.0, 2.0), 1.0)
@@ -599,6 +608,28 @@ class TestBestKSearch:
         _, _, table = eh.best_k_search(2, hp, rf, cfg, -0.2, 0.0, step=0.1,
                                        coarse_step=None)
         assert len(table) == 3
+
+    def test_every_constant_failing_raises(self, rf):
+        # K in [-6, -5] drives the release rate to zero at level 0: a scan
+        # with no solve raises the last failure's type, chained from it,
+        # rather than report -inf as its best; the scan kept that failure
+        # without its frames
+        cfg = eh.SolverConfig(p0plus=0.001, grid_n=64)
+        with pytest.raises(NonAdmissibleTrajectoryError,
+                           match=r"no equation constant in \[-6, -5\] gives a solve: "
+                                 "release rate driven to zero near level 0") as err:
+            eh.best_k_search(2, hp_of(1.0), rf, cfg, -6.0, -5.0, step=0.5, coarse_step=0.5)
+        assert isinstance(err.value.__cause__, NonAdmissibleTrajectoryError)
+        assert err.value.__cause__.__traceback__ is None
+
+    def test_failing_constants_score_minus_inf(self, rf):
+        # one failing K is a -inf row, and the scan goes on
+        cfg = eh.SolverConfig(p0plus=0.001, grid_n=64)
+        k_best, u_best, table = eh.best_k_search(1, hp_of(1.0), rf, cfg, -6.0, 0.0,
+                                                 step=6.0, coarse_step=None)
+        assert [k for k, _ in table] == [-6.0, 0.0]
+        assert table[0][1] == -math.inf
+        assert (k_best, u_best) == table[1] and u_best > 0.0
 
     def test_bad_interval(self, rf):
         with pytest.raises(DomainError):

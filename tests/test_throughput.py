@@ -270,6 +270,21 @@ class TestPhiMoments:
             assert d1 == pytest.approx(eh.rate_deriv(rf, p, 1), rel=1e-12)
             assert d2 == pytest.approx(eh.rate_deriv(rf, p, 2), rel=1e-12)
 
+    def test_exact_moments_overflow_where_the_rate_does(self):
+        # a subnormal n0: p / n0 overflows at p = 1e-3 and phi' at p = 0, where
+        # ``rate`` and ``rate_deriv`` raise; the lone-node ODE reports that
+        # error, not a slope beyond the floating range
+        rf = eh.RateFunction(1e-320)
+        exact = eh.ExactRateMoments(rf)
+        message = "a power over the noise level n0 = 1e-320 overflows"
+        with pytest.raises(NumericOverflowError, match=message):
+            eh.rate(rf, 1e-3)
+        for p in (1e-3, 0.0):
+            with pytest.raises(NumericOverflowError, match=message):
+                exact.eval3(p)
+        with pytest.raises(NumericOverflowError, match=message):
+            eh.el_ode_solve(exact, eh.HarvestParams(1.0, 1.0, 1.0), eh.SolverConfig(grid_n=64))
+
 
 class TestTailExtension:
     """``extended`` tabulates only the knots beyond the old range."""
