@@ -164,11 +164,7 @@ def cmd_solve(cfg: ExperimentConfig, outdir: Path):
             scans = run(_best_k_scan, [(cfg, cap) for cap in cfg.capacities])
         for cap in cfg.capacities:
             for (_, _, k, p0, init), report in islice(solved, per_cap):
-                cell_dir = outdir / _cell_tag(cap, k, p0, init)
-                report.write_dir(cell_dir)
-                if cfg.keep_history:
-                    for i, pol in enumerate(report.policy_history):
-                        export_policy(pol, cell_dir / f"policy_iter{i}.csv")
+                report.write_dir(outdir / _cell_tag(cap, k, p0, init))
                 rows.append(_summary_row(cfg, cap, k, p0, report.utility))
             if cfg.best_k:
                 k_best, u_best, table = next(scans)

@@ -30,13 +30,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float_list(text: str):
-    items = [s for s in (part.strip() for part in text.split(",")) if s]
-    return tuple(float(s) for s in items)
-
-
 def _parse_str_list(text: str):
     return tuple(s for s in (part.strip() for part in text.split(",")) if s)
+
+
+def _parse_float_list(text: str):
+    return tuple(float(s) for s in _parse_str_list(text))
 
 
 # the typed field a rejected value came from, where its config key differs

@@ -54,9 +54,11 @@ a best-K scan.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -65,7 +67,8 @@ from .errors import (DomainError, MomentRangeError, NonAdmissibleTrajectoryError
                      NumericOverflowError, SolverDivergenceError, UsageError,
                      check_integers)
 from .grids import uniform_grid
-from .measures import PolicyGrid, measure_closed_form
+from .measures import (PolicyGrid, constant_policy, export_measure, export_policy,
+                       measure_closed_form, policy_from_function)
 from .rates import RateFunction
 from .throughput import (ExactRateMoments, QMAX_CAP, SystemState, drop_laws, phi_moments,
                          sum_throughput)
@@ -169,16 +172,14 @@ class SolveReport:
         return self.utilities[0]
 
     def write_dir(self, outdir):
-        """Serialize policies, measures and the trace as text files."""
-        from pathlib import Path
-
-        from .measures import export_measure, export_policy
-
+        """Serialize policies, measures, kept iterates and the trace as text files."""
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         for k, (pol, meas) in enumerate(zip(self.policies, self.measures)):
             export_policy(pol, out / f"policy_node{k}.csv")
             export_measure(meas, out / f"measure_node{k}.csv")
+        for i, pol in enumerate(self.policy_history):
+            export_policy(pol, out / f"policy_iter{i}.csv")
         with open(out / "report.txt", "w", encoding="utf-8") as fh:
             fh.write(f"termination = {self.termination}\n")
             fh.write(f"sweeps = {self.sweeps}\n")
@@ -189,15 +190,10 @@ class SolveReport:
 
 def initial_policy(capacity: float, grid_n: int, p0plus: float,
                    init_policy: str) -> PolicyGrid:
-    x = uniform_grid(capacity, grid_n)
-    if init_policy == "linear":
-        vals = x + p0plus
-    elif init_policy == "constant":
-        vals = np.full_like(x, p0plus)
-    else:
-        vals = p0plus + np.sqrt(x)
-    vals[0] = 0.0
-    return PolicyGrid(grid=x, values=vals, p0plus=p0plus)
+    if init_policy == "constant":
+        return constant_policy(p0plus, capacity, grid_n)
+    lift = math.sqrt if init_policy == "sqrt" else float
+    return policy_from_function(lambda v: p0plus + lift(v), capacity, grid_n, p0plus)
 
 
 def _driven_to_zero(pos: float):
@@ -385,12 +381,6 @@ def _moment_knots(params: HarvestParams, rf: RateFunction, p0plus: float,
     return np.unique(np.concatenate([lin, geo]))
 
 
-def _start_candidates(config: SolverConfig):
-    p0s = config.p0plus_candidates or (config.p0plus,)
-    ks = config.k_candidates or (config.k_const,)
-    return [(p0, k) for p0 in p0s for k in ks]
-
-
 def _system_state(nodes, rf: RateFunction, policies, measures) -> SystemState:
     """Node k runs free policy k % len(policies) and holds its measure."""
     free = len(policies)
@@ -451,8 +441,6 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
     once.  Everything after them is computed per solve.
     """
     m = len(nodes)
-    if m < 1:
-        raise DomainError("node count must be at least 1")
     if any(hp.is_infinite for hp in nodes):
         raise UsageError("coordinate ascent needs finite batteries")
     free = 1 if tied else m  # node k runs policy k % free
@@ -480,7 +468,8 @@ def _ascend(nodes, rf: RateFunction, configs, tied: bool,
             search = bool(cfg.p0plus_candidates or cfg.k_candidates)
             # a search keeps the incumbent eligible; a lone candidate must succeed
             best = (utility, policies[j], measures[j]) if search else None
-            for p0, k in _start_candidates(cfg):
+            for p0, k in itertools.product(cfg.p0plus_candidates or (cfg.p0plus,),
+                                           cfg.k_candidates or (cfg.k_const,)):
                 trial_cfg = replace(cfg, p0plus=p0, k_const=k)
                 try:
                     cand_policy = el_ode_solve(phi, nodes[j], trial_cfg)

@@ -281,17 +281,12 @@ def _not_a_knot(x, ys):
     banded system by LAPACK dgtsv's elimination on plain floats, with its
     rule for swapping adjacent rows; the elimination reads only the knots,
     so one serves every row.  The coefficients are CubicHermiteSpline's.
-    Every operation rounds as theirs does, in the same order.
+    Every operation rounds as theirs does, in the same order.  The inputs
+    are not checked here: ``PhiMoments`` admits only tables that fit.
     """
     x = np.asarray(x, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if x.ndim != 1 or x.size < 4 or ys.ndim != 2 or ys.shape[1] != x.size:
-        raise DomainError("a spline fit needs at least 4 knots and one value per knot")
-    if not (np.isfinite(x).all() and np.isfinite(ys).all()):
-        raise DomainError("spline knots and values must be finite")
     dx = np.diff(x)
-    if not (dx > 0.0).all():
-        raise DomainError("spline knots must be strictly increasing")
     slope = np.diff(ys) / dx
     e0, e1 = x[2] - x[0], x[-1] - x[-3]
     rhs = np.empty_like(ys)
@@ -437,10 +432,10 @@ class PhiMoments:
                 raise MomentRangeError(
                     f"moment tabulation queried at power {p:.6g} beyond its range "
                     f"{q_hi:.6g}", argument=p)
-            if p < q_lo:
+            if not p >= q_lo:  # NaN included
                 raise MomentRangeError(
-                    f"moment tabulation queried below its first knot ({p:.6g})",
-                    argument=p)
+                    f"moment tabulation queried at power {p:.6g}, outside its knots "
+                    f"[{q_lo:.6g}, {q_hi:.6g}]", argument=p)
             t = log1p(p)
             seg = j = min(max(bisect_right(knots, t) - 1, 0), last)
             c = segs[j]
@@ -481,19 +476,19 @@ class ExactRateMoments:
 
     def __init__(self, rf: RateFunction):
         self._n0 = rf.n0
-        self._ln2 = math.log(2.0)
 
     provider = None  # nothing to extend the exact moments with
 
     def eval3(self, p: float):
-        if p < 0.0:
-            raise MomentRangeError(f"rate queried at negative power {p:.6g}", argument=p)
+        if not p >= 0.0:  # NaN included
+            raise MomentRangeError(f"rate queried at power {p:.6g}, not a nonnegative number",
+                                   argument=p)
         n0p = self._n0 + p
-        d1 = 1.0 / (2.0 * self._ln2 * n0p)
+        d1 = 1.0 / (2.0 * _LN2 * n0p)
         q = p / self._n0
         if q == math.inf or d1 == math.inf:  # as rate and rate_deriv on a tiny n0
             raise NumericOverflowError(f"a power over the noise level n0 = {self._n0!r} overflows")
-        return 0.5 * math.log1p(q) / self._ln2, d1, -d1 / n0p
+        return 0.5 * math.log1p(q) / _LN2, d1, -d1 / n0p
 
     def live_segment(self):
         """No table, so no segment: every query goes through ``eval3``."""

@@ -19,13 +19,13 @@ class SolveCache:
         self._cache = {}
 
     def get(self, capacity, k_const, p0plus, init="linear", theta_tol=0.01,
-            grid_n=512, max_outer=60):
-        key = (capacity, k_const, p0plus, init, theta_tol, grid_n, max_outer)
+            grid_n=512, max_outer=60, ode_substeps=4):
+        key = (capacity, k_const, p0plus, init, theta_tol, grid_n, max_outer, ode_substeps)
         if key not in self._cache:
             hp = eh.HarvestParams(1.0, 1.0, capacity)
             cfg = eh.SolverConfig(k_const=k_const, p0plus=p0plus, grid_n=grid_n,
                                   theta_tol=theta_tol, max_outer=max_outer,
-                                  init_policy=init)
+                                  ode_substeps=ode_substeps, init_policy=init)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 self._cache[key] = eh.solve_symmetric_mac(2, hp, RF, cfg)

@@ -135,6 +135,15 @@ def test_criterion_3b_cell_grid(solves, cap):
 
 
 @pytest.mark.parametrize("cap", sorted(QUOTED_K_MINUS_HALF))
+def test_criterion_3b_cell_settings(solves, cap):
+    # four times the ODE substeps, and p(0+) across three decades
+    values = [solves.get(cap, -0.5, 0.001, ode_substeps=16).utility]
+    values += [solves.get(cap, -0.5, p0).utility for p0 in (1e-4, 0.01, 0.1)]
+    for value in values:
+        assert_pins_cell(cap, value, 1e-3)
+
+
+@pytest.mark.parametrize("cap", sorted(QUOTED_K_MINUS_HALF))
 def test_criterion_3b_cell_gauss_seidel(solves, cap):
     hp = eh.HarvestParams(1.0, 1.0, cap)
     cfg = eh.SolverConfig(k_const=-0.5, p0plus=0.001)
